@@ -517,9 +517,7 @@ def _corner_area_ratio_density(s: SurfaceModel, x0) -> float:
 
     Boundary points are fair game here (unlike interior extrapolation, no
     full-disk assumption is made); the intercept of a linear-in-r^2 fit
-    removes the leading curvature effect. The clip tolerance is tighter than
-    the default because the extrapolation amplifies area errors and the
-    result is compared across homotheties at 1e-9.
+    removes the leading curvature effect.
     """
     x0 = as_point(x0, dim=s.dim)
     from .surfaces import nearest_vertex
@@ -532,7 +530,7 @@ def _corner_area_ratio_density(s: SurfaceModel, x0) -> float:
     radii = [r1, r1 / 2.0, r1 / 4.0]
     ratios = []
     for r in radii:
-        a = clip_areas_total(tris, Ball(center=x0, radius=r), tol=1e-8)
+        a = clip_areas_total(tris, Ball(center=x0, radius=r))
         ratios.append(a / (math.pi * r * r))
     A = np.stack([np.ones(3), np.asarray(radii) ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(A, np.asarray(ratios), rcond=None)

@@ -24,20 +24,18 @@ __all__ = [
     "triangle_area",
     "triangle_areas",
     "clip_area_in_ball",
+    "clip_areas",
     "clip_areas_total",
     "vertex_total_angle",
     "subdivide4",
     "point_triangle_dist2",
     "DEGENERATE_REL_TOL",
-    "DEFAULT_CLIP_TOL",
 ]
 
 PointN = np.ndarray
 
 # area below this multiple of the squared diameter counts as zero-area
 DEGENERATE_REL_TOL = 1e-14
-# default relative tolerance of the adaptive sphere clip
-DEFAULT_CLIP_TOL = 1e-6
 
 
 def as_point(coords, dim: int | None = None) -> PointN:
@@ -299,110 +297,101 @@ def point_triangle_dist2(verts: np.ndarray, p: np.ndarray) -> np.ndarray:
     return dist2
 
 
-def _split_longest(verts: np.ndarray, thresh: np.ndarray):
-    """Bisect each triangle across its longest edge; areas halve exactly."""
-    d01 = ((verts[:, 1] - verts[:, 0]) ** 2).sum(-1)
-    d12 = ((verts[:, 2] - verts[:, 1]) ** 2).sum(-1)
-    d20 = ((verts[:, 0] - verts[:, 2]) ** 2).sum(-1)
-    which = np.argmax(np.stack([d01, d12, d20], axis=1), axis=1)
-    k = verts.shape[0]
-    idx = np.arange(k)
-    i0 = which
-    i1 = (which + 1) % 3
-    i2 = (which + 2) % 3
-    v0 = verts[idx, i0]
-    v1 = verts[idx, i1]
-    v2 = verts[idx, i2]
-    mid = 0.5 * (v0 + v1)
-    child1 = np.stack([v0, mid, v2], axis=1)
-    child2 = np.stack([mid, v1, v2], axis=1)
-    return (
-        np.concatenate([child1, child2], axis=0),
-        np.concatenate([thresh, thresh], axis=0),
-    )
+def _edge_fan_areas(ax, ay, bx, by, rho2):
+    """Signed area of triangle (0, A, B) ∩ disk(0, sqrt(rho2)), rowwise.
 
-
-def clip_areas_total(
-    verts: np.ndarray, ball: Ball, tol: float = DEFAULT_CLIP_TOL
-) -> float:
-    """Total area of the (K, 3, n) triangle stack clipped to a ball.
-
-    Adaptive longest-edge bisection. A piece is resolved when it is entirely
-    inside the ball (all vertices inside; the ball is convex), entirely outside
-    (distance from the center exceeds the radius), or its area falls below
-    tol times its root triangle's area, in which case it contributes the
-    fraction of its area given by where the radius falls between its nearest
-    and farthest point (first-order coverage; errors on opposite sides of the
-    sphere largely cancel).
-
-    Deterministic: pieces accumulate in breadth-first creation order through
-    error-free summation.
+    The segment A + t d, d = B - A, meets the circle at t1 <= t2; clamped to
+    [0, 1] they split it into a sector, a chord triangle and a sector (a
+    single sector from A to B when it misses). Every cross product along the
+    segment is (t - s) cross(A, d), which keeps the angles accurate to a few
+    ulps even when the edge is short against rho.
     """
-    if not (tol > 0.0):
-        raise InvalidParameterError(f"clip tolerance must be positive, got {tol}")
+    dx, dy = bx - ax, by - ay
+    a = dx * dx + dy * dy
+    b = ax * dx + ay * dy
+    s = np.sqrt(np.maximum(b * b - a * (ax * ax + ay * ay - rho2), 0.0))
+    t1 = np.clip((-b - s) / a, 0.0, 1.0)
+    t2 = np.clip((-b + s) / a, 0.0, 1.0)
+    cross = ax * dy - ay * dx
+    # + 0.0 turns a -0.0 dot product at the foot into +0.0: atan2(0, -0.0)
+    # is pi and would add a spurious half disk
+    theta_in = np.arctan2(t1 * cross, ax * (ax + t1 * dx) + ay * (ay + t1 * dy) + 0.0)
+    theta_out = np.arctan2((1.0 - t2) * cross, (ax + t2 * dx) * bx + (ay + t2 * dy) * by + 0.0)
+    return 0.5 * ((t2 - t1) * cross + rho2 * (theta_in + theta_out))
+
+
+def _straddling_areas(rel: np.ndarray, r2: float) -> np.ndarray:
+    """Exact area of each triangle of a (K, 3, n) stack inside the ball of
+    squared radius r2 centred at the origin; rows must be nondegenerate.
+
+    The triangle's plane meets the ball in a disk of squared radius
+    rho2 = r2 - h^2, h the distance from the centre to the plane. In an
+    orthonormal in-plane frame built from the longest edge, with the origin
+    at the foot of the centre, the area is the sum over the three edges of
+    the signed area of (foot, edge) ∩ disk.
+    """
+    k = rel.shape[0]
+    lengths = ((np.roll(rel, -1, axis=1) - rel) ** 2).sum(-1)  # edge i: v_i -> v_i+1
+    # rotate the vertices cyclically (orientation kept) so v0 -> v1 is longest
+    order = (np.argmax(lengths, axis=1)[:, None] + np.arange(3)) % 3
+    rel = rel[np.arange(k)[:, None], order]
+    e1 = rel[:, 1] - rel[:, 0]
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = rel[:, 2] - rel[:, 0]
+    e2 -= np.einsum("kn,kn->k", e2, e1)[:, None] * e1
+    e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
+    x = np.einsum("kvn,kn->kv", rel, e1)
+    y = np.einsum("kvn,kn->kv", rel, e2)
+    foot = rel[:, 0] - x[:, :1] * e1 - y[:, :1] * e2
+    rho2 = np.maximum(r2 - (foot**2).sum(-1), 0.0)
+    xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+    return _edge_fan_areas(x, y, xn, yn, rho2[:, None]).sum(axis=1)
+
+
+def clip_areas(verts: np.ndarray, ball: Ball) -> np.ndarray:
+    """Exact area of each triangle of a (K, 3, n) stack inside a ball.
+
+    Faces with every vertex inside the ball (the ball is convex) count
+    whole; faces farther from the centre than the radius count zero;
+    degenerate faces (area below DEGENERATE_REL_TOL times the squared
+    diameter) count zero. The rest go through the closed form of
+    `_straddling_areas`, clamped to [0, area].
+    """
     verts = np.asarray(verts, dtype=np.float64)
     if verts.ndim != 3 or verts.shape[1] != 3:
         raise InvalidParameterError(f"expected (K, 3, n) triangle stack, got {verts.shape}")
-    if verts.shape[1:] and verts.shape[2] != ball.dim:
+    if verts.shape[2] != ball.dim:
         raise InputInconsistentError(
             f"triangles have dimension {verts.shape[2]}, ball has {ball.dim}"
         )
-    if verts.shape[0] == 0:
-        return 0.0
-
-    areas0 = triangle_areas(verts)
-    degenerate = areas0 < DEGENERATE_REL_TOL * _sq_diameters(verts)
-    keep = ~degenerate
-    active = verts[keep]
-    thresh = tol * areas0[keep]
-    if active.shape[0] == 0:
-        return 0.0
-
-    center = ball.center
+    areas = triangle_areas(verts)
+    live = (areas > 0.0) & (areas >= DEGENERATE_REL_TOL * _sq_diameters(verts))
     r2 = ball.radius * ball.radius
-    contributions: list[np.ndarray] = []
-    max_levels = max(24, int(math.ceil(math.log2(1.0 / tol))) + 8)
-
-    for level in range(max_levels):
-        if active.shape[0] == 0:
-            break
-        areas = triangle_areas(active)
-        d2 = ((active - center) ** 2).sum(-1)  # (K, 3)
-        all_in = np.all(d2 <= r2, axis=1)
-        rest = ~all_in
-        outside = np.zeros(active.shape[0], dtype=bool)
-        if np.any(rest):
-            od2 = point_triangle_dist2(active[rest], center)
-            outside[rest] = od2 > r2
-        small = (areas <= thresh) & ~all_in & ~outside
-        if level == max_levels - 1:
-            small = ~all_in & ~outside
-        contributions.append(areas[all_in])
-        if np.any(small):
-            near = np.sqrt(point_triangle_dist2(active[small], center))
-            far = np.sqrt(d2[small].max(axis=1))
-            width = np.maximum(far - near, 1e-300)
-            frac = np.clip((ball.radius - near) / width, 0.0, 1.0)
-            contributions.append(areas[small] * frac)
-        split = ~all_in & ~outside & ~small
-        if not np.any(split):
-            active = active[:0]
-            break
-        active, thresh = _split_longest(active[split], thresh[split])
-
-    if not contributions:
-        return 0.0
-    return stable_sum(np.concatenate(contributions).tolist())
+    inside = live & np.all(((verts - ball.center) ** 2).sum(-1) <= r2, axis=1)
+    out = np.where(inside, areas, 0.0)
+    rest = np.nonzero(live & ~inside)[0]
+    rest = rest[point_triangle_dist2(verts[rest], ball.center) <= r2]
+    out[rest] = np.clip(_straddling_areas(verts[rest] - ball.center, r2), 0.0, areas[rest])
+    return out
 
 
-def clip_area_in_ball(t: Triangle, b: Ball, tol: float = DEFAULT_CLIP_TOL) -> float:
-    """Area of triangle ∩ ball within tol times the triangle's area.
+def clip_areas_total(verts: np.ndarray, ball: Ball) -> float:
+    """Exact total area of the (K, 3, n) triangle stack inside a ball.
 
-    Monotone in the radius up to tol * area(t); always within [0, area(t)].
+    The error-free sum, in face order, of `clip_areas`; exact up to
+    floating-point rounding in any dimension n >= 3.
+    """
+    return stable_sum(clip_areas(verts, ball).tolist())
+
+
+def clip_area_in_ball(t: Triangle, b: Ball) -> float:
+    """Exact area of triangle ∩ ball, within [0, area(t)].
+
+    Degenerate triangles measure zero.
     """
     if t.dim != b.dim:
         raise InputInconsistentError(f"triangle dim {t.dim} != ball dim {b.dim}")
-    return clip_areas_total(t.vertices[None, :, :], b, tol)
+    return clip_areas_total(t.vertices[None, :, :], b)
 
 
 def _match_vertex(tri: np.ndarray, p: np.ndarray, tol: float) -> int | None:

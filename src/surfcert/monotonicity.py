@@ -21,10 +21,10 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .geometry import (
-    DEFAULT_CLIP_TOL,
     Ball,
     PointN,
     as_point,
+    clip_areas,
     clip_areas_total,
     point_triangle_dist2,
     subdivide4,
@@ -293,7 +293,6 @@ def m_profile(
     x0,
     radii=None,
     constants: PropertyPConstants | None = None,
-    clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> MonotonicityProfile:
     """Profile of m(r) over a radius grid, with pairwise weighted defects.
 
@@ -301,6 +300,13 @@ def m_profile(
     mesh loops (verified vertex-for-vertex up to cyclic shift). The exterior
     cone over each curve with vertex x0 is truncated far enough to exit the
     largest queried ball.
+
+    tol_disc bounds the rounding error of any weighted increment w_j - w_i,
+    w = exp(lam r^alpha) m. With dm(r) = (`_clip_rounding_bounds` at r) / r^2
+    + 2u m(r), the last term for the rounding of the exact sum and of the
+    division, that error is at most w_j dm(r_j) + w_i dm(r_i); the third
+    unit in tol_disc = 3 max_r w(r) dm(r) covers the weights and the
+    subtraction.
     """
     x0 = as_point(x0, dim=s.dim)
     curves = _as_curves(boundary)
@@ -326,18 +332,20 @@ def m_profile(
     face_tris = s.face_triangles()
     cone_tris = [c.mesh.face_triangles() for c in cones]
     m_vals = []
-    max_ball_area = 0.0
     for r in radii:
         ball = Ball(center=x0, radius=r)
-        area = clip_areas_total(face_tris, ball, tol=clip_tol)
+        area = clip_areas_total(face_tris, ball)
         for ct in cone_tris:
-            area += clip_areas_total(ct, ball, tol=clip_tol)
-        max_ball_area = max(max_ball_area, area)
+            area += clip_areas_total(ct, ball)
         m_vals.append(area / r**2)
 
-    tol_disc = 3.0 * clip_tol * max_ball_area / min(r**2 for r in radii)
     lam, alpha = constants.lam, constants.alpha
     w = [math.exp(lam * r**alpha) * m for r, m in zip(radii, m_vals)]
+    clip_err = _clip_rounding_bounds(np.concatenate([face_tris, *cone_tris]), x0, radii)
+    u = np.finfo(np.float64).eps / 2.0
+    tol_disc = 3.0 * max(
+        wi * (e / r**2 + 2.0 * u * m) for wi, e, r, m in zip(w, clip_err, radii, m_vals)
+    )
     defects = tuple(
         (i, j, w[j] - w[i]) for i in range(len(radii)) for j in range(i + 1, len(radii))
     )
@@ -351,6 +359,36 @@ def m_profile(
         defects=defects,
         tol_disc=tol_disc,
     )
+
+
+def _clip_rounding_bounds(tris: np.ndarray, x0: np.ndarray, radii) -> np.ndarray:
+    """First-order bound, per radius r, on the rounding error of
+    clip_areas_total(tris, B(x0, r)).
+
+    For a face within r of x0 (the clip's own point_triangle_dist2 test),
+    with longest edge L, s = r + L, unit roundoff u and dimension n, every
+    quantity the closed form reads has magnitude at most s, and to first
+    order in u:
+    - the in-plane vertices move by at most (2n + 5) u s, so the area moves
+      by at most the perimeter 3s times that;
+    - rho^2 = r^2 - h^2 is off by at most (5n + 19) u s^2, so the area is off
+      by at most pi times that (the annulus between the two disks);
+    - the chord points are stationary points of their edge term, and the
+      nine sector and chord-triangle terms (absolute sum at most
+      3 (1 + pi) s^2 / 2, relative error 5u each), the edge sums and the
+      clamp add at most 45 u s^2.
+    Together at most 24 (n + 6) u s^2 per face. A face fully inside counts
+    its Gram area, whose error (n + 3) u L^4 / (2 area) stays within that
+    (s >= 3L/2 there) unless area < L^2 / 100; an underestimate only makes
+    the checks that use tol_disc stricter.
+    """
+    n = tris.shape[2]
+    u = np.finfo(np.float64).eps / 2.0
+    longest = np.linalg.norm(tris - np.roll(tris, 1, axis=1), axis=2).max(axis=1)
+    d2 = point_triangle_dist2(tris, np.asarray(x0))
+    r = np.asarray(radii, dtype=np.float64)[:, None]
+    per_face = np.where(d2[None, :] <= r * r, (r + longest[None, :]) ** 2, 0.0)
+    return 24.0 * (n + 6) * u * per_face.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -375,27 +413,6 @@ def _analytic_pieces(s: SurfaceModel, refine: int):
     ccent = coords.mean(axis=1)
     pcent = pp.mean(axis=1)
     return pp, coords, areas, ccent, pcent
-
-
-def _ball_area_weights(coords, areas, x0, r, extra_levels: int = 2):
-    """Per-piece area inside B(x0, r): convex-hull inclusion where decidable,
-    finer centroid classification on the straddling band."""
-    vr = np.linalg.norm(coords - np.asarray(x0)[None, None, :], axis=2)
-    inside = np.all(vr <= r, axis=1)
-    mind2 = point_triangle_dist2(coords, np.asarray(x0))
-    outside = mind2 >= r * r
-    w = np.where(inside, areas, 0.0)
-    band = ~inside & ~outside
-    if np.any(band):
-        sub = subdivide4(coords[band], levels=extra_levels)
-        sa = triangle_areas(sub)
-        sc = np.linalg.norm(sub.mean(axis=1) - np.asarray(x0)[None, :], axis=1)
-        k = int(band.sum())
-        hit = np.where(sc <= r, sa, 0.0)
-        # subdivide4 keeps children of band piece t at rows congruent to t
-        # modulo k, so the row-major reshape sums each piece's own children
-        w[band] = hit.reshape(-1, k).sum(axis=0)
-    return w
 
 
 def _boundary_elements(s: SurfaceModel, refine: int):
@@ -501,14 +518,13 @@ def identity_defect(
     pp, coords, areas, ccent, pcent = _analytic_pieces(s, refine)
     x0a = np.asarray(x0)
 
-    # LHS from piece-level clipping; the default tolerance keeps the clip
-    # error orders below the defect scale without blowing up the bisection
-    a_r = clip_areas_total(coords, Ball(center=x0, radius=r), tol=DEFAULT_CLIP_TOL)
-    a_s = clip_areas_total(coords, Ball(center=x0, radius=sigma), tol=DEFAULT_CLIP_TOL)
+    # LHS from exact piece-level clipping
+    a_r = clip_areas_total(coords, Ball(center=x0, radius=r))
+    a_s = clip_areas_total(coords, Ball(center=x0, radius=sigma))
     lhs = a_r / r**2 - a_s / sigma**2
 
-    # shell term: 7-point rule in parameter space on interior pieces, finer
-    # centroid classification on the band
+    # shell term: 7-point rule in parameter space on interior pieces; a band
+    # piece weighs its centroid value by its exact area inside the annulus
     curv = s.patch.curvature_at(pcent)
     hvec = curv["mean_curvature_vec"]
     good = ~curv["unreliable"]
@@ -554,15 +570,9 @@ def identity_defect(
             acc += _Q7_W[q] * shell_integrand(pts)
         shell += float((acc * par_area).sum())
     if np.any(band):
-        sub = subdivide4(coords[band], levels=2)
-        subp = subdivide4(pp[band], levels=2)
-        sa = triangle_areas(sub)
-        sc = sub.mean(axis=1)
-        rho = np.linalg.norm(sc - x0a[None, :], axis=1)
-        keep = (rho >= sigma) & (rho <= r)
-        if np.any(keep):
-            vals = shell_integrand(subp[keep].mean(axis=1), metric_J=False)
-            shell += float((vals * sa[keep]).sum())
+        ring = clip_areas(coords[band], Ball(x0, r)) - clip_areas(coords[band], Ball(x0, sigma))
+        vals = shell_integrand(pcent[band], metric_J=False)
+        shell += float((vals * ring).sum())
 
     # radial integrals
     vmom = np.einsum("kn,kn->k", ccent - x0a[None, :], hvec)
@@ -621,19 +631,18 @@ def check_property_p(
         prof = m_profile(s, curves, x0, radii=radii, constants=k)
 
     if s.patch is not None and s.params is not None:
-        _pp, coords, areas, _cc, pcent = _analytic_pieces(s, DEFAULT_REFINE)
+        _pp, coords, _areas, _cc, pcent = _analytic_pieces(s, DEFAULT_REFINE)
         curv = s.patch.curvature_at(pcent)
         hmag = np.where(curv["unreliable"], 0.0, curv["mean_curvature_norm"])
     else:
         scalar, _ = mean_curvature_field(s)
         vals = np.where(scalar.unreliable, 0.0, scalar.values)
         coords = s.face_triangles()
-        areas = s.face_areas
         hmag = vals[s.faces].mean(axis=1)
 
     integrals, bounds, slacks, violations = [], [], [], []
     for idx, r in enumerate(prof.radii):
-        w = _ball_area_weights(coords, areas, x0, r)
+        w = clip_areas(coords, Ball(center=x0, radius=r))
         integral = float((hmag * w).sum())
         bound = k.alpha * k.lam * r ** (k.alpha + 1.0) * prof.m_values[idx]
         slack = bound - integral

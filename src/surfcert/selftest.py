@@ -49,7 +49,7 @@ class CheckResult:
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
-        return f"{tag} {self.number:2d} {self.name}: {self.detail}"
+        return f"{tag} {self.number:2d} {self.name} ({self.seconds:.2f} s): {self.detail}"
 
 
 _CHECKS: list = []
@@ -440,7 +440,7 @@ def run_checks(only=None) -> list:
     for number, name, fn in sorted(_CHECKS, key=lambda t: t[0]):
         if wanted is not None and number not in wanted:
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             passed, detail = fn()
         except Exception as e:  # a crashed check is a failed check
@@ -451,7 +451,7 @@ def run_checks(only=None) -> list:
                 name=name,
                 passed=bool(passed),
                 detail=detail,
-                seconds=time.time() - t0,
+                seconds=time.perf_counter() - t0,
             )
         )
     return results

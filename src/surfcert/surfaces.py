@@ -21,7 +21,6 @@ from .errors import (
 )
 from .geometry import (
     Ball,
-    DEFAULT_CLIP_TOL,
     PointN,
     as_point,
     clip_areas_total,
@@ -386,12 +385,10 @@ def boundary_polyline(surface: SurfaceModel, loop_index: int = 0, corner_flags=N
     return PolylineCurve(surface.vertices[lp], closed=True, corner_flags=corner_flags)
 
 
-def area_in_ball(
-    surface: SurfaceModel, x0: PointN, r: float, tol: float = DEFAULT_CLIP_TOL
-) -> float:
+def area_in_ball(surface: SurfaceModel, x0: PointN, r: float) -> float:
     """Area of the surface inside the ball of radius r around x0."""
     ball = Ball(as_point(x0, dim=surface.dim), r)
-    return clip_areas_total(surface.face_triangles(), ball, tol=tol)
+    return clip_areas_total(surface.face_triangles(), ball)
 
 
 @dataclass(frozen=True)
@@ -422,7 +419,6 @@ def density_estimate(
     x0: PointN,
     mode: str = "auto",
     r1: float | None = None,
-    clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> DensityEstimate:
     """Area density of the surface at x0, with diagnostics.
 
@@ -475,10 +471,7 @@ def density_estimate(
         )
     radii = (r1, 0.5 * r1, 0.25 * r1)
     tris = surface.face_triangles()
-    ratios = tuple(
-        clip_areas_total(tris, Ball(x0, r), tol=clip_tol) / (math.pi * r * r)
-        for r in radii
-    )
+    ratios = tuple(clip_areas_total(tris, Ball(x0, r)) / (math.pi * r * r) for r in radii)
     design = np.array([[1.0, r * r] for r in radii])
     coef, *_ = np.linalg.lstsq(design, np.asarray(ratios), rcond=None)
     return DensityEstimate(
@@ -491,10 +484,9 @@ def density(
     x0: PointN,
     mode: str = "auto",
     r1: float | None = None,
-    clip_tol: float = DEFAULT_CLIP_TOL,
 ) -> float:
     """Area density of the surface at x0 (see density_estimate for details)."""
-    return density_estimate(surface, x0, mode=mode, r1=r1, clip_tol=clip_tol).value
+    return density_estimate(surface, x0, mode=mode, r1=r1).value
 
 
 def mean_curvature_field(

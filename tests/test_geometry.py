@@ -5,6 +5,7 @@ in-plane disks, half and quarter disks at edges and corners, and flat
 vertex stars whose cone angles are known exactly.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -25,8 +26,10 @@ from surfcert import (
     triangle_areas,
     vertex_total_angle,
 )
+from surfcert.geometry import DEGENERATE_REL_TOL, _edge_fan_areas
 
-TOL = 1e-8  # clip tolerance used throughout; errors scale with triangle area
+# the clip is exact up to rounding: closed forms agree to this relative error
+REL = 1e-12
 
 
 def tri(*pts) -> Triangle:
@@ -46,18 +49,18 @@ def big_triangle(side: float = 40.0) -> Triangle:
 class TestClipClosedForms:
     def test_triangle_fully_inside(self):
         t = tri((0, 0, 0), (1, 0, 0), (0, 1, 0))
-        got = clip_area_in_ball(t, Ball((0.2, 0.2, 0.0), 100.0), tol=TOL)
+        got = clip_area_in_ball(t, Ball((0.2, 0.2, 0.0), 100.0))
         assert got == pytest.approx(0.5, rel=1e-12)
 
     def test_triangle_fully_outside(self):
         t = tri((10, 0, 0), (11, 0, 0), (10, 1, 0))
-        assert clip_area_in_ball(t, Ball((0, 0, 0), 1.0), tol=TOL) == 0.0
+        assert clip_area_in_ball(t, Ball((0, 0, 0), 1.0)) == 0.0
 
     def test_small_ball_in_triangle_interior_is_a_disk(self):
         t = big_triangle()
         r = 1.5
-        got = clip_area_in_ball(t, Ball((0.0, 0.0, 0.0), r), tol=TOL)
-        assert got == pytest.approx(math.pi * r * r, rel=2e-5)
+        got = clip_area_in_ball(t, Ball((0.0, 0.0, 0.0), r))
+        assert got == pytest.approx(math.pi * r * r, rel=REL)
 
     def test_ball_on_edge_midpoint_is_a_half_disk(self):
         side = 40.0
@@ -66,30 +69,30 @@ class TestClipClosedForms:
         # midpoint of the bottom edge, well away from both endpoints
         center = (0.0, -h / 3.0, 0.0)
         r = 2.0
-        got = clip_area_in_ball(t, Ball(center, r), tol=TOL)
-        assert got == pytest.approx(math.pi * r * r / 2.0, rel=2e-5)
+        got = clip_area_in_ball(t, Ball(center, r))
+        assert got == pytest.approx(math.pi * r * r / 2.0, rel=REL)
 
     def test_ball_at_right_angle_corner_is_a_quarter_disk(self):
         t = tri((0, 0, 0), (30, 0, 0), (0, 30, 0))
         r = 1.0
-        got = clip_area_in_ball(t, Ball((0.0, 0.0, 0.0), r), tol=TOL)
-        assert got == pytest.approx(math.pi * r * r / 4.0, rel=2e-5)
+        got = clip_area_in_ball(t, Ball((0.0, 0.0, 0.0), r))
+        assert got == pytest.approx(math.pi * r * r / 4.0, rel=REL)
 
     def test_offset_plane_clips_to_smaller_disk(self):
         # ball center off the triangle plane: the slice is a disk of radius
         # sqrt(r^2 - d^2)
         t = big_triangle()
         r, d = 2.0, 1.2
-        got = clip_area_in_ball(t, Ball((0.0, 0.0, d), r), tol=TOL)
+        got = clip_area_in_ball(t, Ball((0.0, 0.0, d), r))
         expect = math.pi * (r * r - d * d)
-        assert got == pytest.approx(expect, rel=2e-5)
+        assert got == pytest.approx(expect, rel=REL)
 
     def test_radius_monotone(self):
         t = tri((0, 0, 0), (3, 0, 0), (0, 2, 0))
         prev = 0.0
         for r in (0.2, 0.5, 1.0, 1.8, 2.6, 10.0):
-            cur = clip_area_in_ball(t, Ball((0.5, 0.4, 0.0), r), tol=TOL)
-            assert cur >= prev - TOL * triangle_area(t)
+            cur = clip_area_in_ball(t, Ball((0.5, 0.4, 0.0), r))
+            assert cur >= prev - REL * triangle_area(t)
             prev = cur
         assert prev == pytest.approx(triangle_area(t), rel=1e-12)
 
@@ -97,13 +100,13 @@ class TestClipClosedForms:
         t = tri((0, 0, 0), (2, 0, 0), (0, 2, 0))
         a = triangle_area(t)
         for r in (0.1, 0.7, 1.3, 5.0):
-            got = clip_area_in_ball(t, Ball((0.3, 0.3, 0.0), r), tol=TOL)
+            got = clip_area_in_ball(t, Ball((0.3, 0.3, 0.0), r))
             assert 0.0 <= got <= a + 1e-15
 
     def test_degenerate_triangle_measures_zero(self):
         t = tri((0, 0, 0), (1, 1, 1), (2, 2, 2))
         assert triangle_area(t) == 0.0
-        assert clip_area_in_ball(t, Ball((0, 0, 0), 5.0), tol=TOL) == 0.0
+        assert clip_area_in_ball(t, Ball((0, 0, 0), 5.0)) == 0.0
 
     def test_dimension_mismatch_rejected(self):
         t = tri((0, 0, 0), (1, 0, 0), (0, 1, 0))
@@ -121,16 +124,83 @@ class TestClipClosedForms:
                 ]
             )
         )
-        got = clip_area_in_ball(t, Ball((0.0, 0.0, 0.0, 3.0), 1.5), tol=TOL)
-        assert got == pytest.approx(math.pi * 1.5**2, rel=1e-5)
+        got = clip_area_in_ball(t, Ball((0.0, 0.0, 0.0, 3.0), 1.5))
+        assert got == pytest.approx(math.pi * 1.5**2, rel=REL)
 
     def test_stack_total_matches_sum_of_singles(self):
         rng = np.random.default_rng(7)
         stack = rng.normal(size=(12, 3, 3))
         b = Ball((0.1, -0.2, 0.05), 1.1)
-        total = clip_areas_total(stack, b, tol=TOL)
-        singles = sum(clip_area_in_ball(Triangle(v), b, tol=TOL) for v in stack)
-        assert total == pytest.approx(singles, abs=1e-9)
+        total = clip_areas_total(stack, b)
+        singles = sum(clip_area_in_ball(Triangle(v), b) for v in stack)
+        assert total == pytest.approx(singles, abs=1e-12)
+
+    def test_offset_ball_in_r4_cuts_a_disk_of_radius_rho(self):
+        # large triangle in the plane x3 = 1, x4 = 0 of R^4; the centre sits
+        # off that plane by h in both normal directions
+        t = Triangle(
+            np.array(
+                [[-50.0, -30.0, 1.0, 0.0], [50.0, -30.0, 1.0, 0.0], [0.0, 60.0, 1.0, 0.0]]
+            )
+        )
+        r, c3, c4 = 3.0, 0.4, -1.1
+        h2 = (1.0 - c3) ** 2 + c4**2
+        got = clip_area_in_ball(t, Ball((0.7, 2.0, c3, c4), r))
+        assert got == pytest.approx(math.pi * (r * r - h2), rel=REL)
+
+    @pytest.mark.parametrize("corner", [0.0, -0.0])
+    @pytest.mark.parametrize("center", [0.0, -0.0])
+    @pytest.mark.parametrize("h", [0.0, 0.6])
+    def test_ball_at_a_vertex_cuts_a_sector(self, corner, center, h):
+        # acute corner at the origin, opening angle atan2(12, 32); a corner
+        # at -0.0 under a centre at +0.0 gives in-plane coordinates -0.0,
+        # and atan2(0, -0.0) = pi would add a spurious half disk
+        t = tri((corner, corner, corner), (40.0, 0.0, 0.0), (32.0, 12.0, 0.0))
+        r = 1.0
+        got = clip_area_in_ball(t, Ball((center, center, center + h), r))
+        rho2 = r * r - h * h
+        assert got == pytest.approx(0.5 * rho2 * math.atan2(12.0, 32.0), rel=REL)
+
+    def test_ball_on_an_edge_with_signed_zeros_adds_no_half_disk(self):
+        # the centre, given with signed zeros, is the midpoint of the edge
+        # from (4, 0, 0) to (-4, 0, 0): a half disk, never a full one
+        t = tri((4.0, -0.0, -0.0), (-4.0, 0.0, 0.0), (0.0, -6.0, -0.0))
+        for center in [(-0.0, -0.0, -0.0), (0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)]:
+            got = clip_area_in_ball(t, Ball(center, 1.5))
+            assert got == pytest.approx(0.5 * math.pi * 1.5**2, rel=REL)
+        # centred on the edge's end vertex: a sector of that corner's angle
+        got = clip_area_in_ball(t, Ball((-4.0, -0.0, 0.0), 1.0))
+        assert got == pytest.approx(0.5 * math.atan2(6.0, 4.0), rel=REL)
+
+    def test_edge_term_ignores_signed_zeros(self):
+        # the fan (foot, A, B) with A on the foot has no area, whatever the
+        # signs of A's zero coordinates; atan2(0, -0.0) = pi would give it a
+        # half disk
+        z = np.array([0.0, -0.0])
+        for ax, ay in itertools.product(z, z):
+            for bx, by in [(1.0, 0.0), (0.0, 1.0), (-1.0, -0.0), (2.0, 3.0)]:
+                got = _edge_fan_areas(
+                    np.array([ax]), np.array([ay]), np.array([bx]), np.array([by]), 0.25
+                )
+                assert got[0] == 0.0
+                back = _edge_fan_areas(
+                    np.array([bx]), np.array([by]), np.array([ax]), np.array([ay]), 0.25
+                )
+                assert back[0] == 0.0
+
+    def test_sliver_just_above_the_degeneracy_floor_is_finite(self):
+        # right-angled, so the Gram determinant eps^2 is exact: area eps / 2
+        # is twice the floor times the squared diameter (1 + eps^2)
+        eps = 4.0 * DEGENERATE_REL_TOL
+        pts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, eps, 0.0)]
+        for shift in range(3):
+            t = tri(*(pts[shift:] + pts[:shift]))
+            area = triangle_area(t)
+            assert area == pytest.approx(eps / 2.0, rel=1e-12)
+            for center, r in [((0.5, 0.0, 0.0), 0.2), ((0.0, 0.0, 0.1), 0.3), ((1.2, 0.0, 0.0), 0.3)]:
+                got = clip_area_in_ball(t, Ball(center, r))
+                assert math.isfinite(got)
+                assert 0.0 <= got <= area
 
 
 class TestSubdivide:

@@ -73,6 +73,35 @@ class TestProfile:
         assert disk_profile.tol_disc > 0.0
         assert len(disk_profile.defects) == 15  # all pairs of 6 radii
 
+    def test_tol_disc_below_the_adaptive_clippers_on_selftest_profiles(self):
+        # tol_disc was 3 * 1e-6 * (largest clipped area) / (smallest r^2) when
+        # a 1e-6-relative adaptive clipper computed m(r); the derived rounding
+        # bound of the exact clip may only be tighter
+        from surfcert.selftest import _default_profile
+
+        profiles = [
+            _default_profile(name, params)[1]
+            for name, params in [
+                ("flat_disk", None),
+                ("catenoid", None),
+                ("graph_disk", {"seed": 0}),
+                ("graph_disk", {"seed": 1}),
+                ("graph_disk", {"seed": 2}),
+                ("cap", None),
+            ]
+        ]
+        for name in ("cap", "catenoid"):
+            scene = build_scene(name)
+            r0 = extrinsic_diameter(scene.surface)
+            radii = tuple(r0 * f for f in (0.5, 1.0, 1.5, 2.0, 4.0))
+            profiles.append(
+                m_profile(scene.surface, list(scene.boundaries), scene.default_x0, radii=radii)
+            )
+        for prof in profiles:
+            max_area = max(m * r * r for r, m in zip(prof.radii, prof.m_values))
+            old = 3.0 * 1e-6 * max_area / min(r * r for r in prof.radii)
+            assert 0.0 < prof.tol_disc <= old
+
     def test_nonpositive_radius_rejected(self, disk):
         with pytest.raises(InvalidParameterError):
             m_profile(disk.surface, disk.boundaries, (0.0, 0.0, 0.0), radii=(0.5, -1.0))
