@@ -25,6 +25,7 @@ from .errors import InfeasibleError, InvalidParameterError
 from .geometry import Ball, as_point, clip_areas_total
 from .intersect import self_intersections
 from .monotonicity import (
+    _as_curves,
     check_weighted_monotonicity,
     default_radius_grid,
     m_profile,
@@ -38,6 +39,7 @@ from .surfaces import (
     euler_characteristic,
     extrinsic_diameter,
     genus,
+    nearest_vertex,
     second_form_sup,
 )
 
@@ -54,8 +56,8 @@ __all__ = [
     "genus_bound",
 ]
 
-# sampled density thresholds get this safety margin below 2 (interior) and
-# 3/2 (boundary)
+# the embeddedness conclusion needs every interior density below 2 and every
+# boundary density below 3/2; both thresholds keep this safety margin
 DENSITY_MARGIN = 0.05
 # admissible corner density values are matched within this tolerance
 CORNER_TOL = 0.05
@@ -226,12 +228,6 @@ def curvature_prefactor(p: float) -> tuple[float, float]:
 # shared hypothesis builders
 
 
-def _curves_of(boundary) -> list:
-    if isinstance(boundary, PolylineCurve):
-        return [boundary]
-    return list(boundary)
-
-
 def _tc_hypothesis(curves) -> tuple[Hypothesis, float | None, float]:
     """Total boundary turning and the largest admissible excess epsilon."""
     tc = sum(total_curvature(c) for c in curves)
@@ -287,14 +283,13 @@ def _vertex_density(s: SurfaceModel, x0) -> float:
     return density_estimate(s, x0, mode="auto").value
 
 
-def _sample_vertices(total: int, exclude_mask, count: int) -> list:
-    idx = [i for i in range(total) if not exclude_mask[i]]
-    if not idx:
-        return []
-    if len(idx) <= count:
-        return idx
-    step = len(idx) / count
-    return [idx[int(j * step)] for j in range(count)]
+def _max_over(values: np.ndarray, mask: np.ndarray) -> tuple[float, int | None]:
+    """Largest value where mask holds and its index; (0.0, None) if none."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return 0.0, None
+    best = int(idx[np.argmax(values[idx])])
+    return float(values[best]), best
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +306,7 @@ def density_estimate_certificate(
     expensive step; its m values are p-independent).
     """
     x0 = as_point(x0, dim=s.dim)
-    curves = _curves_of(boundary)
+    curves = _as_curves(boundary)
     k, _measured, r0, small_hyps = _smallness_hypotheses(s, p, delta=None)
     # this certificate needs only the smallness condition, not a delta
     hyps = [small_hyps[0]]
@@ -359,12 +354,17 @@ def embeddedness_certificate(
     s: SurfaceModel, boundary, p: float, which: str = "interior"
 ) -> Certificate:
     """Certify embeddedness from small scaled curvature and boundary turning
-    below 4*pi; the conclusion checks sampled densities and runs the global
-    face-pair sweep.
+    below 4*pi.
+
+    The conclusion takes the exact PL density at every vertex (its angle sum
+    over 2*pi): the maximum over interior vertices, and with which="full"
+    over boundary vertices, against 2 and 3/2 less DENSITY_MARGIN. The
+    branch points of an analytic patch count as interior points. It also
+    runs the global face-pair sweep.
     """
     if which not in ("interior", "full"):
         raise InvalidParameterError(f"which must be 'interior' or 'full', got {which!r}")
-    curves = _curves_of(boundary)
+    curves = _as_curves(boundary)
     tc_hyp, eps, _tc = _tc_hypothesis(curves)
 
     if eps is not None:
@@ -380,43 +380,32 @@ def embeddedness_certificate(
     k, measured, _r0, small_hyps = _smallness_hypotheses(s, p, delta)
     hyps = [tc_hyp] + small_hyps
 
-    bmask = s.boundary_vertex_mask
-    interior_samples = _sample_vertices(s.n_vertices, bmask, 12)
-    sampled = []
-    worst_interior = 0.0
-    for vi in interior_samples:
-        d = _vertex_density(s, s.vertices[vi])
-        sampled.append({"vertex": vi, "kind": "interior", "density": d})
-        worst_interior = max(worst_interior, d)
-    if s.patch is not None:
-        for bp, _order in s.patch.branch_points:
-            pt = s.patch.u(np.asarray([bp], dtype=np.float64))[0]
-            d = _vertex_density(s, pt)
-            sampled.append({"kind": "branch-point", "density": d})
-            worst_interior = max(worst_interior, d)
+    densities = s.angle_sums / (2.0 * math.pi)
+    worst_interior, interior_vertex = _max_over(densities, ~s.boundary_vertex_mask)
+    branch = [
+        _vertex_density(s, s.patch.u(np.asarray([bp], dtype=np.float64))[0])
+        for bp, _order in (s.patch.branch_points if s.patch is not None else ())
+    ]
+    worst_interior = max([worst_interior, *branch])
     dens_ok = worst_interior <= 2.0 - DENSITY_MARGIN
 
-    worst_boundary = 0.0
+    worst_boundary, boundary_vertex = None, None
     if which == "full":
-        bidx = np.nonzero(bmask)[0]
-        pick = _sample_vertices(len(bidx), np.zeros(len(bidx), dtype=bool), 12)
-        for j in pick:
-            vi = int(bidx[j])
-            d = _vertex_density(s, s.vertices[vi])
-            sampled.append({"vertex": vi, "kind": "boundary", "density": d})
-            worst_boundary = max(worst_boundary, d)
+        worst_boundary, boundary_vertex = _max_over(densities, s.boundary_vertex_mask)
         dens_ok = dens_ok and worst_boundary <= 1.5 - DENSITY_MARGIN
 
     sweep = self_intersections(s)
     ok = dens_ok and sweep.clean
     conclusion = {
-        "name": "certified embedded (sampled)",
+        "name": "certified embedded",
         "scope": which,
         "max_interior_density": worst_interior,
-        "max_boundary_density": worst_boundary if which == "full" else None,
+        "max_interior_vertex": interior_vertex,
+        "branch_points": branch,
+        "max_boundary_density": worst_boundary,
+        "max_boundary_vertex": boundary_vertex,
         "interior_threshold": 2.0 - DENSITY_MARGIN,
         "boundary_threshold": 1.5 - DENSITY_MARGIN if which == "full" else None,
-        "samples": sampled,
         "intersection_free": sweep.clean,
         "intersection_pairs": list(sweep.pairs),
         "satisfied": bool(ok),
@@ -520,8 +509,6 @@ def _corner_area_ratio_density(s: SurfaceModel, x0) -> float:
     removes the leading curvature effect.
     """
     x0 = as_point(x0, dim=s.dim)
-    from .surfaces import nearest_vertex
-
     vi, _ = nearest_vertex(s, x0)
     r1 = 5.0 * _local_edge_length(s, vi)
     if not (r1 > 0) or r1 > 0.5 * s.scale:
@@ -549,7 +536,7 @@ def genus_certificate(s: SurfaceModel, boundary, Delta: float) -> Certificate:
     """Genus of the mesh against the total-curvature bound at scale Delta."""
     if Delta < 0 or not math.isfinite(Delta):
         raise InvalidParameterError(f"Delta must be a finite nonnegative real, got {Delta}")
-    curves = _curves_of(boundary)
+    curves = _as_curves(boundary)
     b = len(s.boundary_loops)
     chi = euler_characteristic(s)
     tc_hyp, eps, tc = _tc_hypothesis(curves)

@@ -340,7 +340,7 @@ def _cmd_selftest(args) -> int:
 # parser
 
 
-def _add_surface_inputs(sp, required: bool = True):
+def _add_surface_inputs(sp):
     sp.add_argument("--catalog", help="catalog surface name")
     sp.add_argument("--mesh", help="mesh file (.obj, .off, .json scene)")
     sp.add_argument(

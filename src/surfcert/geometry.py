@@ -77,9 +77,11 @@ def angle_between(u, v) -> float:
 
 
 def _angles_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rowwise angle_between for (K, n) stacks; rows must be nonzero."""
+    """Rowwise angle_between for (K, n) stacks; a zero row raises."""
     nu = np.linalg.norm(u, axis=-1, keepdims=True)
     nv = np.linalg.norm(v, axis=-1, keepdims=True)
+    if not (np.all(nu > 0.0) and np.all(nv > 0.0)):
+        raise InvalidParameterError("angle undefined for zero vector")
     a = u / nu
     b = v / nv
     return 2.0 * np.arctan2(
@@ -144,14 +146,18 @@ class Triangle:
 
 
 def triangle_areas(verts: np.ndarray) -> np.ndarray:
-    """Areas of a (K, 3, n) stack via the Gram determinant (any n)."""
+    """Areas of a (K, 3, n) stack: half the norm of the wedge product e1∧e2.
+
+    Its components e1_i e2_j - e1_j e2_i (i < j) are the 2x2 minors, the
+    cross product in R^3. Unlike the Gram determinant g11 g22 - g12^2, the sum
+    of their squares does not cancel on thin faces: the error stays near
+    u L^2 (L the longest edge) whatever the shape.
+    """
     e1 = verts[:, 1] - verts[:, 0]
     e2 = verts[:, 2] - verts[:, 0]
-    g11 = np.einsum("kn,kn->k", e1, e1)
-    g22 = np.einsum("kn,kn->k", e2, e2)
-    g12 = np.einsum("kn,kn->k", e1, e2)
-    det = g11 * g22 - g12 * g12
-    return 0.5 * np.sqrt(np.maximum(det, 0.0))
+    i, j = np.triu_indices(verts.shape[2], 1)
+    w = e1[:, i] * e2[:, j] - e1[:, j] * e2[:, i]
+    return 0.5 * np.sqrt(np.einsum("kp,kp->k", w, w))
 
 
 def subdivide4(verts: np.ndarray, levels: int = 1) -> np.ndarray:

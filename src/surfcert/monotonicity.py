@@ -378,9 +378,12 @@ def _clip_rounding_bounds(tris: np.ndarray, x0: np.ndarray, radii) -> np.ndarray
       3 (1 + pi) s^2 / 2, relative error 5u each), the edge sums and the
       clamp add at most 45 u s^2.
     Together at most 24 (n + 6) u s^2 per face. A face fully inside counts
-    its Gram area, whose error (n + 3) u L^4 / (2 area) stays within that
-    (s >= 3L/2 there) unless area < L^2 / 100; an underestimate only makes
-    the checks that use tol_disc stricter.
+    its wedge-product area (`triangle_areas`), half the norm of the minors
+    e1_i e2_j - e1_j e2_i; each minor is off by at most 4u (|e1_i e2_j| +
+    |e1_j e2_i|) and the squares, sum and root add (n^2 - n + 4) u / 4 of
+    relative error, so that area is off by at most (3 + n^2 / 8) u L^2
+    whatever the face's shape, within the budget since s >= 3L/2 there. An
+    underestimate only makes the checks that use tol_disc stricter.
     """
     n = tris.shape[2]
     u = np.finfo(np.float64).eps / 2.0
@@ -423,46 +426,37 @@ def _boundary_elements(s: SurfaceModel, refine: int):
     """
     patch = s.patch
     fp = s.face_param_triangles()
-    # directed boundary edges with their unique incident face
-    edge_face: dict = {}
-    for fi, f in enumerate(s.faces):
-        for a in range(3):
-            edge_face[(int(f[a]), int(f[(a + 1) % 3]))] = (fi, a)
     mids, lens, conos, tangs = [], [], [], []
     splits = 2 ** (refine + 2)
     t0s = np.arange(splits) / splits
     t1s = t0s + 1.0 / splits
-    for loop in s.boundary_loops:
-        k = loop.shape[0]
-        for e in range(k):
-            a, b = int(loop[e]), int(loop[(e + 1) % k])
-            fi, la = edge_face[(a, b)]
-            pa = fp[fi, la]
-            pb = fp[fi, (la + 1) % 3]
-            pc = fp[fi].mean(axis=0)
-            # parameter points along the edge
-            p0 = pa[None, :] + t0s[:, None] * (pb - pa)[None, :]
-            p1 = pa[None, :] + t1s[:, None] * (pb - pa)[None, :]
-            pm = 0.5 * (p0 + p1)
-            x0p = patch.u(p0)
-            x1p = patch.u(p1)
-            xm = patch.u(pm)
-            E = patch.du(pm)  # (S, n, 2)
-            tang = np.einsum("snj,j->sn", E, pb - pa)
-            tn = tang / np.maximum(np.linalg.norm(tang, axis=1, keepdims=True), 1e-300)
-            out_par = pm - pc[None, :]
-            v = np.einsum("snj,sj->sn", E, out_par)
-            v = v - np.einsum("sn,sn->s", v, tn)[:, None] * tn
-            nv = np.linalg.norm(v, axis=1, keepdims=True)
-            v = v / np.maximum(nv, 1e-300)
-            # outward means away from the face centroid in coordinates
-            xc = patch.u(fp[fi].mean(axis=0)[None, :])[0]
-            sign = np.sign(np.einsum("sn,sn->s", v, xm - xc[None, :]))
-            sign[sign == 0] = 1.0
-            conos.append(v * sign[:, None])
-            tangs.append(tn)
-            mids.append(xm)
-            lens.append(np.linalg.norm(x1p - x0p, axis=1))
+    for fi, la in s.boundary_face_corners.tolist():
+        pa = fp[fi, la]
+        pb = fp[fi, (la + 1) % 3]
+        pc = fp[fi].mean(axis=0)
+        # parameter points along the edge
+        p0 = pa[None, :] + t0s[:, None] * (pb - pa)[None, :]
+        p1 = pa[None, :] + t1s[:, None] * (pb - pa)[None, :]
+        pm = 0.5 * (p0 + p1)
+        x0p = patch.u(p0)
+        x1p = patch.u(p1)
+        xm = patch.u(pm)
+        E = patch.du(pm)  # (S, n, 2)
+        tang = np.einsum("snj,j->sn", E, pb - pa)
+        tn = tang / np.maximum(np.linalg.norm(tang, axis=1, keepdims=True), 1e-300)
+        out_par = pm - pc[None, :]
+        v = np.einsum("snj,sj->sn", E, out_par)
+        v = v - np.einsum("sn,sn->s", v, tn)[:, None] * tn
+        nv = np.linalg.norm(v, axis=1, keepdims=True)
+        v = v / np.maximum(nv, 1e-300)
+        # outward means away from the face centroid in coordinates
+        xc = patch.u(fp[fi].mean(axis=0)[None, :])[0]
+        sign = np.sign(np.einsum("sn,sn->s", v, xm - xc[None, :]))
+        sign[sign == 0] = 1.0
+        conos.append(v * sign[:, None])
+        tangs.append(tn)
+        mids.append(xm)
+        lens.append(np.linalg.norm(x1p - x0p, axis=1))
     return (
         np.concatenate(mids),
         np.concatenate(lens),
@@ -726,27 +720,20 @@ def conormal_spot_check(s: SurfaceModel, x0) -> float:
     verts = s.vertices
     best = -math.inf
     x0a = np.asarray(x0)
-    edge_face: dict = {}
-    for fi, f in enumerate(s.faces):
-        for a in range(3):
-            edge_face[(int(f[a]), int(f[(a + 1) % 3]))] = fi
-    for loop in s.boundary_loops:
-        k = loop.shape[0]
-        for e in range(k):
-            a, b = int(loop[e]), int(loop[(e + 1) % k])
-            pa, pb = verts[a], verts[b]
-            mid = 0.5 * (pa + pb)
-            fi = edge_face[(a, b)]
-            cent = verts[s.faces[fi]].mean(axis=0)
-            t = pb - pa
-            tn = t / max(np.linalg.norm(t), 1e-300)
-            v = mid - cent
-            v = v - float(v @ tn) * tn
-            nv = np.linalg.norm(v)
-            if nv < 1e-300:
-                continue
-            nu = v / nv
-            d = mid - x0a
-            perp = d - float(d @ tn) * tn
-            best = max(best, float(d @ nu) - float(np.linalg.norm(perp)))
+    for fi, la in s.boundary_face_corners.tolist():
+        tri = verts[s.faces[fi]]
+        pa, pb = tri[la], tri[(la + 1) % 3]
+        mid = 0.5 * (pa + pb)
+        cent = tri.mean(axis=0)
+        t = pb - pa
+        tn = t / max(np.linalg.norm(t), 1e-300)
+        v = mid - cent
+        v = v - float(v @ tn) * tn
+        nv = np.linalg.norm(v)
+        if nv < 1e-300:
+            continue
+        nu = v / nv
+        d = mid - x0a
+        perp = d - float(d @ tn) * tn
+        best = max(best, float(d @ nu) - float(np.linalg.norm(perp)))
     return best

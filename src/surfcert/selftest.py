@@ -321,11 +321,7 @@ def _check_embeddedness_cross():
             scene.surface, list(scene.boundaries), math.inf, "full"
         )
         if name == "branched_disk":
-            dens = [
-                e["density"]
-                for e in cert.conclusion["samples"]
-                if e["kind"] == "branch-point"
-            ]
+            dens = cert.conclusion["branch_points"]
             branch_ok = (
                 cert.status != "satisfied"
                 and not cert.conclusion["satisfied"]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -26,7 +27,7 @@ from .geometry import (
     clip_areas_total,
     stable_sum,
     triangle_areas,
-    vertex_total_angle,
+    _angles_batch,
     _point_segment_dist2,
 )
 
@@ -148,24 +149,36 @@ class VectorField:
     provenance: str
     unreliable: np.ndarray
 
-    @property
+    @cached_property
     def norm(self) -> ScalarField:
+        values = np.linalg.norm(self.values, axis=1)
+        values.flags.writeable = False
         return ScalarField(
-            values=np.linalg.norm(self.values, axis=1),
-            provenance=self.provenance,
-            unreliable=self.unreliable,
+            values=values, provenance=self.provenance, unreliable=self.unreliable
         )
 
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """Consistently oriented manifold triangle mesh, possibly with boundary."""
+    """Consistently oriented manifold triangle mesh, possibly with boundary.
+
+    `build` validates the mesh and computes its areas and topology; the
+    quantities derived from them (`diameter`, `mean_curvature`,
+    `angle_sums`) are computed on first access and cached. `vertices` and
+    `faces` are read-only, so a cached value cannot go stale, and cached
+    arrays are read-only too.
+
+    boundary_face_corners is a (B, 2) array over the boundary edges, loop by
+    loop: for the edge loop[e] -> loop[e + 1], its face and the corner c of
+    that face with faces[face, c] = loop[e].
+    """
 
     vertices: np.ndarray
     faces: np.ndarray
     face_areas: np.ndarray = field(repr=False, default=None)
     per_vertex_area: np.ndarray = field(repr=False, default=None)
     boundary_loops: tuple = ()
+    boundary_face_corners: np.ndarray = field(repr=False, default=None)
     boundary_vertex_mask: np.ndarray = field(repr=False, default=None)
     degenerate_face_count: int = 0
     edge_count: int = 0
@@ -212,7 +225,8 @@ class SurfaceModel:
             )
         rev = directed[:, 1] * nv + directed[:, 0]
         has_partner = np.isin(key, rev, assume_unique=False)
-        boundary_edges = directed[~has_partner]
+        boundary_ids = np.flatnonzero(~has_partner)
+        boundary_edges = directed[boundary_ids]
         undirected = np.sort(directed, axis=1)
         edge_count = np.unique(undirected[:, 0] * nv + undirected[:, 1]).size
 
@@ -220,6 +234,11 @@ class SurfaceModel:
         bmask = np.zeros(nv, dtype=bool)
         for lp in loops:
             bmask[lp] = True
+        # directed edge j runs from corner j // F of face j % F
+        leaving = np.zeros(nv, dtype=np.int64)
+        leaving[boundary_edges[:, 0]] = boundary_ids
+        ids = leaving[np.concatenate(loops)] if loops else leaving[:0]
+        corners = np.stack([ids % f.shape[0], ids // f.shape[0]], axis=1)
 
         areas = triangle_areas(v[f])
         sq_ext = float(((v.max(0) - v.min(0)) ** 2).sum())
@@ -255,12 +274,14 @@ class SurfaceModel:
         areas.flags.writeable = False
         pva.flags.writeable = False
         bmask.flags.writeable = False
+        corners.flags.writeable = False
         return cls(
             vertices=v,
             faces=f,
             face_areas=areas,
             per_vertex_area=pva,
             boundary_loops=loops,
+            boundary_face_corners=corners,
             boundary_vertex_mask=bmask,
             degenerate_face_count=degenerate,
             edge_count=int(edge_count),
@@ -328,27 +349,83 @@ class SurfaceModel:
         ext = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         return max(float(np.linalg.norm(ext)), 1e-300)
 
-    def edge_lengths(self) -> np.ndarray:
-        v, f = self.vertices, self.faces
-        e = np.concatenate(
-            [v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 1]], v[f[:, 0]] - v[f[:, 2]]]
-        )
-        return np.linalg.norm(e, axis=1)
-
-    def median_edge_length(self) -> float:
-        return float(np.median(self.edge_lengths()))
-
     def face_triangles(self) -> np.ndarray:
         """All faces as a (F, 3, n) coordinate array."""
         return self.vertices[self.faces]
 
-    def star_of(self, vertex: int) -> np.ndarray:
-        """Faces incident to a vertex, as a (m, 3, n) coordinate array."""
-        mask = (self.faces == vertex).any(axis=1)
-        if not mask.any():
-            raise InputInconsistentError(f"vertex {vertex} has no incident faces")
-        return self.vertices[self.faces[mask]]
+    @cached_property
+    def diameter(self) -> float:
+        """Max pairwise vertex distance, chunked to bound memory."""
+        v = self.vertices
+        n = v.shape[0]
+        best = 0.0
+        step = max(1, int(4e7 // max(n, 1)))
+        for lo in range(0, n, step):
+            block = v[lo : lo + step]
+            d2 = ((block[:, None, :] - v[None, :, :]) ** 2).sum(-1)
+            best = max(best, float(d2.max()))
+        return math.sqrt(best)
 
+    @cached_property
+    def angle_sums(self) -> np.ndarray:
+        """Per-vertex sum of the corner angles of the incident faces.
+
+        Divided by 2*pi this is the exact area density of the PL surface at
+        the vertex. A corner with a zero-length edge has no angle and raises
+        InvalidParameterError.
+        """
+        v, f = self.vertices, self.faces
+        sums = np.zeros(self.n_vertices)
+        for c in range(3):
+            apex = v[f[:, c]]
+            angles = _angles_batch(v[f[:, (c + 1) % 3]] - apex, v[f[:, (c + 2) % 3]] - apex)
+            np.add.at(sums, f[:, c], angles)
+        sums.flags.writeable = False
+        return sums
+
+    @cached_property
+    def mean_curvature(self) -> VectorField:
+        """Per-vertex mean curvature vector, analytic when a patch is present.
+
+        The discrete fallback is the cotangent formula with barycentric vertex
+        areas; boundary vertices and vertices touching degenerate faces carry
+        no usable one-ring information and are flagged unreliable.
+        """
+        if self.patch is not None:
+            out = self.patch.curvature_at(self.params)
+            hvec, unreliable = out["mean_curvature_vec"], out["unreliable"]
+            provenance = "analytic"
+        else:
+            v, f = self.vertices, self.faces
+            acc = np.zeros_like(v)
+            sq_ext = float(((v.max(0) - v.min(0)) ** 2).sum())
+            degen_vertex = np.zeros(self.n_vertices, dtype=bool)
+            for c, (i, j) in ((0, (1, 2)), (1, (2, 0)), (2, (0, 1))):
+                pc = v[f[:, c]]
+                pi = v[f[:, i]]
+                pj = v[f[:, j]]
+                u = pi - pc
+                w = pj - pc
+                dot = np.einsum("kn,kn->k", u, w)
+                uu = np.einsum("kn,kn->k", u, u)
+                ww = np.einsum("kn,kn->k", w, w)
+                cross2 = np.maximum(uu * ww - dot * dot, 0.0)
+                bad = cross2 <= 1e-28 * max(sq_ext, 1e-300) ** 2
+                cot = np.where(bad, 0.0, dot / np.sqrt(np.where(bad, 1.0, cross2)))
+                degen_vertex[f[bad].ravel()] = True
+                # cot at c weights the opposite edge (i, j)
+                contrib = 0.5 * cot[:, None] * (pj - pi)
+                np.add.at(acc, f[:, i], contrib)
+                np.add.at(acc, f[:, j], -contrib)
+            area = self.per_vertex_area
+            tiny = area <= 1e-14 * max(sq_ext, 1e-300)
+            safe = np.where(tiny, 1.0, area)
+            unreliable = self.boundary_vertex_mask | tiny | degen_vertex
+            hvec = np.where(unreliable[:, None], 0.0, -acc / safe[:, None])
+            provenance = "discrete"
+        hvec.flags.writeable = False
+        unreliable.flags.writeable = False
+        return VectorField(values=hvec, provenance=provenance, unreliable=unreliable)
 
 def nearest_vertex(surface: SurfaceModel, x0: PointN) -> tuple[int, float]:
     x0 = as_point(x0, dim=surface.dim)
@@ -441,10 +518,9 @@ def density_estimate(
                 "pl_exact density needs x0 at a mesh vertex; nearest vertex is "
                 f"{dist:.3g} away"
             )
-        angle = vertex_total_angle(surface.star_of(vi), apex=surface.vertices[vi])
         note = "flat-PL interpretation" if surface.boundary_vertex_mask[vi] else ""
         return DensityEstimate(
-            value=angle / (2.0 * math.pi),
+            value=float(surface.angle_sums[vi]) / (2.0 * math.pi),
             mode="pl_exact",
             x0=x0,
             vertex_index=vi,
@@ -489,65 +565,12 @@ def density(
     return density_estimate(surface, x0, mode=mode, r1=r1).value
 
 
-def mean_curvature_field(
-    surface: SurfaceModel, method: str = "auto"
-) -> tuple[ScalarField, VectorField]:
+def mean_curvature_field(surface: SurfaceModel) -> tuple[ScalarField, VectorField]:
     """Per-vertex |H| and mean curvature vector (trace convention: a sphere
-    of radius R has |H| = 2/R).
-
-    With an analytic patch the field is evaluated from the parametrization.
-    The discrete fallback is the cotangent formula with barycentric vertex
-    areas; boundary vertices and vertices touching degenerate faces carry no
-    usable one-ring information and are flagged unreliable.
+    of radius R has |H| = 2/R); see SurfaceModel.mean_curvature.
     """
-    vec = _mean_curvature_vector(surface, method)
+    vec = surface.mean_curvature
     return vec.norm, vec
-
-
-def _mean_curvature_vector(surface: SurfaceModel, method: str = "auto") -> VectorField:
-    if method == "auto":
-        method = "analytic" if surface.patch is not None else "discrete"
-    if method == "analytic":
-        if surface.patch is None or surface.params is None:
-            raise UnsupportedOperationError("analytic curvature needs a parametrized surface")
-        out = surface.patch.curvature_at(surface.params)
-        return VectorField(
-            values=out["mean_curvature_vec"],
-            provenance="analytic",
-            unreliable=out["unreliable"],
-        )
-    if method != "discrete":
-        raise InvalidParameterError(f"unknown curvature method {method!r}")
-
-    v, f = surface.vertices, surface.faces
-    nv = v.shape[0]
-    acc = np.zeros_like(v)
-    sq_ext = float(((v.max(0) - v.min(0)) ** 2).sum())
-    degen_vertex = np.zeros(nv, dtype=bool)
-    for c, (i, j) in ((0, (1, 2)), (1, (2, 0)), (2, (0, 1))):
-        pc = v[f[:, c]]
-        pi = v[f[:, i]]
-        pj = v[f[:, j]]
-        u = pi - pc
-        w = pj - pc
-        dot = np.einsum("kn,kn->k", u, w)
-        uu = np.einsum("kn,kn->k", u, u)
-        ww = np.einsum("kn,kn->k", w, w)
-        cross2 = np.maximum(uu * ww - dot * dot, 0.0)
-        bad = cross2 <= 1e-28 * max(sq_ext, 1e-300) ** 2
-        cot = np.where(bad, 0.0, dot / np.sqrt(np.where(bad, 1.0, cross2)))
-        degen_vertex[f[bad].ravel()] = True
-        # cot at c weights the opposite edge (i, j)
-        contrib = 0.5 * cot[:, None] * (pj - pi)
-        np.add.at(acc, f[:, i], contrib)
-        np.add.at(acc, f[:, j], -contrib)
-    area = surface.per_vertex_area
-    tiny = area <= 1e-14 * max(sq_ext, 1e-300)
-    safe = np.where(tiny, 1.0, area)
-    hvec = -acc / safe[:, None]
-    unreliable = surface.boundary_vertex_mask | tiny | degen_vertex
-    hvec = np.where(unreliable[:, None], 0.0, hvec)
-    return VectorField(values=hvec, provenance="discrete", unreliable=unreliable)
 
 
 def lp_norm(field: ScalarField, surface: SurfaceModel, p: float) -> float:
@@ -572,19 +595,11 @@ def lp_norm(field: ScalarField, surface: SurfaceModel, p: float) -> float:
 
 
 def extrinsic_diameter(surface: SurfaceModel) -> float:
-    """Max pairwise vertex distance, chunked to bound memory."""
-    v = surface.vertices
-    n = v.shape[0]
-    best = 0.0
-    step = max(1, int(4e7 // max(n, 1)))
-    for lo in range(0, n, step):
-        block = v[lo : lo + step]
-        d2 = ((block[:, None, :] - v[None, :, :]) ** 2).sum(-1)
-        best = max(best, float(d2.max()))
-    return math.sqrt(best)
+    """Max pairwise vertex distance (SurfaceModel.diameter)."""
+    return surface.diameter
 
 
-def second_form_sup(surface: SurfaceModel, extra_samples: int = 0) -> float:
+def second_form_sup(surface: SurfaceModel) -> float:
     """Sup of the second fundamental form norm over parameter samples.
 
     Needs an analytic patch; discrete meshes carry no trustworthy pointwise

@@ -9,6 +9,7 @@ recorded, and digests are deterministic functions of the inputs.
 
 import math
 
+import numpy as np
 import pytest
 
 from surfcert import (
@@ -16,6 +17,7 @@ from surfcert import (
     Hypothesis,
     InfeasibleError,
     InvalidParameterError,
+    SurfaceModel,
     build_scene,
     corner_density_certificate,
     curvature_prefactor,
@@ -196,6 +198,34 @@ class TestEmbeddednessCertificate:
         br = build_scene("branched_disk", res=32)
         cert = embeddedness_certificate(br.surface, br.boundaries, math.inf)
         assert cert.status != "satisfied"
+
+    def test_branch_vertex_counts_without_its_patch(self):
+        # the bare mesh, with the branch vertex relabelled from 0 to 1: only
+        # its angle sum can show the density 2 there
+        br = build_scene("branched_disk", res=32)
+        swap = np.arange(br.surface.n_vertices)
+        swap[[0, 1]] = [1, 0]
+        bare = SurfaceModel.build(br.surface.vertices[swap], swap[br.surface.faces])
+        assert np.all(bare.vertices[1] == 0.0)
+        cert = embeddedness_certificate(bare, br.boundaries, math.inf, which="full")
+        assert cert.conclusion["max_interior_density"] == pytest.approx(2.0, abs=0.02)
+        assert cert.conclusion["max_interior_vertex"] == 1
+        assert cert.conclusion["branch_points"] == []
+        assert cert.conclusion["satisfied"] is False
+
+    def test_every_vertex_density_is_reported(self, cap32):
+        cert = embeddedness_certificate(
+            cap32.surface, cap32.boundaries, math.inf, which="full"
+        )
+        dens = cap32.surface.angle_sums / (2.0 * math.pi)
+        bmask = cap32.surface.boundary_vertex_mask
+        concl = cert.conclusion
+        assert concl["name"] == "certified embedded"
+        assert "samples" not in concl
+        assert concl["max_interior_density"] == dens[~bmask].max()
+        assert concl["max_boundary_density"] == dens[bmask].max()
+        assert dens[concl["max_interior_vertex"]] == dens[~bmask].max()
+        assert bmask[concl["max_boundary_vertex"]]
 
     def test_which_validated(self, disk):
         with pytest.raises(InvalidParameterError):

@@ -189,18 +189,31 @@ class TestClipClosedForms:
                 assert back[0] == 0.0
 
     def test_sliver_just_above_the_degeneracy_floor_is_finite(self):
-        # right-angled, so the Gram determinant eps^2 is exact: area eps / 2
-        # is twice the floor times the squared diameter (1 + eps^2)
+        # right-angled: area eps / 2 is twice the floor times the squared
+        # diameter (1 + eps^2)
         eps = 4.0 * DEGENERATE_REL_TOL
         pts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, eps, 0.0)]
         for shift in range(3):
             t = tri(*(pts[shift:] + pts[:shift]))
             area = triangle_area(t)
-            assert area == pytest.approx(eps / 2.0, rel=1e-12)
+            assert area == pytest.approx(eps / 2.0, rel=1e-12, abs=0.0)
             for center, r in [((0.5, 0.0, 0.0), 0.2), ((0.0, 0.0, 0.1), 0.3), ((1.2, 0.0, 0.0), 0.3)]:
                 got = clip_area_in_ball(t, Ball(center, r))
                 assert math.isfinite(got)
                 assert 0.0 <= got <= area
+
+
+    def test_thin_isosceles_sliver_keeps_its_area(self):
+        # the Gram determinant g11 g22 - g12^2 = 1/4 - 1/4 cancels to 0.0 here
+        h = 4e-14
+        area = pytest.approx(h / 2.0, rel=1e-12, abs=0.0)
+        pts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, h, 0.0)]
+        for shift in range(3):
+            t = tri(*(pts[shift:] + pts[:shift]))
+            assert triangle_area(t) == area
+            assert clip_area_in_ball(t, Ball((0.5, 0.0, 0.0), 2.0)) == area
+        lifted = np.array([[p + (0.0,) for p in pts]])
+        assert triangle_areas(lifted)[0] == area
 
 
 class TestSubdivide:

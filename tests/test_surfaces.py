@@ -21,6 +21,7 @@ from surfcert import (
     boundary_distance,
     boundary_polyline,
     build_scene,
+    catalog_names,
     curve_length,
     density,
     density_estimate,
@@ -31,6 +32,7 @@ from surfcert import (
     mean_curvature_field,
     nearest_vertex,
     second_form_sup,
+    vertex_total_angle,
 )
 
 MESH_REL = 2e-3  # area tolerance for res-64 catalog meshes
@@ -266,3 +268,57 @@ class TestMeshValidation:
         v[0, 0] = math.nan
         with pytest.raises(InvalidParameterError):
             SurfaceModel.build(v, f)
+
+    def test_coincident_vertices_make_angles_a_typed_error(self):
+        # vertices 2 and 3 sit at the same point: face (1, 3, 2) has a
+        # zero-length edge, so two of its corners have no angle
+        v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0]], dtype=float)
+        s = SurfaceModel.build(v, [[0, 1, 2], [1, 3, 2]])
+        assert s.degenerate_face_count == 1
+        with pytest.raises(InvalidParameterError):
+            s.angle_sums
+        with pytest.raises(InvalidParameterError):
+            density_estimate(s, v[2])
+
+
+class TestDerivedData:
+    """Quantities SurfaceModel computes once, against per-vertex and
+    dict-built oracles."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_angle_sums_match_each_vertex_star(self, name):
+        s = build_scene(name, res=16).surface
+        for vi in range(s.n_vertices):
+            star = s.vertices[s.faces[(s.faces == vi).any(axis=1)]]
+            expected = vertex_total_angle(star, apex=s.vertices[vi])
+            assert s.angle_sums[vi] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_boundary_face_corners_match_a_dict_oracle(self, name):
+        s = build_scene(name, res=16).surface
+        oracle = {}
+        for fi, f in enumerate(s.faces.tolist()):
+            for c in range(3):
+                oracle[(f[c], f[(c + 1) % 3])] = (fi, c)
+        expected = [
+            oracle[e]
+            for loop in s.boundary_loops
+            for e in zip(loop.tolist(), np.roll(loop, -1).tolist())
+        ]
+        assert [tuple(fc) for fc in s.boundary_face_corners.tolist()] == expected
+
+    @pytest.mark.parametrize("name", ["cap", "graph_disk"])
+    def test_cached_once_and_read_only(self, name):
+        analytic = build_scene(name, res=16).surface
+        # the same mesh without its patch takes the discrete curvature path
+        for s in (analytic, SurfaceModel.build(analytic.vertices, analytic.faces)):
+            assert s.diameter is s.diameter
+            assert extrinsic_diameter(s) is s.diameter
+            assert s.angle_sums is s.angle_sums
+            assert s.mean_curvature is s.mean_curvature
+            scalar, vec = mean_curvature_field(s)
+            assert vec is s.mean_curvature
+            assert scalar is mean_curvature_field(s)[0]
+            arrays = [s.angle_sums, vec.values, vec.unreliable, scalar.values]
+            for a in arrays + [s.boundary_face_corners]:
+                assert not a.flags.writeable
