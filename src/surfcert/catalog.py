@@ -21,32 +21,11 @@ from .surfaces import AnalyticPatch, SurfaceModel, boundary_polyline
 __all__ = [
     "Scene",
     "CatalogEntry",
-    "DiskDomain",
-    "SectorDomain",
-    "RectDomain",
     "catalog_names",
     "catalog_entry",
     "build_scene",
     "scaled_scene",
 ]
-
-
-@dataclass(frozen=True)
-class DiskDomain:
-    radius: float = 1.0
-
-
-@dataclass(frozen=True)
-class SectorDomain:
-    radius: float
-    angle: float
-
-
-@dataclass(frozen=True)
-class RectDomain:
-    u_range: tuple[float, float]
-    v_range: tuple[float, float]
-    periodic_v: bool = False
 
 
 @dataclass(frozen=True)
@@ -223,13 +202,12 @@ def _planar_graph_patch(f, fx, fy, fxx, fxy, fyy, dim3: bool = True) -> Analytic
         out[:, 2, 1, 1] = fyy(x, y)
         return out
 
-    return AnalyticPatch(u=u, du=du, d2u=d2u, dim=3, domain=DiskDomain(1.0))
+    return AnalyticPatch(u=u, du=du, d2u=d2u, dim=3)
 
 
-def _flat_patch(domain) -> AnalyticPatch:
+def _flat_patch() -> AnalyticPatch:
     zero = lambda x, y: np.zeros_like(x)  # noqa: E731
-    p = _planar_graph_patch(zero, zero, zero, zero, zero, zero)
-    return AnalyticPatch(u=p.u, du=p.du, d2u=p.d2u, dim=3, domain=domain)
+    return _planar_graph_patch(zero, zero, zero, zero, zero, zero)
 
 
 def _sphere_patch(R: float) -> AnalyticPatch:
@@ -315,7 +293,7 @@ def _catenoid_patch(a: float) -> AnalyticPatch:
     return AnalyticPatch(u=u, du=du, d2u=d2u, dim=3)
 
 
-def _enneper_patch(domain) -> AnalyticPatch:
+def _enneper_patch() -> AnalyticPatch:
     """Classic polynomial minimal immersion over a disk domain."""
 
     def u(p):
@@ -354,7 +332,7 @@ def _enneper_patch(domain) -> AnalyticPatch:
         out[:, 2, 1, 1] = -2.0
         return out
 
-    return AnalyticPatch(u=u, du=du, d2u=d2u, dim=3, domain=domain)
+    return AnalyticPatch(u=u, du=du, d2u=d2u, dim=3)
 
 
 def _branched_patch(m: int, branch_radius: float) -> AnalyticPatch:
@@ -404,7 +382,6 @@ def _branched_patch(m: int, branch_radius: float) -> AnalyticPatch:
         dim=4,
         branch_points=(((0.0, 0.0), m),),
         branch_radius=branch_radius,
-        domain=DiskDomain(1.0),
     )
 
 
@@ -451,7 +428,7 @@ def _loop_flags(surface: SurfaceModel, loop_index: int, flag_map: dict):
 
 def _build_flat_disk(res: int) -> Scene:
     params2d, faces = _polar_disk_grid(res, radius=1.0)
-    patch = _flat_patch(DiskDomain(1.0))
+    patch = _flat_patch()
     return _scene_from_patch(
         patch, params2d, faces, "flat_disk", {"res": res}, (0.0, 0.0, 0.0)
     )
@@ -461,7 +438,7 @@ def _build_flat_sector(res: int, angle: float) -> Scene:
     if not (0.0 < angle < 2.0 * math.pi):
         raise InvalidParameterError("sector angle must lie in (0, 2*pi)")
     params2d, faces = _sector_grid(res, 1.0, angle)
-    patch = _flat_patch(SectorDomain(1.0, angle))
+    patch = _flat_patch()
     verts = patch.u(params2d)
     # corners: apex (exterior angle |pi - angle|), two arc ends (pi/2 each)
     apex = 0
@@ -553,7 +530,7 @@ def _build_enneper(res: int, scale: float) -> Scene:
     if not (0.0 < scale <= 1.2):
         raise InvalidParameterError("enneper scale must lie in (0, 1.2]")
     params2d, faces = _polar_disk_grid(res, radius=scale)
-    patch = _enneper_patch(DiskDomain(scale))
+    patch = _enneper_patch()
     return _scene_from_patch(
         patch, params2d, faces, "enneper", {"res": res, "scale": scale}, (0.0, 0.0, 0.0)
     )
@@ -787,7 +764,6 @@ def scaled_scene(scene: Scene, factor: float) -> Scene:
             dim=patch.dim,
             branch_points=patch.branch_points,
             branch_radius=patch.branch_radius,
-            domain=patch.domain,
         )
     surface = SurfaceModel.build(
         verts,

@@ -22,24 +22,21 @@ from .curves import (
     total_curvature,
 )
 from .errors import InfeasibleError, InvalidParameterError
-from .geometry import Ball, as_point, clip_areas_total
+from .geometry import as_point
+from .geometry import clip_areas_total  # noqa: F401 (a binding the benchmark's tracer wraps)
 from .intersect import self_intersections
 from .monotonicity import (
     _as_curves,
-    check_weighted_monotonicity,
-    default_radius_grid,
+    curvature_prefactor,
     m_profile,
     property_p_constants,
 )
 from .surfaces import (
     SurfaceModel,
-    _local_edge_length,
-    boundary_polyline,
     density_estimate,
     euler_characteristic,
     extrinsic_diameter,
     genus,
-    nearest_vertex,
     second_form_sup,
 )
 
@@ -157,8 +154,13 @@ def _digest(*parts) -> str:
     return h.hexdigest()
 
 
-def _surface_digest(op: str, s: SurfaceModel, *extra) -> str:
-    return _digest(op, s.vertices, s.faces, *extra)
+def _surface_digest(op: str, s: SurfaceModel, curves, *extra) -> str:
+    """Digest of the operation, the mesh, each boundary curve the certificate
+    reads (vertices, closedness, corner flags) and the extra arguments."""
+    parts = [op, s.vertices, s.faces, len(curves)]
+    for c in curves:
+        parts += [c.vertices, c.closed, c.corner_flags]
+    return _digest(*parts, *extra)
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +216,6 @@ def delta_for_epsilon(epsilon: float, alpha: float = 1.0, mode: str = "interior"
     )
 
 
-def curvature_prefactor(p: float) -> tuple[float, float]:
-    """(C(p), alpha): the constant multiplying ||H||_p r0^alpha and the
-    exponent, C(inf) = 1 with alpha = 1."""
-    if math.isinf(p):
-        return 1.0, 1.0
-    if p <= 2:
-        raise InvalidParameterError(f"exponent must be > 2 or inf, got {p}")
-    return (2.0 * p / (p - 2.0)) * (2.0 / math.pi) ** (1.0 / p), 1.0 - 2.0 / p
-
-
 # ---------------------------------------------------------------------------
 # shared hypothesis builders
 
@@ -242,45 +234,42 @@ def _tc_hypothesis(curves) -> tuple[Hypothesis, float | None, float]:
     return hyp, (min(eps, 2.0) if ok else None), tc
 
 
-def _smallness_hypotheses(s: SurfaceModel, p: float, delta: float | None):
-    """Property constants, the C(p) ||H||_p r0^alpha < delta hypothesis, and
-    the finite-p smallness condition."""
-    k = property_p_constants(s, p)
-    r0 = extrinsic_diameter(s)
-    # lam already carries the C(p) prefactor, so lam r0^alpha is the scaled
-    # curvature that competes with delta
-    measured = k.lam * r0**k.alpha
-    hyps = [
-        Hypothesis(
-            name="curvature-smallness",
-            required="finite-p moment condition on the mean curvature",
-            measured=k.smallness_margin,
-            ok=k.smallness_ok,
-        )
-    ]
-    if delta is None:
-        hyps.append(
-            Hypothesis(
-                name="scaled-curvature-below-delta",
-                required="C(p) ||H||_p r0^alpha < delta(epsilon)",
-                measured=measured,
-                ok=False,
-            )
-        )
-    else:
-        hyps.append(
-            Hypothesis(
-                name="scaled-curvature-below-delta",
-                required=f"C(p) ||H||_p r0^alpha < {delta:.6g}",
-                measured=measured,
-                ok=bool(measured < delta),
-            )
-        )
-    return k, measured, r0, hyps
+def _smallness_hypothesis(k) -> Hypothesis:
+    """The finite-p smallness condition of the property constants k."""
+    return Hypothesis(
+        name="curvature-smallness",
+        required="finite-p moment condition on the mean curvature",
+        measured=k.smallness_margin,
+        ok=k.smallness_ok,
+    )
 
 
-def _vertex_density(s: SurfaceModel, x0) -> float:
-    return density_estimate(s, x0, mode="auto").value
+def _in_class_hypothesis(eps: float | None, lam_r0: float | None) -> Hypothesis:
+    """sup|H| r0 < delta(epsilon) in the class-P variant; fails when no
+    epsilon is admissible. lam_r0 None asserts it for a surface without an
+    analytic source."""
+    name = "scaled-curvature-in-class"
+    if lam_r0 is None:
+        # raw meshes carry no trustworthy pointwise curvature, so class
+        # membership rides on the same trust as Delta itself
+        return Hypothesis(
+            name=name,
+            required="sup|H| r0 < delta(epsilon) (no analytic source; taken on trust)",
+            measured=None,
+            ok=True,
+            source="asserted",
+        )
+    if eps is None:
+        return Hypothesis(
+            name=name, required="sup|H| r0 < delta(epsilon)", measured=lam_r0, ok=False
+        )
+    delta = delta_for_epsilon(eps, 1.0, "class_P").delta
+    return Hypothesis(
+        name=name,
+        required=f"sup|H| r0 < {delta:.6g}",
+        measured=lam_r0,
+        ok=bool(lam_r0 < delta),
+    )
 
 
 def _max_over(values: np.ndarray, mask: np.ndarray) -> tuple[float, int | None]:
@@ -307,14 +296,15 @@ def density_estimate_certificate(
     """
     x0 = as_point(x0, dim=s.dim)
     curves = _as_curves(boundary)
-    k, _measured, r0, small_hyps = _smallness_hypotheses(s, p, delta=None)
+    k = property_p_constants(s, p)
+    r0 = extrinsic_diameter(s)
     # this certificate needs only the smallness condition, not a delta
-    hyps = [small_hyps[0]]
+    hyps = [_smallness_hypothesis(k)]
 
     lam_r0 = k.lam * r0**k.alpha
     factor = math.exp(-lam_r0) * (1.0 - k.alpha * lam_r0 / 2.0)
 
-    theta_m = _vertex_density(s, x0)
+    theta_m = density_estimate(s, x0).value
     theta_cone = sum(cone_density(c, x0) for c in curves)
     point_bound = factor * theta_m
     point_slack = theta_cone - point_bound
@@ -346,7 +336,7 @@ def density_estimate_certificate(
         hypotheses=tuple(hyps),
         conclusion=conclusion,
         citations=("area-ratio-monotonicity", "cone-density-lower-bound"),
-        inputs_digest=_surface_digest("density", s, [float(v) for v in x0], p),
+        inputs_digest=_surface_digest("density", s, curves, [float(v) for v in x0], p),
     )
 
 
@@ -366,24 +356,31 @@ def embeddedness_certificate(
         raise InvalidParameterError(f"which must be 'interior' or 'full', got {which!r}")
     curves = _as_curves(boundary)
     tc_hyp, eps, _tc = _tc_hypothesis(curves)
-
+    k = property_p_constants(s, p)
+    delta = None
     if eps is not None:
-        _cp, alpha = curvature_prefactor(p)
-        sol_i = delta_for_epsilon(eps, alpha, "interior")
+        delta = delta_for_epsilon(eps, k.alpha, "interior").delta
         if which == "full":
-            sol_b = delta_for_epsilon(eps, alpha, "boundary")
-            delta = min(sol_i.delta, sol_b.delta)
-        else:
-            delta = sol_i.delta
-    else:
-        delta = None
-    k, measured, _r0, small_hyps = _smallness_hypotheses(s, p, delta)
-    hyps = [tc_hyp] + small_hyps
+            delta = min(delta, delta_for_epsilon(eps, k.alpha, "boundary").delta)
+    # lam already carries the C(p) prefactor, so lam r0^alpha is the scaled
+    # curvature that competes with delta
+    scaled = k.lam * extrinsic_diameter(s) ** k.alpha
+    hyps = [
+        tc_hyp,
+        _smallness_hypothesis(k),
+        Hypothesis(
+            name="scaled-curvature-below-delta",
+            required="C(p) ||H||_p r0^alpha < "
+            + ("delta(epsilon)" if delta is None else f"{delta:.6g}"),
+            measured=scaled,
+            ok=delta is not None and bool(scaled < delta),
+        ),
+    ]
 
     densities = s.angle_sums / (2.0 * math.pi)
     worst_interior, interior_vertex = _max_over(densities, ~s.boundary_vertex_mask)
     branch = [
-        _vertex_density(s, s.patch.u(np.asarray([bp], dtype=np.float64))[0])
+        density_estimate(s, s.patch.u(np.asarray([bp], dtype=np.float64))[0]).value
         for bp, _order in (s.patch.branch_points if s.patch is not None else ())
     ]
     worst_interior = max([worst_interior, *branch])
@@ -421,7 +418,7 @@ def embeddedness_certificate(
             "density-gap-dichotomy",
             "embedded-conclusion",
         ),
-        inputs_digest=_surface_digest("embeddedness", s, p, which),
+        inputs_digest=_surface_digest("embeddedness", s, curves, p, which),
     )
 
 
@@ -441,29 +438,8 @@ def corner_density_certificate(s: SurfaceModel, boundary, corner_index: int) -> 
             f"vertex {corner_index} carries no corner flag on the given curve"
         )
     tc_hyp, eps, _tc = _tc_hypothesis([boundary])
-    hyps = [tc_hyp]
-    k = property_p_constants(s, math.inf)
     r0 = extrinsic_diameter(s)
-    lam_r0 = k.lam * r0
-    if eps is not None:
-        sol = delta_for_epsilon(eps, 1.0, "class_P")
-        hyps.append(
-            Hypothesis(
-                name="scaled-curvature-in-class",
-                required=f"sup|H| r0 < {sol.delta:.6g}",
-                measured=lam_r0,
-                ok=bool(lam_r0 < sol.delta),
-            )
-        )
-    else:
-        hyps.append(
-            Hypothesis(
-                name="scaled-curvature-in-class",
-                required="sup|H| r0 < delta(epsilon)",
-                measured=lam_r0,
-                ok=False,
-            )
-        )
+    hyps = [tc_hyp, _in_class_hypothesis(eps, property_p_constants(s, math.inf).lam * r0)]
 
     x0 = boundary.vertices[corner_index]
     note = ""
@@ -478,7 +454,7 @@ def corner_density_certificate(s: SurfaceModel, boundary, corner_index: int) -> 
     else:
         admissible = (0.5 - theta / (2.0 * math.pi), 0.5 + theta / (2.0 * math.pi))
 
-    measured = _corner_area_ratio_density(s, x0)
+    measured = density_estimate(s, x0, mode="extrapolated").value
     nearest = min(admissible, key=lambda a: abs(a - measured))
     dist = abs(nearest - measured)
     conclusion = {
@@ -497,31 +473,8 @@ def corner_density_certificate(s: SurfaceModel, boundary, corner_index: int) -> 
         hypotheses=tuple(hyps),
         conclusion=conclusion,
         citations=("corner-density-dichotomy",),
-        inputs_digest=_surface_digest("corner", s, corner_index),
+        inputs_digest=_surface_digest("corner", s, [boundary], corner_index),
     )
-
-
-def _corner_area_ratio_density(s: SurfaceModel, x0) -> float:
-    """Density at a boundary point by extrapolating area/(pi r^2) to r = 0.
-
-    Boundary points are fair game here (unlike interior extrapolation, no
-    full-disk assumption is made); the intercept of a linear-in-r^2 fit
-    removes the leading curvature effect.
-    """
-    x0 = as_point(x0, dim=s.dim)
-    vi, _ = nearest_vertex(s, x0)
-    r1 = 5.0 * _local_edge_length(s, vi)
-    if not (r1 > 0) or r1 > 0.5 * s.scale:
-        r1 = 0.1 * s.scale
-    tris = s.face_triangles()
-    radii = [r1, r1 / 2.0, r1 / 4.0]
-    ratios = []
-    for r in radii:
-        a = clip_areas_total(tris, Ball(center=x0, radius=r))
-        ratios.append(a / (math.pi * r * r))
-    A = np.stack([np.ones(3), np.asarray(radii) ** 2], axis=1)
-    coef, *_ = np.linalg.lstsq(A, np.asarray(ratios), rcond=None)
-    return float(coef[0])
 
 
 def genus_bound(tc: float, delta: float, b: int) -> float:
@@ -543,30 +496,9 @@ def genus_certificate(s: SurfaceModel, boundary, Delta: float) -> Certificate:
     hyps = [tc_hyp]
 
     r0 = extrinsic_diameter(s)
-    if s.patch is not None and eps is not None:
-        k = property_p_constants(s, math.inf)
-        lam_r0 = k.lam * r0
-        sol = delta_for_epsilon(eps, 1.0, "class_P")
-        hyps.append(
-            Hypothesis(
-                name="scaled-curvature-in-class",
-                required=f"sup|H| r0 < {sol.delta:.6g}",
-                measured=lam_r0,
-                ok=bool(lam_r0 < sol.delta),
-            )
-        )
-    elif eps is not None:
-        # raw meshes carry no trustworthy pointwise curvature, so class
-        # membership rides on the same trust as Delta itself
-        hyps.append(
-            Hypothesis(
-                name="scaled-curvature-in-class",
-                required="sup|H| r0 < delta(epsilon) (no analytic source; taken on trust)",
-                measured=None,
-                ok=True,
-                source="asserted",
-            )
-        )
+    if eps is not None:
+        lam_r0 = property_p_constants(s, math.inf).lam * r0 if s.patch is not None else None
+        hyps.append(_in_class_hypothesis(eps, lam_r0))
     if s.patch is not None:
         supa = second_form_sup(s)
         hyps.append(
@@ -604,29 +536,24 @@ def genus_certificate(s: SurfaceModel, boundary, Delta: float) -> Certificate:
             "genus": genus(s),
             "satisfied": False,
         }
-        return Certificate(
-            theorem_id="genus-from-total-curvature",
-            hypotheses=tuple(hyps),
-            conclusion=conclusion,
-            citations=("genus-from-total-curvature",),
-            inputs_digest=_surface_digest("genus", s, Delta),
-        )
-
-    g = genus(s)
-    bound = genus_bound(tc, Delta, b)
-    conclusion = {
-        "name": "genus-upper-bound",
-        "genus": g,
-        "bound": bound,
-        "bound_floor": int(math.floor(bound + 1e-12)),
-        "chi": chi,
-        "total_curvature": tc,
-        "satisfied": bool(g <= bound),
-    }
+        citations = ("genus-from-total-curvature",)
+    else:
+        g = genus(s)
+        bound = genus_bound(tc, Delta, b)
+        conclusion = {
+            "name": "genus-upper-bound",
+            "genus": g,
+            "bound": bound,
+            "bound_floor": int(math.floor(bound + 1e-12)),
+            "chi": chi,
+            "total_curvature": tc,
+            "satisfied": bool(g <= bound),
+        }
+        citations = ("genus-from-total-curvature", "gauss-bonnet-balance")
     return Certificate(
         theorem_id="genus-from-total-curvature",
         hypotheses=tuple(hyps),
         conclusion=conclusion,
-        citations=("genus-from-total-curvature", "gauss-bonnet-balance"),
-        inputs_digest=_surface_digest("genus", s, Delta),
+        citations=citations,
+        inputs_digest=_surface_digest("genus", s, curves, Delta),
     )

@@ -275,7 +275,6 @@ def build_cone(
     x0: PointN,
     kind: str = "unit",
     R: float | None = None,
-    radial_segments: int | None = None,
 ) -> ConeSurface:
     """Triangulate {x0 + t (x - x0) : x in curve} for t in a range set by kind.
 
@@ -312,7 +311,7 @@ def build_cone(
     if center_idx is not None:
         skip[center_idx] = True
         skip[(center_idx - 1) % k] = True
-    if radial_segments is None and kind == "exterior":
+    if kind == "exterior":
         # geometric rings: ruled strips are exact geometry, so ring count only
         # has to keep strip areas commensurate with the local scale of any
         # clipping ball, which doubling achieves with O(log R) rings
@@ -323,14 +322,8 @@ def build_cone(
         ts = np.asarray(ts)
         nt = len(ts) - 1
     else:
-        if radial_segments is None:
-            span = (t_hi - t_lo) * float(dist.mean())
-            radial_segments = int(
-                np.clip(round(span / max(float(edges.mean()), 1e-12)), 1, 512)
-            )
-        nt = int(radial_segments)
-        if nt < 1:
-            raise InvalidParameterError("radial_segments must be >= 1")
+        span = (t_hi - t_lo) * float(dist.mean())
+        nt = int(np.clip(round(span / max(float(edges.mean()), 1e-12)), 1, 512))
         ts = np.linspace(t_lo, t_hi, nt + 1)
     verts = []
     faces = []
@@ -401,9 +394,7 @@ class BoundReport:
         }
 
 
-def projection_bound_report(
-    c: PolylineCurve, x0: PointN, allowance: float = 0.0
-) -> BoundReport:
+def projection_bound_report(c: PolylineCurve, x0: PointN) -> BoundReport:
     """Compare the radial projection length with its curvature bound.
 
     With x0 off the curve the bound is the total curvature. With x0 at a
@@ -411,13 +402,11 @@ def projection_bound_report(
     exterior angle: the actual turning angle for a raw polygon, the flagged
     intended angle (0 if unflagged) for a sampled curve.
     """
-    if allowance < 0.0:
-        raise InvalidParameterError("allowance must be nonnegative")
     x0 = as_point(x0, dim=c.dim)
     tc = total_curvature(c)
     proj = radial_projection_length(c, x0)
     center_idx = _locate_center(c, x0)
-    tol = 1e-9 + allowance
+    tol = 1e-9
     if center_idx is None:
         bound = tc
         theta = 0.0

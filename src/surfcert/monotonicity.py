@@ -46,6 +46,7 @@ __all__ = [
     "PropertyPReport",
     "WeightedMonotonicityReport",
     "LargeRadiusReport",
+    "curvature_prefactor",
     "property_p_constants",
     "m_profile",
     "identity_defect",
@@ -84,9 +85,10 @@ _Q7_W = np.array(
 class PropertyPConstants:
     """Exponent and weight of the mean-curvature smallness property.
 
-    p = inf gives (alpha, lam) = (1, sup |H|); finite p > 2 gives
-    alpha = 1 - 2/p and lam = (2p/(p-2)) (2/pi)^(1/p) ||H||_p, valid under a
-    smallness condition on ||H||_p times diameter^alpha.
+    lam = C(p) ||H||_p and alpha come from `curvature_prefactor`: p = inf
+    gives (alpha, lam) = (1, sup |H|); finite p > 2 gives alpha = 1 - 2/p and
+    lam = (2p/(p-2)) (2/pi)^(1/p) ||H||_p, valid under a smallness condition
+    on ||H||_p times diameter^alpha.
     """
 
     p: float
@@ -178,19 +180,26 @@ class LargeRadiusReport:
 # constants
 
 
+def curvature_prefactor(p: float) -> tuple[float, float]:
+    """(C(p), alpha): the constant multiplying ||H||_p r0^alpha and the
+    exponent, C(inf) = 1 with alpha = 1."""
+    if p is None or not (p == math.inf or p > 2):
+        raise InvalidParameterError(f"exponent must be > 2 or inf, got {p}")
+    if math.isinf(p):
+        return 1.0, 1.0
+    return (2.0 * p / (p - 2.0)) * (2.0 / math.pi) ** (1.0 / p), 1.0 - 2.0 / p
+
+
 def property_p_constants(s: SurfaceModel, p: float) -> PropertyPConstants:
     """Smallness constants from the surface's mean curvature at exponent p."""
-    if p is None or (not math.isinf(p) and p <= 2):
-        raise InvalidParameterError(f"exponent must be > 2 or inf, got {p}")
+    cp, alpha = curvature_prefactor(p)
     scalar, _vec = mean_curvature_field(s)
-    if math.isinf(p):
-        lam = lp_norm(scalar, s, math.inf)
-        return PropertyPConstants(
-            p=math.inf, alpha=1.0, lam=lam, smallness_ok=True, smallness_margin=math.inf
-        )
-    alpha = 1.0 - 2.0 / p
     hnorm = lp_norm(scalar, s, p)
-    lam = (2.0 * p / (p - 2.0)) * (2.0 / math.pi) ** (1.0 / p) * hnorm
+    lam = cp * hnorm
+    if math.isinf(p):
+        return PropertyPConstants(
+            p=math.inf, alpha=alpha, lam=lam, smallness_ok=True, smallness_margin=math.inf
+        )
     r0 = extrinsic_diameter(s)
     lhs = hnorm * r0**alpha
     rhs = ((p - 2.0) / 2.0) * (math.pi / 2.0) ** (1.0 / p)
@@ -253,10 +262,6 @@ def _match_boundary(s: SurfaceModel, curves: list) -> None:
                 "a given boundary curve matches no mesh boundary loop"
             )
         taken[found] = True
-
-
-def _exterior_cones(curves: list, x0: PointN, t_max: float) -> list:
-    return [build_cone(c, x0, kind="exterior", R=t_max) for c in curves]
 
 
 def default_radius_grid(s: SurfaceModel, x0) -> tuple:
@@ -327,21 +332,16 @@ def m_profile(
     if positive.size == 0:
         raise InputInconsistentError("x0 coincides with the entire boundary")
     t_max = 2.0 * max(radii) / float(positive.min()) + 1.0
-    cones = _exterior_cones(curves, x0, t_max)
-
-    face_tris = s.face_triangles()
-    cone_tris = [c.mesh.face_triangles() for c in cones]
-    m_vals = []
-    for r in radii:
-        ball = Ball(center=x0, radius=r)
-        area = clip_areas_total(face_tris, ball)
-        for ct in cone_tris:
-            area += clip_areas_total(ct, ball)
-        m_vals.append(area / r**2)
+    # the surface and its exterior cones, clipped as one stack per radius
+    tris = np.concatenate(
+        [s.face_triangles()]
+        + [build_cone(c, x0, kind="exterior", R=t_max).mesh.face_triangles() for c in curves]
+    )
+    m_vals = [clip_areas_total(tris, Ball(center=x0, radius=r)) / r**2 for r in radii]
 
     lam, alpha = constants.lam, constants.alpha
     w = [math.exp(lam * r**alpha) * m for r, m in zip(radii, m_vals)]
-    clip_err = _clip_rounding_bounds(np.concatenate([face_tris, *cone_tris]), x0, radii)
+    clip_err = _clip_rounding_bounds(tris, x0, radii)
     u = np.finfo(np.float64).eps / 2.0
     tol_disc = 3.0 * max(
         wi * (e / r**2 + 2.0 * u * m) for wi, e, r, m in zip(w, clip_err, radii, m_vals)
@@ -465,16 +465,6 @@ def _boundary_elements(s: SurfaceModel, refine: int):
     )
 
 
-def _segment_ball_clipped_length(mids, lens, x0, r):
-    """Approximate length of each sub-edge inside B(x0, r) by its midpoint.
-
-    Sub-edges are short (refined below the mesh scale), so the midpoint rule
-    keeps the boundary integrand first-order accurate without root solving.
-    """
-    rho = np.linalg.norm(mids - np.asarray(x0)[None, :], axis=1)
-    return np.where(rho <= r, lens, 0.0)
-
-
 def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 24) -> float:
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -494,9 +484,7 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 24) ->
     return rec(a, b, fa, fm, fb, whole, tol, 0)
 
 
-def identity_defect(
-    s: SurfaceModel, x0, sigma: float, r: float, refine: int = DEFAULT_REFINE
-) -> float:
+def identity_defect(s: SurfaceModel, x0, sigma: float, r: float) -> float:
     """LHS minus RHS of the integrated area-ratio identity between two radii.
 
     LHS = A(r)/r^2 - A(sigma)/sigma^2 with A the area inside the ball.
@@ -509,7 +497,7 @@ def identity_defect(
     if not (0.0 < sigma < r):
         raise InvalidParameterError(f"need 0 < sigma < r, got {sigma}, {r}")
     x0 = as_point(x0, dim=s.dim)
-    pp, coords, areas, ccent, pcent = _analytic_pieces(s, refine)
+    pp, coords, areas, ccent, pcent = _analytic_pieces(s, DEFAULT_REFINE)
     x0a = np.asarray(x0)
 
     # LHS from exact piece-level clipping
@@ -581,7 +569,7 @@ def identity_defect(
         k = np.searchsorted(rho_sorted, rho_hat, side="right")
         return mom_cum[k] / rho_hat**3
 
-    mids, lens, conos, _tangs = _boundary_elements(s, refine)
+    mids, lens, conos, _tangs = _boundary_elements(s, DEFAULT_REFINE)
     bmom = np.einsum("bn,bn->b", mids - x0a[None, :], conos) * lens
     brho = np.linalg.norm(mids - x0a[None, :], axis=1)
     border = np.argsort(brho)

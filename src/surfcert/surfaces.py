@@ -62,8 +62,7 @@ class AnalyticPatch:
     return (M, n), (M, n, 2), and (M, n, 2, 2) arrays. branch_points lists
     ((u, v), order) pairs where the immersion degenerates (order m >= 2);
     curvature samples within branch_radius of one are flagged unreliable
-    rather than trusted. domain is a descriptive region object (disk, sector,
-    rectangle) used by generators; operations here never dereference it.
+    rather than trusted.
     """
 
     u: Callable[[np.ndarray], np.ndarray]
@@ -72,15 +71,6 @@ class AnalyticPatch:
     dim: int
     branch_points: tuple = ()
     branch_radius: float = 0.0
-    domain: object | None = None
-
-    def mean_curvature(self, pts: np.ndarray) -> np.ndarray:
-        """Mean curvature vector field at parameter points, (M, n)."""
-        return self.curvature_at(pts)["mean_curvature_vec"]
-
-    def second_form_norm(self, pts: np.ndarray) -> np.ndarray:
-        """|A| at parameter points, (M,)."""
-        return self.curvature_at(pts)["second_form_norm"]
 
     def curvature_at(self, pts: np.ndarray) -> dict:
         """Mean curvature vector and second-form norm at parameter points.
@@ -504,7 +494,10 @@ def density_estimate(
     extrapolated measures area(B_r)/(pi r^2) at radii {r1, r1/2, r1/4} and
     removes the leading curvature bias by fitting ratio ~ c0 + c1 r^2 in
     least squares; the intercept c0 is the estimate. The default r1 is five
-    local edge lengths, capped away from the boundary for interior points.
+    local edge lengths; at a boundary point of a mesh too coarse for that
+    (more than half the surface extent) it falls back to a tenth of the
+    extent. An r1 that reaches the boundary from an interior point, or that
+    exceeds half the extent, raises RadiusTooLargeError.
     """
     x0 = as_point(x0, dim=surface.dim)
     vi, dist = nearest_vertex(surface, x0)
@@ -529,12 +522,14 @@ def density_estimate(
     if mode != "extrapolated":
         raise InvalidParameterError(f"unknown density mode {mode!r}")
 
-    if r1 is None:
-        r1 = 5.0 * _local_edge_length(surface, vi)
-    if not (r1 > 0 and math.isfinite(r1)):
-        raise InvalidParameterError("r1 must be positive and finite")
     d_boundary = boundary_distance(surface, x0)
     on_boundary = d_boundary <= VERTEX_MATCH_REL_TOL * scale
+    if r1 is None:
+        r1 = 5.0 * _local_edge_length(surface, vi)
+        if on_boundary and r1 > 0.5 * scale:
+            r1 = 0.1 * scale
+    if not (r1 > 0 and math.isfinite(r1)):
+        raise InvalidParameterError("r1 must be positive and finite")
     if not on_boundary and r1 >= d_boundary:
         raise RadiusTooLargeError(
             f"r1 = {r1:.6g} reaches the boundary (distance {d_boundary:.6g})",

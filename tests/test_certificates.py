@@ -14,19 +14,26 @@ import pytest
 
 from surfcert import (
     Certificate,
+    CornerFlag,
     Hypothesis,
     InfeasibleError,
     InvalidParameterError,
+    PolylineCurve,
     SurfaceModel,
     build_scene,
     corner_density_certificate,
     curvature_prefactor,
     delta_for_epsilon,
+    density_estimate,
     density_estimate_certificate,
     embeddedness_certificate,
     genus_bound,
     genus_certificate,
+    lp_norm,
+    mean_curvature_field,
+    property_p_constants,
 )
+from surfcert.certificates import CORNER_TOL
 
 
 def bisect_root(f, lo=1e-12, hi=1.0 - 1e-12, iters=80):
@@ -102,6 +109,14 @@ class TestPrefactor:
     def test_small_exponent_rejected(self):
         with pytest.raises(InvalidParameterError):
             curvature_prefactor(2.0)
+
+    @pytest.mark.parametrize("p", [4.0, 8.0, math.inf])
+    def test_property_constants_carry_the_prefactor(self, p):
+        s = build_scene("graph_disk", res=16).surface
+        c, alpha = curvature_prefactor(p)
+        k = property_p_constants(s, p)
+        assert k.lam == c * lp_norm(mean_curvature_field(s)[0], s, p)
+        assert k.alpha == alpha
 
 
 class TestStatusSemantics:
@@ -242,6 +257,31 @@ class TestCornerCertificate:
         assert cert.status == "satisfied"
         assert cert.conclusion["measured"] == pytest.approx(0.25, abs=0.02)
 
+    @pytest.mark.parametrize("res", [8, 12, 16, 24])
+    @pytest.mark.parametrize("angle", [0.5 * math.pi, math.pi, 1.5 * math.pi])
+    def test_coarse_sector_corners(self, res, angle):
+        # on these meshes five local edge lengths often exceed half the
+        # extent, where the density radius falls back to a tenth of it
+        sec = build_scene("flat_sector", {"angle": angle}, res=res)
+        curve = sec.boundary
+        for flag in curve.corner_flags:
+            x0 = curve.vertices[flag.index]
+            want = angle / (2.0 * math.pi) if np.all(x0 == 0.0) else 0.25
+            cert = corner_density_certificate(sec.surface, curve, flag.index)
+            assert abs(cert.conclusion["measured"] - want) <= CORNER_TOL
+            est = density_estimate(sec.surface, x0, mode="extrapolated")
+            assert est.value == cert.conclusion["measured"]
+
+    def test_density_radius_falls_back_at_coarse_corners(self):
+        sec = build_scene("flat_sector", res=8)
+        curve = sec.boundary
+        for flag in curve.corner_flags:
+            x0 = curve.vertices[flag.index]
+            est = density_estimate(sec.surface, x0, mode="extrapolated")
+            assert est.radii[0] == 0.1 * sec.surface.scale
+            want = 0.25  # the right-angled apex and both arc ends
+            assert abs(est.value - want) <= CORNER_TOL
+
     def test_unflagged_vertex_rejected(self, disk):
         with pytest.raises(InvalidParameterError):
             corner_density_certificate(disk.surface, disk.boundary, 0)
@@ -298,3 +338,37 @@ class TestDigests:
         g = genus_certificate(disk.surface, disk.boundaries, 0.0)
         e = embeddedness_certificate(disk.surface, disk.boundaries, math.inf)
         assert g.inputs_digest != e.inputs_digest
+
+    def test_corner_flags_are_covered(self):
+        sec = build_scene("flat_sector", res=32)
+        curve = sec.boundary
+        apex = next(f.index for f in curve.corner_flags if np.all(curve.vertices[f.index] == 0.0))
+        bent = PolylineCurve(
+            curve.vertices,
+            closed=True,
+            corner_flags=tuple(
+                CornerFlag(f.index, 0.1 if f.index == apex else f.theta)
+                for f in curve.corner_flags
+            ),
+        )
+        a = corner_density_certificate(sec.surface, curve, apex)
+        b = corner_density_certificate(sec.surface, bent, apex)
+        assert (a.status, b.status) == ("satisfied", "violated")
+        assert a.inputs_digest != b.inputs_digest
+
+    def test_boundary_curve_is_covered(self):
+        disk = build_scene("flat_disk", res=32)
+        v = disk.boundary.vertices.copy()
+        v[::2, 2] += 0.3
+        lifted = PolylineCurve(v, closed=True, corner_flags=())
+        a = embeddedness_certificate(disk.surface, disk.boundaries, math.inf)
+        b = embeddedness_certificate(disk.surface, [lifted], math.inf)
+        assert (a.status, b.status) == ("satisfied", "not-applicable")
+        assert a.inputs_digest != b.inputs_digest
+
+    def test_raw_polygon_and_flagged_curve_differ(self, disk):
+        raw = PolylineCurve(disk.boundary.vertices, closed=True, corner_flags=None)
+        assert disk.boundary.corner_flags == ()
+        a = genus_certificate(disk.surface, disk.boundaries, 0.0)
+        b = genus_certificate(disk.surface, [raw], 0.0)
+        assert a.inputs_digest != b.inputs_digest

@@ -166,10 +166,6 @@ class TestProjectionBound:
         assert d["ok"] is True
         assert d["total_curvature"] == pytest.approx(2.0 * math.pi)
 
-    def test_negative_allowance_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            projection_bound_report(unit_square(), (0.5, 0.5, 0.0), allowance=-1.0)
-
 
 class TestCurveValidation:
     def test_repeated_vertex_rejected(self):
