@@ -293,6 +293,12 @@ def density_estimate_certificate(
 
     profile: optional precomputed m-profile at the same x0 (saves the most
     expensive step; its m values are p-independent).
+
+    Each profile slack pi theta_cone - mult(r) m(r) is allowed to fall below
+    zero by 3 max |mult(r)| dm(r) over the radii read, dm being the
+    profile's rounding bound on m (`MonotonicityProfile.m_errors`); the
+    profile's own tol_disc carries the weights exp(lam r^alpha) up to 4 r0,
+    which this check never applies.
     """
     x0 = as_point(x0, dim=s.dim)
     curves = _as_curves(boundary)
@@ -311,15 +317,19 @@ def density_estimate_certificate(
 
     prof = profile if profile is not None else m_profile(s, curves, x0, constants=k)
     profile_slacks = []
-    for r, m in zip(prof.radii, prof.m_values):
+    profile_tol = 0.0
+    for r, m, dm in zip(prof.radii, prof.m_values, prof.m_errors):
         if r > r0 * (1.0 + 1e-12):
             continue
         w = math.exp(-k.lam * (r0**k.alpha - r**k.alpha))
-        bound = w * (1.0 - k.alpha * lam_r0 / 2.0) * m
-        profile_slacks.append(math.pi * theta_cone - bound)
+        mult = w * (1.0 - k.alpha * lam_r0 / 2.0)
+        profile_slacks.append(math.pi * theta_cone - mult * m)
+        # the slack inherits m's rounding bound through its multiplier; the
+        # factor 3 covers the multiplier and the subtraction, as in tol_disc
+        profile_tol = max(profile_tol, 3.0 * abs(mult) * dm)
     min_profile_slack = min(profile_slacks) if profile_slacks else math.inf
 
-    ok = point_slack >= -1e-3 and min_profile_slack >= -prof.tol_disc
+    ok = point_slack >= -1e-3 and min_profile_slack >= -profile_tol
     conclusion = {
         "name": "cone-density-lower-bound",
         "surface_density": theta_m,
@@ -328,7 +338,7 @@ def density_estimate_certificate(
         "point_bound": point_bound,
         "point_slack": point_slack,
         "profile_min_slack": min_profile_slack,
-        "profile_tolerance": prof.tol_disc,
+        "profile_tolerance": profile_tol,
         "satisfied": bool(ok),
     }
     return Certificate(
@@ -350,7 +360,8 @@ def embeddedness_certificate(
     over 2*pi): the maximum over interior vertices, and with which="full"
     over boundary vertices, against 2 and 3/2 less DENSITY_MARGIN. The
     branch points of an analytic patch count as interior points. It also
-    runs the global face-pair sweep.
+    runs the global face-pair sweep and reports its hit count (the listed
+    pairs stop at 32), its candidate count and its tolerance.
     """
     if which not in ("interior", "full"):
         raise InvalidParameterError(f"which must be 'interior' or 'full', got {which!r}")
@@ -404,7 +415,10 @@ def embeddedness_certificate(
         "interior_threshold": 2.0 - DENSITY_MARGIN,
         "boundary_threshold": 1.5 - DENSITY_MARGIN if which == "full" else None,
         "intersection_free": sweep.clean,
+        "intersection_count": sweep.count,
         "intersection_pairs": list(sweep.pairs),
+        "sweep_candidates": sweep.candidates,
+        "sweep_tolerance": sweep.tolerance,
         "satisfied": bool(ok),
     }
     return Certificate(

@@ -6,6 +6,10 @@ at an interior critical point of a face-pair subproblem (triangle x triangle,
 edge x triangle) or on a lower feature (segment pairs, vertex vs triangle).
 Interpenetrating faces have distance zero, so "distance <= tol" doubles as an
 intersection predicate without any dimension-specific branch logic.
+
+The candidate pairs are exactly the face pairs that share no vertex and whose
+bounding boxes, inflated by tol, overlap. A spatial hash enumerates them as
+array operations; it only prunes, and changes no member of that set.
 """
 from __future__ import annotations
 
@@ -122,51 +126,64 @@ def _rowwise_point_tri_dist2(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
 
 
 def _candidate_pairs(surface: SurfaceModel, margin: float) -> np.ndarray:
-    """Broad phase: face pairs whose inflated boxes share a hash cell."""
+    """Broad phase: the face pairs (i, j), i < j, that share no vertex and
+    whose closed boxes, inflated by margin, overlap; sorted lexicographically.
+
+    Each face is hashed into every cell of a uniform grid (cell size: the
+    median box diagonal) that its box covers, and pairs are formed within each
+    cell. The hash only prunes: if two boxes overlap, a common point p lies
+    in the cell floor(p / cell), and since floor of a quotient by a positive
+    cell is monotone, that cell is covered by both boxes. A pair is kept
+    only in the lowest cell its two cell ranges share, so it appears once,
+    and the exact box test removes the pairs whose cell ranges meet but
+    whose boxes do not.
+    """
     tris = surface.face_triangles()
+    nf = tris.shape[0]
     lo = tris.min(axis=1) - margin
     hi = tris.max(axis=1) + margin
     diag = np.linalg.norm(hi - lo, axis=1)
     cell = max(float(np.median(diag)), 1e-30)
     lo_i = np.floor(lo / cell).astype(np.int64)
     hi_i = np.floor(hi / cell).astype(np.int64)
-    buckets: dict = {}
-    spans = hi_i - lo_i
-    # a face whose box spans many cells lands in each; spans are tiny because
-    # the cell size tracks the median box
-    for f in range(tris.shape[0]):
-        if not spans[f].any():
-            buckets.setdefault(tuple(lo_i[f]), []).append(f)
-            continue
-        keys = [()]
-        for d in range(tris.shape[2]):
-            keys = [k + (v,) for k in keys for v in range(lo_i[f, d], hi_i[f, d] + 1)]
-        for key in keys:
-            buckets.setdefault(key, []).append(f)
-    seen = set()
-    out = []
+    spans = hi_i - lo_i + 1
+    counts = spans.prod(axis=1)
+
+    # one entry per (face, covered cell): decode a mixed-radix offset over the
+    # face's spans into cell coordinates
+    face = np.repeat(np.arange(nf, dtype=np.int64), counts)
+    rest = np.arange(face.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    cells = np.empty((tris.shape[2], face.size), dtype=np.int64)  # one row per axis
+    for d in range(tris.shape[2] - 1, -1, -1):
+        span = spans[face, d]
+        cells[d] = lo_i[face, d] + rest % span
+        rest //= span
+    # group by cell; lexsort is stable, so faces ascend within each cell
+    order = np.lexsort(cells)
+    cells, face = cells[:, order], face[order]
+    new_cell = np.ones(face.size, dtype=bool)
+    new_cell[1:] = (cells[:, 1:] != cells[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(new_cell)
+    sizes = np.diff(np.append(starts, face.size))
+    # entry k, at position a in a cell of size g, pairs with the g - 1 - a
+    # entries after it
+    after = np.repeat(starts + sizes, sizes) - np.arange(face.size) - 1
+    first = np.repeat(np.arange(face.size), after)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(after) - after, after)
+    fa, fb = face[first], face[second]
+    # per axis: the exact box test, and ownership by the lowest cell the two
+    # cell ranges share, which keeps each pair once
+    for d in range(tris.shape[2]):
+        keep = (
+            (lo[fa, d] <= hi[fb, d])
+            & (lo[fb, d] <= hi[fa, d])
+            & (cells[d, first] == np.maximum(lo_i[fa, d], lo_i[fb, d]))
+        )
+        fa, fb, first = fa[keep], fb[keep], first[keep]
     faces = surface.faces
-    for members in buckets.values():
-        if len(members) < 2:
-            continue
-        members = sorted(members)
-        for ai in range(len(members)):
-            fa = members[ai]
-            va = set(faces[fa].tolist())
-            for bi in range(ai + 1, len(members)):
-                fb = members[bi]
-                key = (fa, fb)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if va & set(faces[fb].tolist()):
-                    continue  # shared-vertex adjacency is legitimate contact
-                if np.any(lo[fa] > hi[fb]) or np.any(lo[fb] > hi[fa]):
-                    continue
-                out.append(key)
-    if not out:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(sorted(out), dtype=np.int64)
+    apart = ~(faces[fa][:, :, None] == faces[fb][:, None, :]).any(axis=(1, 2))
+    key = np.sort(fa[apart] * nf + fb[apart])
+    return np.stack([key // nf, key % nf], axis=1)
 
 
 def self_intersections(
@@ -176,28 +193,25 @@ def self_intersections(
 ) -> IntersectionReport:
     """Sweep all non-adjacent face pairs for contact within tol.
 
-    tol defaults to 1e-9 times the surface's bounding-box diagonal. Pairs
-    sharing a vertex are excluded; everything else at distance <= tol is
-    reported. Exhaustive up to broad-phase box pruning, which cannot discard
-    a pair within tol by construction.
+    tol defaults to 1e-9 times the surface's bounding-box diagonal. The
+    candidates are exactly the pairs sharing no vertex whose bounding boxes,
+    inflated by tol, overlap (`_candidate_pairs`); a pair within tol has such
+    boxes, so no pair within tol is missed except those sharing a vertex.
+    Every candidate at distance <= tol is reported, in lexicographic order.
     """
     if tol is None:
         tol = 1e-9 * max(surface.scale, 1e-30)
     pairs = _candidate_pairs(surface, margin=tol)
-    if pairs.shape[0] == 0:
-        return IntersectionReport((), 0, 0, tol)
     tris = surface.face_triangles()
-    hits = []
     chunk = 16384
-    for start in range(0, pairs.shape[0], chunk):
-        sl = pairs[start : start + chunk]
-        d2 = triangle_pair_dist2(tris[sl[:, 0]], tris[sl[:, 1]])
-        bad = np.nonzero(d2 <= tol * tol)[0]
-        for k in bad:
-            hits.append((int(sl[k, 0]), int(sl[k, 1])))
+    sections = [pairs[i : i + chunk] for i in range(0, pairs.shape[0], chunk)]
+    d2 = np.concatenate(
+        [np.empty(0)] + [triangle_pair_dist2(tris[sl[:, 0]], tris[sl[:, 1]]) for sl in sections]
+    )
+    hits = pairs[d2 <= tol * tol]
     return IntersectionReport(
-        pairs=tuple(hits[:max_reports]),
-        count=len(hits),
+        pairs=tuple(map(tuple, hits[:max_reports].tolist())),
+        count=int(hits.shape[0]),
         candidates=int(pairs.shape[0]),
         tolerance=tol,
     )

@@ -117,6 +117,7 @@ class MonotonicityProfile:
     r0: float  # extrinsic diameter of the surface
     defects: tuple  # (i, j, weighted defect) for every i < j
     tol_disc: float
+    m_errors: tuple  # rounding bound dm(r) on each m value
 
     @property
     def weighted_m(self) -> tuple:
@@ -311,7 +312,8 @@ def m_profile(
     + 2u m(r), the last term for the rounding of the exact sum and of the
     division, that error is at most w_j dm(r_j) + w_i dm(r_i); the third
     unit in tol_disc = 3 max_r w(r) dm(r) covers the weights and the
-    subtraction.
+    subtraction. m_errors holds dm(r) at each radius, for checks that weigh
+    m differently.
     """
     x0 = as_point(x0, dim=s.dim)
     curves = _as_curves(boundary)
@@ -343,9 +345,8 @@ def m_profile(
     w = [math.exp(lam * r**alpha) * m for r, m in zip(radii, m_vals)]
     clip_err = _clip_rounding_bounds(tris, x0, radii)
     u = np.finfo(np.float64).eps / 2.0
-    tol_disc = 3.0 * max(
-        wi * (e / r**2 + 2.0 * u * m) for wi, e, r, m in zip(w, clip_err, radii, m_vals)
-    )
+    m_err = [float(e) / r**2 + 2.0 * u * m for e, r, m in zip(clip_err, radii, m_vals)]
+    tol_disc = 3.0 * max(wi * dm for wi, dm in zip(w, m_err))
     defects = tuple(
         (i, j, w[j] - w[i]) for i in range(len(radii)) for j in range(i + 1, len(radii))
     )
@@ -358,6 +359,7 @@ def m_profile(
         r0=extrinsic_diameter(s),
         defects=defects,
         tol_disc=tol_disc,
+        m_errors=tuple(m_err),
     )
 
 

@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 VERTEX_MATCH_REL_TOL = 1e-9
+# bytes of temporaries per block of the diameter's pairwise distances
+_DIAMETER_BLOCK_BYTES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -345,14 +347,46 @@ class SurfaceModel:
 
     @cached_property
     def diameter(self) -> float:
-        """Max pairwise vertex distance, chunked to bound memory."""
+        """Max pairwise vertex distance, bit for bit the maximum over all
+        pairs of the computed sqrt(sum_k (v_ik - v_jk)^2).
+
+        With c the bounding-box centre and rc_i = |v_i - c|, the triangle
+        inequality gives |v_i - v_j| <= rc_i + max rc, so both ends of the
+        farthest pair have rc_i + max rc >= lb for any lower bound lb on the
+        diameter. A double sweep from argmax rc gives lb as a computed
+        pairwise distance; the vertices that pass the test are brute-forced
+        in blocks of about _DIAMETER_BLOCK_BYTES of temporaries.
+
+        The test's margin covers rounding (unit roundoff u, dimension n). A
+        computed squared distance or rc^2 (n differences, n squares, n - 1
+        additions) is within (n + 2) u of the true value, relative, plus
+        n 2^-1075 absolute from squares that underflow; after the rounded
+        square root, a computed distance or rc is within (n + 4) u / 2
+        relative plus e = sqrt(n / 2) 2^-537 absolute. Let D be the largest
+        computed distance, so lb <= D. For the pair attaining it, the
+        computed rc_i + max rc is at least (1 - (n + 6) u / 2) times the true
+        rc_i + max |v - c|, less 2e, and that sum is at least their true
+        distance, itself at least (1 - (n + 4) u / 2) D - e. So the test
+        rc_i + max rc >= lb (1 - 2 (n + 5) u) - 3e keeps both ends: the
+        first-order loss is (n + 5) u, and the other (n + 5) u covers the
+        rounding of the threshold and every second-order term. If a squared
+        distance overflows, the sweep already holds the maximum, inf.
+        """
         v = self.vertices
-        n = v.shape[0]
-        best = 0.0
-        step = max(1, int(4e7 // max(n, 1)))
-        for lo in range(0, n, step):
-            block = v[lo : lo + step]
-            d2 = ((block[:, None, :] - v[None, :, :]) ** 2).sum(-1)
+        n = v.shape[1]
+        c = (v.max(axis=0) + v.min(axis=0)) / 2.0
+        rc = np.sqrt(((v - c) ** 2).sum(-1))
+        d2a = ((v - v[int(np.argmax(rc))]) ** 2).sum(-1)
+        d2b = ((v - v[int(np.argmax(d2a))]) ** 2).sum(-1)
+        best = max(float(d2a.max()), float(d2b.max()))
+        u = np.finfo(np.float64).eps / 2.0
+        e = math.sqrt(n / 2.0) * 2.0**-537
+        w = v[rc + rc.max() >= math.sqrt(best) * (1.0 - 2.0 * (n + 5) * u) - 3.0 * e]
+        step = max(1, _DIAMETER_BLOCK_BYTES // (8 * (2 * n + 1) * max(w.shape[0], 1)))
+        for lo in range(0, w.shape[0], step):
+            # d2(i, j) == d2(j, i) bit for bit, so each block meets only the
+            # survivors from its own start on
+            d2 = ((w[lo : lo + step, None, :] - w[None, lo:, :]) ** 2).sum(-1)
             best = max(best, float(d2.max()))
         return math.sqrt(best)
 

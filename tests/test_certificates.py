@@ -7,6 +7,7 @@ not-applicable (never violated), the conclusion is still evaluated and
 recorded, and digests are deterministic functions of the inputs.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from surfcert import (
     InvalidParameterError,
     PolylineCurve,
     SurfaceModel,
+    boundary_polyline,
     build_scene,
     corner_density_certificate,
     curvature_prefactor,
@@ -27,11 +29,14 @@ from surfcert import (
     density_estimate,
     density_estimate_certificate,
     embeddedness_certificate,
+    extrinsic_diameter,
     genus_bound,
     genus_certificate,
     lp_norm,
+    m_profile,
     mean_curvature_field,
     property_p_constants,
+    self_intersections,
 )
 from surfcert.certificates import CORNER_TOL
 
@@ -179,6 +184,32 @@ class TestDensityCertificate:
         assert cert.status == "satisfied"
         assert cert.conclusion["point_slack"] == pytest.approx(0.46, abs=0.02)
 
+    def test_profile_slack_is_gated_by_its_own_rounding(self):
+        # torus_minus_disk has a large lambda: the profile's tol_disc, which
+        # weighs m by exp(lam r^alpha) up to 4 r0, is in the millions
+        torus = build_scene("torus_minus_disk", res=32)
+        s, x0 = torus.surface, torus.default_x0
+        prof = m_profile(s, torus.boundaries, x0, constants=property_p_constants(s, math.inf))
+        cert = density_estimate_certificate(s, torus.boundaries, x0, math.inf, profile=prof)
+        assert cert.status == "satisfied"
+        assert prof.tol_disc > 1e6
+        assert 0.0 < cert.conclusion["profile_tolerance"] < 1e-8
+
+        # set m at the diameter, where the weight is 1, so that its slack is
+        # -0.01; the multiplier is negative here, so m itself turns negative
+        r0 = extrinsic_diameter(s)
+        k = property_p_constants(s, math.inf)
+        mult = 1.0 - k.alpha * k.lam * r0**k.alpha / 2.0
+        target = math.pi * cert.conclusion["cone_density"] + 0.01
+        i = max(i for i, r in enumerate(prof.radii) if r <= r0 * (1.0 + 1e-12))
+        assert prof.radii[i] == r0
+        m_values = list(prof.m_values)
+        m_values[i] = target / mult
+        bad = dataclasses.replace(prof, m_values=tuple(m_values))
+        cert = density_estimate_certificate(s, torus.boundaries, x0, math.inf, profile=bad)
+        assert cert.conclusion["profile_min_slack"] == pytest.approx(-0.01, abs=1e-12)
+        assert cert.status == "violated"
+
     def test_only_smallness_hypotheses_needed(self, disk):
         cert = density_estimate_certificate(
             disk.surface, disk.boundaries, (0.0, 0.0, 0.0), math.inf
@@ -241,6 +272,24 @@ class TestEmbeddednessCertificate:
         assert concl["max_boundary_density"] == dens[bmask].max()
         assert dens[concl["max_interior_vertex"]] == dens[~bmask].max()
         assert bmask[concl["max_boundary_vertex"]]
+
+    def test_sweep_totals_are_reported(self):
+        # two crossing 9 x 9 sheets: more hits than the 32 pairs listed
+        u, w = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9))
+        flat = np.stack([u.ravel(), w.ravel(), np.zeros(81)], axis=1)
+        upright = np.stack([u.ravel(), np.zeros(81), w.ravel()], axis=1)
+        corner = (np.arange(8)[:, None] * 9 + np.arange(8)).ravel()
+        a, b, c, d = corner, corner + 1, corner + 10, corner + 9
+        f = np.concatenate([np.stack([a, b, c], axis=1), np.stack([a, c, d], axis=1)])
+        s = SurfaceModel.build(np.vstack([flat, upright]), np.vstack([f, f + 81]))
+        loops = [boundary_polyline(s, i) for i in range(len(s.boundary_loops))]
+        concl = embeddedness_certificate(s, loops, math.inf).conclusion
+        sweep = self_intersections(s)
+        assert concl["intersection_count"] == sweep.count > 32
+        assert len(concl["intersection_pairs"]) == 32
+        assert concl["sweep_candidates"] == sweep.candidates >= sweep.count
+        assert concl["sweep_tolerance"] == sweep.tolerance == 1e-9 * s.scale
+        assert concl["intersection_free"] is False
 
     def test_which_validated(self, disk):
         with pytest.raises(InvalidParameterError):

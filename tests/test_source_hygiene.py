@@ -4,9 +4,13 @@ Every module-level private function must be used somewhere in the package
 outside its own body; a helper nothing calls is dead code. Decorated
 functions are exempt, because a decorator may register them (the selftest's
 checks are collected by ``@_check``).
+
+numpy is the only runtime dependency: no module imports anything but the
+standard library, numpy and surfcert itself, at any depth of the source.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "surfcert"
@@ -39,3 +43,20 @@ def test_every_private_helper_is_used():
             if not any(name in names for other, names in uses if other is not stmt):
                 unused.append(f"{module}:{name}")
     assert unused == []
+
+
+def test_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "surfcert"}
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] not in allowed
+            ]
+    assert foreign == []

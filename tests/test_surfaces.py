@@ -322,3 +322,58 @@ class TestDerivedData:
             arrays = [s.angle_sums, vec.values, vec.unreliable, scalar.values]
             for a in arrays + [s.boundary_face_corners]:
                 assert not a.flags.writeable
+
+
+def brute_diameter(v: np.ndarray) -> float:
+    d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(-1)
+    return math.sqrt(float(d2.max()))
+
+
+def strip(points) -> SurfaceModel:
+    """A triangle strip through the points, in order, so that the mesh's
+    vertices are exactly the point set."""
+    n = len(points)
+    faces = [[k, k + 1, k + 2] if k % 2 == 0 else [k + 1, k, k + 2] for k in range(n - 2)]
+    return SurfaceModel.build(np.asarray(points, dtype=np.float64), faces)
+
+
+class TestPrunedDiameter:
+    """SurfaceModel.diameter equals the all-pairs maximum bit for bit."""
+
+    @pytest.mark.parametrize("res", [16, 32])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_scenes(self, name, res):
+        s = build_scene(name, res=res).surface
+        assert s.diameter == brute_diameter(s.vertices)
+
+    def test_every_point_coincident(self):
+        s = strip(np.tile([[0.3, -1.2, 7.0]], (9, 1)))
+        assert s.diameter == brute_diameter(s.vertices) == 0.0
+
+    def test_collinear_points(self):
+        rng = np.random.default_rng(3)
+        t = rng.uniform(-2.0, 5.0, size=40)
+        s = strip(np.outer(t, [0.3, -0.4, 1.1]) + [1.0, 2.0, 3.0])
+        assert s.diameter == brute_diameter(s.vertices)
+
+    def test_exactly_two_points(self):
+        pts = np.array([[0.1, 0.2, 0.3], [-4.0, 1.5, 2.25]])
+        s = strip(pts[np.arange(11) % 2])
+        assert s.diameter == brute_diameter(s.vertices) == brute_diameter(pts)
+
+    def test_points_on_a_sphere(self):
+        # every rc is about equal, so the bound prunes nothing
+        rng = np.random.default_rng(4)
+        p = rng.normal(size=(300, 3))
+        s = strip(p / np.linalg.norm(p, axis=1)[:, None])
+        assert s.diameter == brute_diameter(s.vertices)
+
+    def test_cloud_offset_by_a_million(self):
+        rng = np.random.default_rng(6)
+        s = strip(rng.uniform(-1.0, 1.0, size=(500, 3)) + 1e6)
+        assert s.diameter == brute_diameter(s.vertices)
+
+    def test_four_dimensional_cloud(self):
+        rng = np.random.default_rng(7)
+        s = strip(rng.normal(size=(500, 4)) * [1.0, 3.0, 0.5, 2.0])
+        assert s.diameter == brute_diameter(s.vertices)
