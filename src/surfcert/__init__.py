@@ -1,18 +1,23 @@
 """Triangle-mesh toolkit for curvature-based surface analysis.
 
-The package splits into six layers that build on one another:
+The package splits into layers that build on one another:
 
 ``geometry``
     exact triangle/ball clipping, angle sums, compensated summation.
 ``curves``
     closed polygons, turning angles, radial projection, cone surfaces.
 ``surfaces``
-    half-edge mesh model, area densities, discrete mean curvature.
+    validated triangle-mesh model with cached derived data, the ring-strip
+    triangulation, area densities, mean curvature.
+``intersect``
+    triangle-pair distances and the self-contact sweep.
 ``monotonicity``
     area-ratio profiles, weighted monotonicity and large-radius checks.
 ``certificates``
     machine-checkable records tying measured quantities to conclusions
     (density lower bounds, embeddedness, corner dichotomy, genus).
+``catalog``
+    named analytic scenes with their meshes and boundary curves.
 ``fileio`` / ``cli``
     OBJ/OFF/JSON persistence, report envelopes, the ``surfcert`` tool.
 """

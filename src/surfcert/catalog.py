@@ -3,8 +3,10 @@
 Every entry builds a Scene: a validated SurfaceModel (with an AnalyticPatch
 where one exists), boundary polylines extracted from the mesh's own boundary
 loops (so they match vertex-for-vertex by construction), and a default base
-point. The resolution parameter res controls mesh density; the disk gets
-about 2*res*(res/2) = res^2 faces, roughly 8k at the default 64.
+point. The resolution parameter res controls mesh density: the disk has
+w = max(8, 2 res) wedges and rings = max(2, res // 2) rings, so
+w + 2 w (rings - 1) faces, 8064 at the default res 64. Every mesh is a
+ring-strip triangulation from surfaces.strip_faces.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy as np
 from .curves import CornerFlag, PolylineCurve
 from .errors import InvalidParameterError
 from .geometry import PointN, as_point
-from .surfaces import AnalyticPatch, SurfaceModel, boundary_polyline
+from .surfaces import AnalyticPatch, SurfaceModel, boundary_polyline, strip_faces
 
 __all__ = [
     "Scene",
@@ -54,133 +56,59 @@ class CatalogEntry:
 
 
 # ---------------------------------------------------------------------------
-# grid builders
+# grids
 
 
-def _polar_disk_grid(res: int, radius: float = 1.0):
-    """Center-fan polar grid over a disk: params are planar (x, y)."""
-    rings = max(2, res // 2)
-    wedges = max(8, 2 * res)
-    pts = [(0.0, 0.0)]
-    for i in range(1, rings + 1):
-        r = radius * i / rings
-        for j in range(wedges):
-            a = 2.0 * math.pi * j / wedges
-            pts.append((r * math.cos(a), r * math.sin(a)))
-    faces = []
-    for j in range(wedges):
-        faces.append((0, 1 + j, 1 + (j + 1) % wedges))
-    for i in range(rings - 1):
-        s0 = 1 + i * wedges
-        s1 = s0 + wedges
-        for j in range(wedges):
-            j2 = (j + 1) % wedges
-            faces.append((s0 + j, s1 + j, s1 + j2))
-            faces.append((s0 + j, s1 + j2, s0 + j2))
-    return np.asarray(pts), np.asarray(faces, dtype=np.int64)
-
-
-def _sector_grid(res: int, radius: float, angle: float):
-    """Fan grid over a circular sector of the given opening angle."""
-    rings = max(2, res // 2)
-    arcs = max(3, int(round(2 * res * angle / (2.0 * math.pi))))
-    pts = [(0.0, 0.0)]
-    for i in range(1, rings + 1):
-        r = radius * i / rings
-        for j in range(arcs + 1):
-            a = angle * j / arcs
-            pts.append((r * math.cos(a), r * math.sin(a)))
-    faces = []
-    for j in range(arcs):
-        faces.append((0, 1 + j, 1 + j + 1))
-    row = arcs + 1
-    for i in range(rings - 1):
-        s0 = 1 + i * row
-        s1 = s0 + row
-        for j in range(arcs):
-            faces.append((s0 + j, s1 + j, s1 + j + 1))
-            faces.append((s0 + j, s1 + j + 1, s0 + j + 1))
-    return np.asarray(pts), np.asarray(faces, dtype=np.int64)
-
-
-def _lat_long_grid(res: int, phi_max: float):
-    """Pole fan plus latitude rows: params are (phi, psi), psi wraps at 2*pi.
-
-    Returns (params (V,2), faces, face_params (F,3,2)); face params carry the
-    unwrapped psi values (and a per-face pole psi), since the vertex array can
-    store only one psi per vertex.
+def _fan_grid(res: int, radius: float = 1.0, angles: np.ndarray | None = None):
+    """Apex fan plus max(2, res // 2) rings out to radius: planar (x, y)
+    params with the apex at the origin. The rings close over max(8, 2 res)
+    wedges, or run open through the given angles for a sector.
     """
-    rows = max(2, res // 2)
-    wedges = max(8, 2 * res)
-    params = [(0.0, 0.0)]
-    for i in range(1, rows + 1):
-        phi = phi_max * i / rows
-        for j in range(wedges):
-            params.append((phi, 2.0 * math.pi * j / wedges))
-    faces = []
-    fparams = []
-    phi1 = phi_max / rows
-    dpsi = 2.0 * math.pi / wedges
-    for j in range(wedges):
-        a, b = 1 + j, 1 + (j + 1) % wedges
-        faces.append((0, a, b))
-        psi_a = j * dpsi
-        psi_b = (j + 1) * dpsi  # unwrapped: may equal 2*pi
-        fparams.append(((0.0, 0.5 * (psi_a + psi_b)), (phi1, psi_a), (phi1, psi_b)))
-    for i in range(rows - 1):
-        s0 = 1 + i * wedges
-        s1 = s0 + wedges
-        p0 = phi_max * (i + 1) / rows
-        p1 = phi_max * (i + 2) / rows
-        for j in range(wedges):
-            j2 = (j + 1) % wedges
-            psi_a = j * dpsi
-            psi_b = (j + 1) * dpsi
-            faces.append((s0 + j, s1 + j, s1 + j2))
-            fparams.append(((p0, psi_a), (p1, psi_a), (p1, psi_b)))
-            faces.append((s0 + j, s1 + j2, s0 + j2))
-            fparams.append(((p0, psi_a), (p1, psi_b), (p0, psi_b)))
-    return np.asarray(params), np.asarray(faces, dtype=np.int64), np.asarray(fparams)
+    periodic = angles is None
+    if periodic:
+        wedges = max(8, 2 * res)
+        angles = 2.0 * math.pi * np.arange(wedges) / wedges
+    rings = max(2, res // 2)
+    r = radius * np.arange(1, rings + 1) / rings
+    ring_pts = r[:, None, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    params = np.concatenate([np.zeros((1, 2)), ring_pts.reshape(-1, 2)])
+    return params, strip_faces(rings, angles.size, periodic, apex=True)[0]
 
 
-def _cylinder_grid(res: int, v_lo: float, v_hi: float):
-    """Rows x wedges grid periodic in psi: params are (v, psi)."""
-    rows = max(2, res // 2)
-    wedges = max(8, 2 * res)
-    params = []
-    for i in range(rows + 1):
-        v = v_lo + (v_hi - v_lo) * i / rows
-        for j in range(wedges):
-            params.append((v, 2.0 * math.pi * j / wedges))
-    faces = []
-    fparams = []
+def _psi_grid(res: int, lo: float, hi: float, apex: bool):
+    """max(2, res // 2) + 1 rings from level lo to hi, each max(8, 2 res)
+    wedges periodic in psi: params are (level, psi).
+
+    With apex, the ring at lo collapses to one vertex at (lo, 0). Returns
+    (params (V, 2), faces, face_params (F, 3, 2)); face params carry the
+    unwrapped psi values (and a per-face apex psi, the wedge's middle),
+    since the vertex array can store only one psi per vertex.
+    """
+    rows, wedges = max(2, res // 2), max(8, 2 * res)
+    levels = lo + (hi - lo) * np.arange(rows + 1) / rows
+    psi = 2.0 * math.pi * np.arange(wedges) / wedges
+    params = np.stack(np.broadcast_arrays(levels[:, None], psi), axis=-1).reshape(-1, 2)
+    if apex:
+        params = np.concatenate([params[:1], params[wedges:]])
+    faces, ring, col = strip_faces(rows + 1 - apex, wedges, True, apex)
     dpsi = 2.0 * math.pi / wedges
-    for i in range(rows):
-        s0 = i * wedges
-        s1 = s0 + wedges
-        v0 = v_lo + (v_hi - v_lo) * i / rows
-        v1 = v_lo + (v_hi - v_lo) * (i + 1) / rows
-        for j in range(wedges):
-            j2 = (j + 1) % wedges
-            psi_a = j * dpsi
-            psi_b = (j + 1) * dpsi
-            faces.append((s0 + j, s1 + j, s1 + j2))
-            fparams.append(((v0, psi_a), (v1, psi_a), (v1, psi_b)))
-            faces.append((s0 + j, s1 + j2, s0 + j2))
-            fparams.append(((v0, psi_a), (v1, psi_b), (v0, psi_b)))
-    return np.asarray(params), np.asarray(faces, dtype=np.int64), np.asarray(fparams)
+    fpsi = col * dpsi  # unwrapped: may equal 2*pi
+    if apex:
+        fpsi = np.where(ring == 0, 0.5 * (col * dpsi + (col + 1) * dpsi), fpsi)
+    return params, faces, np.stack([levels[ring], fpsi], axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # analytic patches
 
 
-def _planar_graph_patch(f, fx, fy, fxx, fxy, fyy, dim3: bool = True) -> AnalyticPatch:
-    """Patch (x, y) -> (x, y, f(x, y)) from the height function's derivatives."""
+def _planar_graph_patch(height) -> AnalyticPatch:
+    """Patch (x, y) -> (x, y, h(x, y)); height(x, y, a, b) is the partial
+    derivative of h taken a times in x and b times in y."""
 
     def u(p):
         x, y = p[:, 0], p[:, 1]
-        return np.stack([x, y, f(x, y)], axis=1)
+        return np.stack([x, y, height(x, y, 0, 0)], axis=1)
 
     def du(p):
         x, y = p[:, 0], p[:, 1]
@@ -188,26 +116,30 @@ def _planar_graph_patch(f, fx, fy, fxx, fxy, fyy, dim3: bool = True) -> Analytic
         out = np.zeros((m, 3, 2))
         out[:, 0, 0] = 1.0
         out[:, 1, 1] = 1.0
-        out[:, 2, 0] = fx(x, y)
-        out[:, 2, 1] = fy(x, y)
+        out[:, 2, 0] = height(x, y, 1, 0)
+        out[:, 2, 1] = height(x, y, 0, 1)
         return out
 
     def d2u(p):
         x, y = p[:, 0], p[:, 1]
         m = p.shape[0]
         out = np.zeros((m, 3, 2, 2))
-        out[:, 2, 0, 0] = fxx(x, y)
-        out[:, 2, 0, 1] = fxy(x, y)
-        out[:, 2, 1, 0] = fxy(x, y)
-        out[:, 2, 1, 1] = fyy(x, y)
+        out[:, 2, 0, 0] = height(x, y, 2, 0)
+        out[:, 2, 0, 1] = out[:, 2, 1, 0] = height(x, y, 1, 1)
+        out[:, 2, 1, 1] = height(x, y, 0, 2)
         return out
 
     return AnalyticPatch(u=u, du=du, d2u=d2u, dim=3)
 
 
 def _flat_patch() -> AnalyticPatch:
-    zero = lambda x, y: np.zeros_like(x)  # noqa: E731
-    return _planar_graph_patch(zero, zero, zero, zero, zero, zero)
+    return _planar_graph_patch(lambda x, y, a, b: np.zeros_like(x))
+
+
+def _sin_derivative(k: int, t: np.ndarray) -> np.ndarray:
+    """The k-th derivative of sin at t: sin, cos, -sin, -cos, repeating."""
+    val = np.cos(t) if k % 2 else np.sin(t)
+    return -val if k % 4 >= 2 else val
 
 
 def _sphere_patch(R: float) -> AnalyticPatch:
@@ -389,24 +321,30 @@ def _branched_patch(m: int, branch_radius: float) -> AnalyticPatch:
 # scenes
 
 
-def _scene_from_patch(
-    patch: AnalyticPatch,
-    params2d: np.ndarray,
-    faces: np.ndarray,
-    name: str,
-    parameters: dict,
-    default_x0,
-    face_params: np.ndarray | None = None,
-    boundary_flags: dict | None = None,
-):
-    verts = patch.u(params2d)
-    surface = SurfaceModel.build(
-        verts, faces, patch=patch, params=params2d, face_params=face_params
+def _patch_surface(patch: AnalyticPatch, params, faces, face_params=None) -> SurfaceModel:
+    return SurfaceModel.build(
+        patch.u(params), faces, patch=patch, params=params, face_params=face_params
     )
+
+
+def _scene(name: str, parameters: dict, default_x0, surface: SurfaceModel, corners=None):
+    """A catalog scene whose boundary curves are the mesh's boundary loops.
+
+    On a surface with a patch the loops sample smooth curves, so only the
+    vertices in corners ({mesh vertex id: exterior angle}) are corners; the
+    loops of a mesh-only surface are raw polygons.
+    """
+    corners = corners or {}
     boundaries = []
-    for li in range(len(surface.boundary_loops)):
-        flags = _loop_flags(surface, li, boundary_flags) if boundary_flags else ()
-        boundaries.append(boundary_polyline(surface, li, corner_flags=flags))
+    for li, loop in enumerate(surface.boundary_loops):
+        flags = tuple(
+            CornerFlag(index=pos, theta=corners[vid])
+            for pos, vid in enumerate(loop.tolist())
+            if vid in corners
+        )
+        boundaries.append(
+            boundary_polyline(surface, li, None if surface.patch is None else flags)
+        )
     return Scene(
         surface=surface,
         boundaries=tuple(boundaries),
@@ -416,124 +354,63 @@ def _scene_from_patch(
     )
 
 
-def _loop_flags(surface: SurfaceModel, loop_index: int, flag_map: dict):
-    """Translate {mesh vertex id: theta} into loop-position corner flags."""
-    loop = surface.boundary_loops[loop_index]
-    flags = []
-    for pos, vid in enumerate(loop.tolist()):
-        if vid in flag_map:
-            flags.append(CornerFlag(index=pos, theta=flag_map[vid]))
-    return tuple(flags)
-
-
 def _build_flat_disk(res: int) -> Scene:
-    params2d, faces = _polar_disk_grid(res, radius=1.0)
-    patch = _flat_patch()
-    return _scene_from_patch(
-        patch, params2d, faces, "flat_disk", {"res": res}, (0.0, 0.0, 0.0)
-    )
+    surface = _patch_surface(_flat_patch(), *_fan_grid(res))
+    return _scene("flat_disk", {"res": res}, (0.0, 0.0, 0.0), surface)
 
 
 def _build_flat_sector(res: int, angle: float) -> Scene:
     if not (0.0 < angle < 2.0 * math.pi):
         raise InvalidParameterError("sector angle must lie in (0, 2*pi)")
-    params2d, faces = _sector_grid(res, 1.0, angle)
-    patch = _flat_patch()
-    verts = patch.u(params2d)
-    # corners: apex (exterior angle |pi - angle|), two arc ends (pi/2 each)
-    apex = 0
-    arcs = int(round(2 * res * angle / (2.0 * math.pi)))
-    arcs = max(3, arcs)
-    rings = max(2, res // 2)
-    first_end = 1 + (rings - 1) * (arcs + 1)  # outer ring, j = 0
-    second_end = first_end + arcs
-    flag_map = {
-        apex: abs(math.pi - angle),
-        first_end: math.pi / 2.0,
-        second_end: math.pi / 2.0,
-    }
-    surface = SurfaceModel.build(verts, faces, patch=patch, params=params2d)
-    boundaries = tuple(
-        boundary_polyline(surface, li, corner_flags=_loop_flags(surface, li, flag_map))
-        for li in range(len(surface.boundary_loops))
-    )
+    arcs = max(3, int(round(2 * res * angle / (2.0 * math.pi))))
+    params2d, faces = _fan_grid(res, angles=angle * np.arange(arcs + 1) / arcs)
+    # corners: apex (exterior angle |pi - angle|), the outer ring's two ends
+    # (pi/2 each); the outer ring holds the last arcs + 1 vertices
+    last = params2d.shape[0] - 1
+    corners = {0: abs(math.pi - angle), last - arcs: math.pi / 2.0, last: math.pi / 2.0}
     mid = 0.4 * np.array([math.cos(angle / 2.0), math.sin(angle / 2.0), 0.0])
-    return Scene(
-        surface=surface,
-        boundaries=boundaries,
-        parameters={"res": res, "angle": angle},
-        provenance="catalog:flat_sector",
-        default_x0=as_point(mid),
-    )
+    surface = _patch_surface(_flat_patch(), params2d, faces)
+    return _scene("flat_sector", {"res": res, "angle": angle}, mid, surface, corners)
 
 
 def _build_branched_disk(res: int, m: int) -> Scene:
     if m < 2:
         raise InvalidParameterError("branch order m must be >= 2")
-    rings = max(2, res // 2)
-    params2d, faces = _polar_disk_grid(res, radius=1.0)
-    patch = _branched_patch(m, branch_radius=1.5 / rings)
-    return _scene_from_patch(
-        patch,
-        params2d,
-        faces,
-        "branched_disk",
-        {"res": res, "m": m},
-        (0.0, 0.0, 0.0, 0.0),
-    )
+    patch = _branched_patch(m, branch_radius=1.5 / max(2, res // 2))
+    surface = _patch_surface(patch, *_fan_grid(res))
+    return _scene("branched_disk", {"res": res, "m": m}, (0.0, 0.0, 0.0, 0.0), surface)
+
+
+def _cap_surface(res: int, R: float, theta: float) -> SurfaceModel:
+    if not (R > 0) or not (0.0 < theta < math.pi):
+        raise InvalidParameterError("cap needs R > 0 and polar angle in (0, pi)")
+    return _patch_surface(_sphere_patch(R), *_psi_grid(res, 0.0, theta, apex=True))
 
 
 def _build_cap(res: int, R: float, theta: float) -> Scene:
-    if not (R > 0) or not (0.0 < theta < math.pi):
-        raise InvalidParameterError("cap needs R > 0 and polar angle in (0, pi)")
-    params, faces, fparams = _lat_long_grid(res, theta)
-    patch = _sphere_patch(R)
-    return _scene_from_patch(
-        patch,
-        params,
-        faces,
-        "cap",
-        {"res": res, "R": R, "theta": theta},
-        (0.0, 0.0, R),
-        face_params=fparams,
-    )
+    surface = _cap_surface(res, R, theta)
+    return _scene("cap", {"res": res, "R": R, "theta": theta}, (0.0, 0.0, R), surface)
 
 
 def _build_hemisphere(res: int) -> Scene:
-    scene = _build_cap(res, 1.0, math.pi / 2.0)
-    return Scene(
-        surface=scene.surface,
-        boundaries=scene.boundaries,
-        parameters={"res": res},
-        provenance="catalog:hemisphere",
-        default_x0=scene.default_x0,
-    )
+    surface = _cap_surface(res, 1.0, math.pi / 2.0)
+    return _scene("hemisphere", {"res": res}, (0.0, 0.0, 1.0), surface)
 
 
 def _build_catenoid(res: int, waist: float, height: float) -> Scene:
     if not (waist > 0 and height > 0):
         raise InvalidParameterError("catenoid needs waist > 0 and height > 0")
-    params, faces, fparams = _cylinder_grid(res, -height / 2.0, height / 2.0)
-    patch = _catenoid_patch(waist)
-    return _scene_from_patch(
-        patch,
-        params,
-        faces,
-        "catenoid",
-        {"res": res, "waist": waist, "height": height},
-        (waist, 0.0, 0.0),
-        face_params=fparams,
-    )
+    grid = _psi_grid(res, -height / 2.0, height / 2.0, apex=False)
+    surface = _patch_surface(_catenoid_patch(waist), *grid)
+    parameters = {"res": res, "waist": waist, "height": height}
+    return _scene("catenoid", parameters, (waist, 0.0, 0.0), surface)
 
 
 def _build_enneper(res: int, scale: float) -> Scene:
     if not (0.0 < scale <= 1.2):
         raise InvalidParameterError("enneper scale must lie in (0, 1.2]")
-    params2d, faces = _polar_disk_grid(res, radius=scale)
-    patch = _enneper_patch()
-    return _scene_from_patch(
-        patch, params2d, faces, "enneper", {"res": res, "scale": scale}, (0.0, 0.0, 0.0)
-    )
+    surface = _patch_surface(_enneper_patch(), *_fan_grid(res, radius=scale))
+    return _scene("enneper", {"res": res, "scale": scale}, (0.0, 0.0, 0.0), surface)
 
 
 def _build_graph_disk(res: int, seed: int) -> Scene:
@@ -544,184 +421,133 @@ def _build_graph_disk(res: int, seed: int) -> Scene:
     nu = rng.uniform(0.8, 1.8, n_bumps)
     ph = rng.uniform(0.0, 2.0 * math.pi, (2, n_bumps))
 
-    def f(x, y):
+    def height(x, y, a, b):
+        # h = sum_i amp_i sin(om_i x + ph_0i) sin(nu_i y + ph_1i)
         acc = np.zeros_like(x)
         for i in range(n_bumps):
-            acc = acc + amp[i] * np.sin(om[i] * x + ph[0, i]) * np.sin(nu[i] * y + ph[1, i])
+            acc = acc + amp[i] * om[i] ** a * nu[i] ** b * _sin_derivative(
+                a, om[i] * x + ph[0, i]
+            ) * _sin_derivative(b, nu[i] * y + ph[1, i])
         return acc
 
-    def fx(x, y):
-        acc = np.zeros_like(x)
-        for i in range(n_bumps):
-            acc = acc + amp[i] * om[i] * np.cos(om[i] * x + ph[0, i]) * np.sin(
-                nu[i] * y + ph[1, i]
-            )
-        return acc
-
-    def fy(x, y):
-        acc = np.zeros_like(x)
-        for i in range(n_bumps):
-            acc = acc + amp[i] * nu[i] * np.sin(om[i] * x + ph[0, i]) * np.cos(
-                nu[i] * y + ph[1, i]
-            )
-        return acc
-
-    def fxx(x, y):
-        acc = np.zeros_like(x)
-        for i in range(n_bumps):
-            acc = acc - amp[i] * om[i] ** 2 * np.sin(om[i] * x + ph[0, i]) * np.sin(
-                nu[i] * y + ph[1, i]
-            )
-        return acc
-
-    def fxy(x, y):
-        acc = np.zeros_like(x)
-        for i in range(n_bumps):
-            acc = acc + amp[i] * om[i] * nu[i] * np.cos(om[i] * x + ph[0, i]) * np.cos(
-                nu[i] * y + ph[1, i]
-            )
-        return acc
-
-    def fyy(x, y):
-        acc = np.zeros_like(x)
-        for i in range(n_bumps):
-            acc = acc - amp[i] * nu[i] ** 2 * np.sin(om[i] * x + ph[0, i]) * np.sin(
-                nu[i] * y + ph[1, i]
-            )
-        return acc
-
-    params2d, faces = _polar_disk_grid(res, radius=1.0)
-    patch = _planar_graph_patch(f, fx, fy, fxx, fxy, fyy)
+    patch = _planar_graph_patch(height)
     center = patch.u(np.zeros((1, 2)))[0]
-    return _scene_from_patch(
-        patch, params2d, faces, "graph_disk", {"res": res, "seed": int(seed)}, center
-    )
+    surface = _patch_surface(patch, *_fan_grid(res))
+    return _scene("graph_disk", {"res": res, "seed": int(seed)}, center, surface)
 
 
 def _build_torus_minus_disk(res: int, R0: float = 2.0, r_tube: float = 0.7) -> Scene:
     """Mesh-only torus with a rectangular block of cells removed (b=1, g=1)."""
     n = max(16, int(res))
-    verts = np.empty((n * n, 3))
-    for i in range(n):
-        uu = 2.0 * math.pi * i / n
-        for j in range(n):
-            vv = 2.0 * math.pi * j / n
-            w = R0 + r_tube * math.cos(vv)
-            verts[i * n + j] = (w * math.cos(uu), w * math.sin(uu), r_tube * math.sin(vv))
+    angle = 2.0 * math.pi * np.arange(n) / n
+    w = R0 + r_tube * np.cos(angle)  # distance from the axis at tube angle j
+    verts = np.stack(
+        [
+            np.outer(np.cos(angle), w),
+            np.outer(np.sin(angle), w),
+            np.broadcast_to(r_tube * np.sin(angle), (n, n)),
+        ],
+        axis=-1,
+    ).reshape(-1, 3)
+    # vertex (i, j) is i * n + j; both directions wrap
+    _, ring, col = strip_faces(n + 1, n, True, False)
     hole = 4  # cells per side of the removed block
-    i0 = n // 2 - hole // 2
-    j0 = n // 2 - hole // 2
-    faces = []
-    for i in range(n):
-        for j in range(n):
-            if i0 <= i < i0 + hole and j0 <= j < j0 + hole:
-                continue
-            a = i * n + j
-            b = ((i + 1) % n) * n + j
-            c = ((i + 1) % n) * n + (j + 1) % n
-            d = i * n + (j + 1) % n
-            faces.append((a, b, c))
-            faces.append((a, c, d))
+    cell = np.stack([ring[:, 0], col[:, 0]], axis=1) - (n // 2 - hole // 2)
+    kept = ~np.all((cell >= 0) & (cell < hole), axis=1)
+    faces = (ring % n * n + col % n)[kept]
     # drop vertices interior to the hole (not referenced by any kept face)
-    faces = np.asarray(faces, dtype=np.int64)
     used = np.zeros(n * n, dtype=bool)
     used[faces.ravel()] = True
-    remap = np.cumsum(used) - 1
-    surface = SurfaceModel.build(verts[used], remap[faces])
-    boundaries = tuple(
-        boundary_polyline(surface, li, corner_flags=None)
-        for li in range(len(surface.boundary_loops))
-    )
-    return Scene(
-        surface=surface,
-        boundaries=boundaries,
-        parameters={"res": res, "R0": R0, "r_tube": r_tube},
-        provenance="catalog:torus_minus_disk",
-        default_x0=as_point(verts[used][0]),
-    )
+    surface = SurfaceModel.build(verts[used], (np.cumsum(used) - 1)[faces])
+    parameters = {"res": res, "R0": R0, "r_tube": r_tube}
+    return _scene("torus_minus_disk", parameters, verts[used][0], surface)
 
 
 # ---------------------------------------------------------------------------
 # registry
 
-_ENTRIES = {
-    "flat_disk": CatalogEntry(
-        "flat_disk", "Unit disk in the z = 0 plane.", {}, analytic=True
-    ),
-    "flat_sector": CatalogEntry(
-        "flat_sector",
-        "Planar circular sector; boundary corners carry intended angles.",
-        {"angle": (float, math.pi / 2.0, "opening angle in (0, 2*pi)")},
-        analytic=True,
-    ),
-    "branched_disk": CatalogEntry(
-        "branched_disk",
-        "(z^m, z^(m+1)/2) in R^4: branch point of order m at the origin.",
-        {"m": (int, 2, "branch order >= 2")},
-        analytic=True,
-    ),
-    "cap": CatalogEntry(
-        "cap",
-        "Spherical cap of radius R up to polar angle theta; |H| = 2/R.",
-        {"R": (float, 10.0, "sphere radius"), "theta": (float, 0.1, "polar angle")},
-        analytic=True,
-    ),
-    "hemisphere": CatalogEntry(
-        "hemisphere", "Unit upper hemisphere (cap with theta = pi/2).", {}, analytic=True
-    ),
-    "catenoid": CatalogEntry(
-        "catenoid",
-        "Minimal catenoid band; two boundary circles.",
-        {"waist": (float, 1.0, "waist radius"), "height": (float, 1.5, "total height")},
-        analytic=True,
-    ),
-    "enneper": CatalogEntry(
-        "enneper",
-        "Polynomial minimal immersion over a disk of the given radius.",
-        {"scale": (float, 0.8, "domain disk radius in (0, 1.2]")},
-        analytic=True,
-    ),
-    "graph_disk": CatalogEntry(
-        "graph_disk",
-        "Gently bumped graph over the unit disk; seeded, for fuzzing.",
-        {"seed": (int, 0, "rng seed for the height function")},
-        analytic=True,
-    ),
-    "torus_minus_disk": CatalogEntry(
-        "torus_minus_disk",
-        "Mesh-only torus with a small rectangular hole (genus 1, one loop).",
-        {},
-        analytic=False,
-    ),
-}
-
-_BUILDERS = {
-    "flat_disk": lambda res, **kw: _build_flat_disk(res),
-    "flat_sector": lambda res, **kw: _build_flat_sector(res, kw["angle"]),
-    "branched_disk": lambda res, **kw: _build_branched_disk(res, kw["m"]),
-    "cap": lambda res, **kw: _build_cap(res, kw["R"], kw["theta"]),
-    "hemisphere": lambda res, **kw: _build_hemisphere(res),
-    "catenoid": lambda res, **kw: _build_catenoid(res, kw["waist"], kw["height"]),
-    "enneper": lambda res, **kw: _build_enneper(res, kw["scale"]),
-    "graph_disk": lambda res, **kw: _build_graph_disk(res, kw["seed"]),
-    "torus_minus_disk": lambda res, **kw: _build_torus_minus_disk(res),
+_CATALOG = {
+    entry.name: (entry, build)
+    for entry, build in (
+        (CatalogEntry("flat_disk", "Unit disk in the z = 0 plane."), _build_flat_disk),
+        (
+            CatalogEntry(
+                "flat_sector",
+                "Planar circular sector; boundary corners carry intended angles.",
+                {"angle": (float, math.pi / 2.0, "opening angle in (0, 2*pi)")},
+            ),
+            _build_flat_sector,
+        ),
+        (
+            CatalogEntry(
+                "branched_disk",
+                "(z^m, z^(m+1)/2) in R^4: branch point of order m at the origin.",
+                {"m": (int, 2, "branch order >= 2")},
+            ),
+            _build_branched_disk,
+        ),
+        (
+            CatalogEntry(
+                "cap",
+                "Spherical cap of radius R up to polar angle theta; |H| = 2/R.",
+                {"R": (float, 10.0, "sphere radius"), "theta": (float, 0.1, "polar angle")},
+            ),
+            _build_cap,
+        ),
+        (
+            CatalogEntry("hemisphere", "Unit upper hemisphere (cap with theta = pi/2)."),
+            _build_hemisphere,
+        ),
+        (
+            CatalogEntry(
+                "catenoid",
+                "Minimal catenoid band; two boundary circles.",
+                {"waist": (float, 1.0, "waist radius"), "height": (float, 1.5, "total height")},
+            ),
+            _build_catenoid,
+        ),
+        (
+            CatalogEntry(
+                "enneper",
+                "Polynomial minimal immersion over a disk of the given radius.",
+                {"scale": (float, 0.8, "domain disk radius in (0, 1.2]")},
+            ),
+            _build_enneper,
+        ),
+        (
+            CatalogEntry(
+                "graph_disk",
+                "Gently bumped graph over the unit disk; seeded, for fuzzing.",
+                {"seed": (int, 0, "rng seed for the height function")},
+            ),
+            _build_graph_disk,
+        ),
+        (
+            CatalogEntry(
+                "torus_minus_disk",
+                "Mesh-only torus with a small rectangular hole (genus 1, one loop).",
+                analytic=False,
+            ),
+            _build_torus_minus_disk,
+        ),
+    )
 }
 
 _CACHE: dict = {}
 
 
 def catalog_names() -> list[str]:
-    return sorted(_ENTRIES)
+    return sorted(_CATALOG)
 
 
 def catalog_entry(name: str) -> CatalogEntry:
-    if name not in _ENTRIES:
+    if name not in _CATALOG:
         close = [n for n in catalog_names() if name.lower() in n or n in name.lower()]
         hint = f"; did you mean one of {close}?" if close else ""
         raise InvalidParameterError(
             f"unknown catalog surface {name!r}: available {catalog_names()}{hint}"
         )
-    return _ENTRIES[name]
+    return _CATALOG[name][0]
 
 
 def build_scene(name: str, params: dict | None = None, res: int = 64) -> Scene:
@@ -744,7 +570,7 @@ def build_scene(name: str, params: dict | None = None, res: int = 64) -> Scene:
         raise InvalidParameterError("res must be an integer in [8, 512]")
     key = (name, tuple(sorted(merged.items())), res)
     if key not in _CACHE:
-        _CACHE[key] = _BUILDERS[name](res, **merged)
+        _CACHE[key] = _CATALOG[name][1](res, **merged)
     return _CACHE[key]
 
 

@@ -137,7 +137,7 @@ def _exit_code(certificates) -> int:
     return 2 if any(c.status == "not-applicable" for c in certificates) else 0
 
 
-def _maybe_batch(args, kind: str, payloads: list) -> dict:
+def _maybe_batch(kind: str, payloads: list) -> dict:
     if len(payloads) == 1:
         return report_envelope(kind, payloads[0])
     return report_envelope(
@@ -250,7 +250,7 @@ def _cmd_monotonicity(args) -> int:
             atomic_write(args.csv, profile_csv_text(prof))
         if args.svg:
             atomic_write(args.svg, profile_svg_text(prof))
-    _emit(args, _maybe_batch(args, "monotonicity", payloads))
+    _emit(args, _maybe_batch("monotonicity", payloads))
     return 0
 
 
@@ -280,7 +280,7 @@ def _cmd_certify(args) -> int:
         certs.append(corner_density_certificate(s, curve, idx))
     else:  # argparse choices guard this
         raise InvalidParameterError(f"unknown certificate kind {args.kind!r}")
-    _emit(args, _maybe_batch(args, "certificate", [c.to_dict() for c in certs]))
+    _emit(args, _maybe_batch("certificate", [c.to_dict() for c in certs]))
     return _exit_code(certs)
 
 

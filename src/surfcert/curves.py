@@ -285,7 +285,7 @@ def build_cone(
     (the two incident segments sweep rays of zero area and are skipped); a
     unit cone may not.
     """
-    from .surfaces import SurfaceModel
+    from .surfaces import SurfaceModel, strip_faces
 
     if kind not in ("unit", "exterior"):
         raise InvalidParameterError(f"cone kind must be 'unit' or 'exterior', got {kind!r}")
@@ -307,10 +307,6 @@ def build_cone(
     rad = v - x0[None, :]
     dist = np.linalg.norm(rad, axis=1)
     edges = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
-    skip = np.zeros(k, dtype=bool)  # base segments generating zero-area strips
-    if center_idx is not None:
-        skip[center_idx] = True
-        skip[(center_idx - 1) % k] = True
     if kind == "exterior":
         # geometric rings: ruled strips are exact geometry, so ring count only
         # has to keep strip areas commensurate with the local scale of any
@@ -320,49 +316,24 @@ def build_cone(
             ts.append(ts[-1] * 2.0)
         ts.append(t_hi)
         ts = np.asarray(ts)
-        nt = len(ts) - 1
     else:
         span = (t_hi - t_lo) * float(dist.mean())
         nt = int(np.clip(round(span / max(float(edges.mean()), 1e-12)), 1, 512))
         ts = np.linspace(t_lo, t_hi, nt + 1)
-    verts = []
-    faces = []
-    if kind == "unit":
-        verts.append(x0[None, :])
-        for t in ts[1:]:
-            verts.append(x0[None, :] + t * rad)
-        first = 1  # apex occupies slot 0, stands in for the t=0 ring
-        for i in range(k):
-            faces.append((0, first + i, first + (i + 1) % k))
-        ring_starts = [first + j * k for j in range(nt)]
-    else:
-        for t in ts:
-            verts.append(x0[None, :] + t * rad)
-        ring_starts = [j * k for j in range(nt + 1)]
-
-    stack = np.concatenate(verts, axis=0)
-    n_rings = len(ring_starts)
-    for j in range(n_rings - 1):
-        r0 = ring_starts[j]
-        r1 = ring_starts[j + 1]
-        for i in range(k):
-            if skip[i]:
-                continue
-            i2 = (i + 1) % k
-            faces.append((r0 + i, r1 + i, r1 + i2))
-            faces.append((r0 + i, r1 + i2, r0 + i2))
-
+    ring_pts = (x0[None, None, :] + ts[:, None, None] * rad[None, :, :]).reshape(-1, c.dim)
+    unit = kind == "unit"
+    faces, _ring, col = strip_faces(ts.size - unit, k, True, unit)
+    # a unit cone's apex stands in for its t = 0 ring
+    stack = np.concatenate([x0[None, :], ring_pts[k:]]) if unit else ring_pts
     if center_idx is not None:
-        # the apex vertex column is degenerate (all rings collapse to x0);
-        # drop it and renumber
-        keep = np.ones(stack.shape[0], dtype=bool)
-        drop = [rs + center_idx for rs in ring_starts]
-        keep[drop] = False
-        remap = np.cumsum(keep) - 1
+        # the two base segments at the apex sweep rays of zero area, and the
+        # apex's column collapses to x0: drop both and renumber
+        faces = faces[~np.isin(col[:, 0], [center_idx, (center_idx - 1) % k])]
+        keep = np.arange(stack.shape[0]) % k != center_idx
+        faces = (np.cumsum(keep) - 1)[faces]
         stack = stack[keep]
-        faces = [(remap[a], remap[b], remap[c]) for a, b, c in faces]
 
-    surf = SurfaceModel.build(stack, np.asarray(faces, dtype=np.int64))
+    surf = SurfaceModel.build(stack, faces)
     return ConeSurface(apex=x0, base=c, kind=kind, t_range=(t_lo, t_hi), mesh=surf)
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
+import stat
 
 import numpy as np
 
@@ -49,11 +50,22 @@ REPORT_KINDS = (
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write text so readers never observe a half-written file."""
+    """Write text so readers never observe a half-written file.
+
+    The text goes to a fresh file in the same directory, which then replaces
+    path. An existing file keeps its mode; a new one gets the mode that
+    open(path, "w") gives, 0o666 less the umask, because the temporary file
+    is opened with mode 0o666 and the kernel applies the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
+            try:
+                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:
+                pass
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -467,23 +467,13 @@ def _boundary_elements(s: SurfaceModel, refine: int):
     )
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 24) -> float:
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(x0, x2, f0, f1, f2, s, tol, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        flm, frm = f(lm), f(rm)
-        left = (x1 - x0) / 6.0 * (f0 + 4.0 * flm + f1)
-        right = (x2 - x1) / 6.0 * (f1 + 4.0 * frm + f2)
-        if depth >= max_depth or abs(left + right - s) <= 15.0 * tol:
-            return left + right + (left + right - s) / 15.0
-        return rec(x0, x1, f0, flm, f1, left, tol / 2.0, depth + 1) + rec(
-            x1, x2, f1, frm, f2, right, tol / 2.0, depth + 1
-        )
-
-    return rec(a, b, fa, fm, fb, whole, tol, 0)
+def _step_moment_integral(rho: np.ndarray, moment: np.ndarray, sigma: float, r: float) -> float:
+    """Exact integral over t in [sigma, r] of M(t) / t^3, where M(t) sums the
+    moments m_i with rho_i <= t: each m_i with rho_i < r contributes
+    m_i (1 / max(rho_i, sigma)^2 - 1 / r^2) / 2."""
+    near = rho < r
+    lo = np.maximum(rho[near], sigma)
+    return 0.5 * math.fsum((moment[near] * (1.0 / lo**2 - 1.0 / r**2)).tolist())
 
 
 def identity_defect(s: SurfaceModel, x0, sigma: float, r: float) -> float:
@@ -492,9 +482,10 @@ def identity_defect(s: SurfaceModel, x0, sigma: float, r: float) -> float:
     LHS = A(r)/r^2 - A(sigma)/sigma^2 with A the area inside the ball.
     RHS = (annulus integral of the squared normal component of the radial
     field over distance^4) + (radial integral of the curvature moment)
-    - (radial integral of the boundary conormal moment). The two radial
-    integrals run adaptive Simpson in the outer radius; inner integrals use
-    piece-level ball clipping. Needs an analytic source.
+    - (radial integral of the boundary conormal moment). Each piece and
+    boundary element sits at one distance rho_i from x0, so both radial
+    integrands are step functions M(t)/t^3 and integrate in closed form; the
+    areas use piece-level ball clipping. Needs an analytic source.
     """
     if not (0.0 < sigma < r):
         raise InvalidParameterError(f"need 0 < sigma < r, got {sigma}, {r}")
@@ -562,30 +553,12 @@ def identity_defect(s: SurfaceModel, x0, sigma: float, r: float) -> float:
     vmom = np.einsum("kn,kn->k", ccent - x0a[None, :], hvec)
     vmom = np.where(good, vmom, 0.0)
     rho_c = np.linalg.norm(ccent - x0a[None, :], axis=1)
-    order = np.argsort(rho_c)
-    rho_sorted = rho_c[order]
-    mom_sorted = (vmom * areas)[order]
-    mom_cum = np.concatenate([[0.0], np.cumsum(mom_sorted)])
-
-    def f_curv(rho_hat: float) -> float:
-        k = np.searchsorted(rho_sorted, rho_hat, side="right")
-        return mom_cum[k] / rho_hat**3
+    curv_term = _step_moment_integral(rho_c, vmom * areas, sigma, r)
 
     mids, lens, conos, _tangs = _boundary_elements(s, DEFAULT_REFINE)
     bmom = np.einsum("bn,bn->b", mids - x0a[None, :], conos) * lens
     brho = np.linalg.norm(mids - x0a[None, :], axis=1)
-    border = np.argsort(brho)
-    brho_sorted = brho[border]
-    bmom_cum = np.concatenate([[0.0], np.cumsum(bmom[border])])
-
-    def f_bdry(rho_hat: float) -> float:
-        k = np.searchsorted(brho_sorted, rho_hat, side="right")
-        return bmom_cum[k] / rho_hat**3
-
-    m_scale = a_r / r**2
-    tol_abs = 1e-4 * max(abs(lhs), 1e-3 * m_scale, 1e-12)
-    curv_term = _adaptive_simpson(f_curv, sigma, r, tol_abs)
-    bdry_term = _adaptive_simpson(f_bdry, sigma, r, tol_abs)
+    bdry_term = _step_moment_integral(brho, bmom, sigma, r)
 
     rhs = shell + curv_term - bdry_term
     return float(lhs - rhs)

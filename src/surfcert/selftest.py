@@ -184,9 +184,9 @@ def _check_integrated_identity():
     d64 = identity_defect(build_scene("hemisphere", res=64).surface, pole, 0.5, 1.5)
     d128 = identity_defect(build_scene("hemisphere", res=128).surface, pole, 0.5, 1.5)
     factor = abs(d64) / max(abs(d128), 1e-300)
-    ok = abs(d_disk) < 1e-3 and factor >= 1.8
+    ok = abs(d_disk) < 1e-4 and factor >= 1.8
     return ok, (
-        f"flat-disk defect {abs(d_disk):.2e} (tol 1e-3); hemisphere defect "
+        f"flat-disk defect {abs(d_disk):.2e} (tol 1e-4); hemisphere defect "
         f"{abs(d64):.2e} -> {abs(d128):.2e} at doubled resolution, factor {factor:.2f} (>= 1.8)"
     )
 

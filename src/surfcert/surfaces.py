@@ -49,11 +49,47 @@ __all__ = [
     "boundary_distance",
     "nearest_vertex",
     "boundary_polyline",
+    "strip_faces",
 ]
 
 VERTEX_MATCH_REL_TOL = 1e-9
 # bytes of temporaries per block of the diameter's pairwise distances
 _DIAMETER_BLOCK_BYTES = 1 << 25
+# corner offsets (ring, column) of the two triangles of the quad (i, j)..(i + 1, j + 1)
+_QUAD_RINGS = np.array([[0, 1, 1], [0, 1, 0]])
+_QUAD_COLS = np.array([[0, 0, 1], [0, 1, 1]])
+
+
+def strip_faces(rings: int, cols: int, periodic: bool, apex: bool):
+    """Triangulate `rings` rings of `cols` vertices joined by strips of quads.
+
+    With `apex` a single vertex, id 0 and ring 0, precedes the rings, which
+    are then numbered 1..rings; without it they are numbered 0..rings - 1.
+    Vertex (i, j) has id apex + (i - apex) * cols + j. A periodic ring joins
+    its last column to column 0. The quad with low corner (i, j) splits into
+    (i, j), (i + 1, j), (i + 1, j + 1) and (i, j), (i + 1, j + 1), (i, j + 1).
+    The apex fan (0, (1, j), (1, j + 1)) comes first, then the strips ring
+    by ring and column by column.
+
+    Returns the (F, 3) faces and each corner's ring and unwrapped column,
+    (F, 3) each: a periodic wrap has column `cols`, and an apex corner has
+    the column of its fan wedge.
+    """
+    a = int(apex)
+    n = cols if periodic else cols - 1
+    low_ring = np.arange(a, a + rings - 1)[:, None, None, None]
+    low_col = np.arange(n)[None, :, None, None]
+    ring, col = (
+        x.reshape(-1, 3)
+        for x in np.broadcast_arrays(low_ring + _QUAD_RINGS, low_col + _QUAD_COLS)
+    )
+    if apex:
+        ring = np.concatenate([np.broadcast_to([0, 1, 1], (n, 3)), ring])
+        col = np.concatenate([np.arange(n)[:, None] + [0, 0, 1], col])
+    faces = a + (ring - a) * cols + col % cols
+    if apex:
+        faces[ring == 0] = 0
+    return faces, ring, col
 
 
 @dataclass(frozen=True)
@@ -222,7 +258,7 @@ class SurfaceModel:
         undirected = np.sort(directed, axis=1)
         edge_count = np.unique(undirected[:, 0] * nv + undirected[:, 1]).size
 
-        loops = cls._chain_loops(boundary_edges, nv)
+        loops = cls._chain_loops(boundary_edges)
         bmask = np.zeros(nv, dtype=bool)
         for lp in loops:
             bmask[lp] = True
@@ -292,7 +328,7 @@ class SurfaceModel:
         return self.params[self.faces]
 
     @staticmethod
-    def _chain_loops(boundary_edges: np.ndarray, nv: int) -> tuple:
+    def _chain_loops(boundary_edges: np.ndarray) -> tuple:
         if boundary_edges.shape[0] == 0:
             return ()
         heads = boundary_edges[:, 0]

@@ -123,6 +123,73 @@ class TestParameters:
         assert not np.allclose(g0.surface.vertices, g1.surface.vertices)
 
 
+def _expected_counts(name: str, res: int) -> tuple:
+    """(vertices, faces) of a default catalog scene, in closed form."""
+    w, rings = max(8, 2 * res), max(2, res // 2)
+    if name == "torus_minus_disk":
+        # n x n periodic grid less a 4 x 4 block of cells and its 9 inner vertices
+        n = max(16, res)
+        return n * n - 9, 2 * n * n - 32
+    if name == "catenoid":
+        return (rings + 1) * w, 2 * w * rings
+    if name == "flat_sector":
+        # opening angle pi/2: res / 2 arcs, rounded half to even
+        arcs = max(3, round(res / 2))
+        return 1 + rings * (arcs + 1), arcs + 2 * arcs * (rings - 1)
+    # apex fan plus strips: disks, caps, the hemisphere
+    return 1 + rings * w, w + 2 * w * (rings - 1)
+
+
+class TestMeshCounts:
+    @pytest.mark.parametrize("res", [8, 9, 16])
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_closed_form_counts(self, name, res):
+        s = build_scene(name, res=res).surface
+        assert (s.n_vertices, s.n_faces) == _expected_counts(name, res)
+
+    def test_default_disk_has_8064_faces(self):
+        assert build_scene("flat_disk").surface.n_faces == 8064
+
+
+class TestLoopReference:
+    """The vectorised grids against the per-vertex loops they replaced, bit for bit."""
+
+    def test_disk_grid(self):
+        res = 9
+        rings, wedges = max(2, res // 2), max(8, 2 * res)
+        pts = [(0.0, 0.0)]
+        for i in range(1, rings + 1):
+            r = 1.0 * i / rings
+            for j in range(wedges):
+                a = 2.0 * math.pi * j / wedges
+                pts.append((r * math.cos(a), r * math.sin(a)))
+        s = build_scene("flat_disk", res=res).surface
+        assert np.array_equal(s.params, np.asarray(pts))
+
+    def test_cap_grid_face_params(self):
+        res, theta = 9, 0.1
+        rows, wedges = max(2, res // 2), max(8, 2 * res)
+        params = [(0.0, 0.0)]
+        for i in range(1, rows + 1):
+            for j in range(wedges):
+                params.append((theta * i / rows, 2.0 * math.pi * j / wedges))
+        dpsi = 2.0 * math.pi / wedges
+        fparams = []
+        for j in range(wedges):
+            psi_a, psi_b = j * dpsi, (j + 1) * dpsi
+            phi1 = theta / rows
+            fparams.append(((0.0, 0.5 * (psi_a + psi_b)), (phi1, psi_a), (phi1, psi_b)))
+        for i in range(rows - 1):
+            p0, p1 = theta * (i + 1) / rows, theta * (i + 2) / rows
+            for j in range(wedges):
+                psi_a, psi_b = j * dpsi, (j + 1) * dpsi
+                fparams.append(((p0, psi_a), (p1, psi_a), (p1, psi_b)))
+                fparams.append(((p0, psi_a), (p1, psi_b), (p0, psi_b)))
+        s = build_scene("cap", res=res).surface
+        assert np.array_equal(s.params, np.asarray(params))
+        assert np.array_equal(s.face_params, np.asarray(fparams))
+
+
 class TestSectorFlags:
     def test_three_right_angle_corners(self):
         scene = build_scene("flat_sector")

@@ -219,6 +219,19 @@ class TestCone:
         cone = build_cone(unit_square(), (0.0, 0.0, 0.0), kind="exterior", R=3.0)
         assert cone.mesh.face_areas.sum() > 0.0
 
+    def test_exterior_cone_ring_counts(self):
+        # R = 5 gives the rings t = 1, 2, 4, 5
+        c, rings = regular_polygon(12), 4
+        off = build_cone(c, (0.1, 0.2, 0.0), kind="exterior", R=5.0)
+        assert (off.mesh.n_vertices, off.mesh.n_faces) == (c.k * rings, 2 * c.k * (rings - 1))
+        # apex at a curve vertex: its column and the two strips beside it go
+        apex = c.vertices[5]
+        on = build_cone(c, apex, kind="exterior", R=5.0)
+        assert on.mesh.n_faces == 2 * (c.k - 2) * (rings - 1)
+        assert on.mesh.n_vertices == (c.k - 1) * rings
+        assert np.linalg.norm(on.mesh.vertices - apex, axis=1).min() > 0.0
+        assert len(on.mesh.boundary_loops) == 1
+
     def test_exterior_cone_needs_radius(self):
         with pytest.raises(InvalidParameterError):
             build_cone(regular_polygon(8), (0.0, 0.0, 0.0), kind="exterior")

@@ -234,6 +234,34 @@ class TestAtomicWrite:
         atomic_write(str(target), "new")
         assert target.read_text() == "new"
 
+    @pytest.fixture
+    def restore_umask(self):
+        old = os.umask(0o022)
+        yield
+        os.umask(old)
+
+    @staticmethod
+    def _mode(path) -> int:
+        return os.stat(path).st_mode & 0o7777
+
+    @pytest.mark.parametrize("mask", [0o022, 0o027], ids=["022", "027"])
+    def test_new_files_get_the_umask_mode(self, tmp_path, disk16, restore_umask, mask):
+        os.umask(mask)
+        out = tmp_path / "catalog.json"
+        assert main(["catalog", "--out", str(out)]) == 0
+        mesh = tmp_path / "disk.obj"
+        save_mesh(str(mesh), disk16.surface)
+        # the mode open(path, "w") would give
+        assert self._mode(out) == self._mode(mesh) == 0o666 & ~mask
+
+    def test_overwritten_file_keeps_its_mode(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old")
+        os.chmod(target, 0o604)
+        atomic_write(str(target), "new")
+        assert target.read_text() == "new"
+        assert self._mode(target) == 0o604
+
 
 class TestCommandLine:
     def curve_file(self, tmp_path) -> str:

@@ -1,9 +1,11 @@
 """Static checks on the library source.
 
-Every module-level private function must be used somewhere in the package
-outside its own body; a helper nothing calls is dead code. Decorated
-functions are exempt, because a decorator may register them (the selftest's
-checks are collected by ``@_check``).
+Every module-level private name (function, class or assigned variable) must
+be read somewhere in the package outside its own statement; a helper
+nothing reads is dead code. Decorated functions and classes are exempt,
+because a decorator may register them (the selftest's checks are collected
+by ``@_check``). Every parameter of every function must be read by that
+function's body, apart from ``self``, ``cls`` and names starting with ``_``.
 
 numpy is the only runtime dependency: no module imports anything but the
 standard library, numpy and surfcert itself, at any depth of the source.
@@ -16,33 +18,70 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "surfcert"
 
 
-def _used_names(node: ast.AST) -> set:
+def _trees() -> dict:
+    return {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+
+
+def _read_names(node: ast.AST) -> set:
     """Names read inside node, as bare names or attributes."""
-    used = set()
+    read = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            used.add(sub.id)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            used.add(sub.attr)
-    return used
+            read.add(sub.attr)
+    return read
+
+
+def _private_names(stmt: ast.stmt) -> list:
+    """The private names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [] if stmt.decorator_list else [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
 def test_every_private_helper_is_used():
-    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    trees = _trees()
     assert "certificates.py" in trees
     # names read by each top-level statement of every module
-    uses = [(stmt, _used_names(stmt)) for tree in trees.values() for stmt in tree.body]
-    unused = []
-    for module, tree in trees.items():
-        for stmt in tree.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            name = stmt.name
-            if not name.startswith("_") or name.startswith("__") or stmt.decorator_list:
-                continue
-            if not any(name in names for other, names in uses if other is not stmt):
-                unused.append(f"{module}:{name}")
+    reads = [(stmt, _read_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    unused = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        for name in _private_names(stmt)
+        if not any(name in names for other, names in reads if other is not stmt)
+    ]
     assert unused == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for module, tree in sorted(_trees().items()):
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            args = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            params = [p.arg for p in args if p]
+            read = {
+                n.id
+                for stmt in fn.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                f"{module}:{fn.name}({p})"
+                for p in params
+                if p not in read and p not in ("self", "cls") and not p.startswith("_")
+            ]
+    assert unread == []
 
 
 def test_imports_only_the_standard_library_and_numpy():

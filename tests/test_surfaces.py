@@ -34,6 +34,7 @@ from surfcert import (
     second_form_sup,
     vertex_total_angle,
 )
+from surfcert.surfaces import strip_faces
 
 MESH_REL = 2e-3  # area tolerance for res-64 catalog meshes
 
@@ -377,3 +378,70 @@ class TestPrunedDiameter:
         rng = np.random.default_rng(7)
         s = strip(rng.normal(size=(500, 4)) * [1.0, 3.0, 0.5, 2.0])
         assert s.diameter == brute_diameter(s.vertices)
+
+
+class TestStripFaces:
+    """The one ring-strip triangulation behind every generated mesh."""
+
+    def test_open_strip(self):
+        # rings 0: 0 1 2 and 1: 3 4 5
+        faces, ring, col = strip_faces(2, 3, periodic=False, apex=False)
+        assert faces.tolist() == [[0, 3, 4], [0, 4, 1], [1, 4, 5], [1, 5, 2]]
+        assert ring.tolist() == [[0, 1, 1], [0, 1, 0]] * 2
+        assert col.tolist() == [[0, 0, 1], [0, 1, 1], [1, 1, 2], [1, 2, 2]]
+
+    def test_periodic_strip_wraps_with_unwrapped_columns(self):
+        faces, ring, col = strip_faces(2, 3, periodic=True, apex=False)
+        assert faces.tolist() == [
+            [0, 3, 4], [0, 4, 1], [1, 4, 5], [1, 5, 2], [2, 5, 3], [2, 3, 0]
+        ]
+        assert col[-2:].tolist() == [[2, 2, 3], [2, 3, 3]]
+
+    def test_periodic_fan_comes_first(self):
+        # apex 0, rings 1: 1 2 3 and 2: 4 5 6
+        faces, ring, col = strip_faces(2, 3, periodic=True, apex=True)
+        assert faces.tolist() == [
+            [0, 1, 2], [0, 2, 3], [0, 3, 1],
+            [1, 4, 5], [1, 5, 2], [2, 5, 6], [2, 6, 3], [3, 6, 4], [3, 4, 1],
+        ]
+        assert ring[:3].tolist() == [[0, 1, 1]] * 3
+        assert col[:3].tolist() == [[0, 0, 1], [1, 1, 2], [2, 2, 3]]
+
+    def test_open_fan_alone(self):
+        faces, ring, col = strip_faces(1, 4, periodic=False, apex=True)
+        assert faces.tolist() == [[0, 1, 2], [0, 2, 3], [0, 3, 4]]
+        assert ring.tolist() == [[0, 1, 1]] * 3
+
+    @staticmethod
+    def _loop_reference(rings, cols, periodic, apex):
+        a = int(apex)
+        n = cols if periodic else cols - 1
+        faces = [(0, a + j, a + (j + 1) % cols) for j in range(n)] if apex else []
+        for i in range(rings - 1):
+            s0, s1 = a + i * cols, a + (i + 1) * cols
+            for j in range(n):
+                j2 = (j + 1) % cols
+                faces += [(s0 + j, s1 + j, s1 + j2), (s0 + j, s1 + j2, s0 + j2)]
+        return faces
+
+    @pytest.mark.parametrize("rings,cols", [(1, 3), (2, 3), (3, 8), (5, 4)])
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("apex", [False, True])
+    def test_matches_the_loop_triangulation(self, rings, cols, periodic, apex):
+        faces, ring, col = strip_faces(rings, cols, periodic, apex)
+        assert [tuple(f) for f in faces.tolist()] == self._loop_reference(
+            rings, cols, periodic, apex
+        )
+        # every corner's (ring, column) names its vertex
+        ids = int(apex) + (ring - int(apex)) * cols + col % cols
+        assert np.array_equal(np.where(ring == 0, 0, ids) if apex else ids, faces)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("apex", [False, True])
+    def test_builds_a_valid_disk_or_band(self, periodic, apex):
+        faces, _ring, _col = strip_faces(3, 5, periodic, apex)
+        nv = int(apex) + 3 * 5
+        s = SurfaceModel.build(np.random.default_rng(0).normal(size=(nv, 3)), faces)
+        # a fan or open strip is a disk; a periodic strip without apex, an annulus
+        assert len(s.boundary_loops) == (2 if periodic and not apex else 1)
+        assert euler_characteristic(s) == 2 - len(s.boundary_loops)
