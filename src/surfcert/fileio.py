@@ -12,6 +12,7 @@ import json
 import os
 import secrets
 import stat
+from itertools import chain
 
 import numpy as np
 
@@ -115,46 +116,85 @@ def save_mesh(path: str, surface: SurfaceModel) -> None:
         )
 
 
-def _parse_obj(path: str) -> tuple:
-    verts, faces = [], []
+def _read_text(path: str) -> str:
     with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            tag = parts[0]
-            if tag == "v":
-                if len(parts) < 4:
-                    raise MeshParseError(path, ln, "vertex needs three coordinates")
-                try:
-                    verts.append([float(t) for t in parts[1:4]])
-                except ValueError:
-                    raise MeshParseError(path, ln, f"bad vertex coordinate in {line!r}")
-            elif tag == "f":
-                if len(parts) != 4:
-                    raise MeshParseError(
-                        path, ln, f"face has {len(parts) - 1} vertices; only triangles are supported"
-                    )
-                idx = []
-                for tok in parts[1:]:
-                    ref = tok.split("/")[0]  # drop texture/normal refs
-                    try:
-                        i = int(ref)
-                    except ValueError:
-                        raise MeshParseError(path, ln, f"bad face index {tok!r}")
-                    if i < 0:
-                        i = len(verts) + 1 + i  # OBJ relative indexing
-                    if not (1 <= i <= len(verts)):
-                        raise MeshParseError(path, ln, f"face index {tok!r} out of range")
-                    idx.append(i - 1)
-                faces.append(idx)
-            # other tags (vn, vt, o, g, s, usemtl, mtllib) are ignored
-    if not verts:
+        return fh.read()
+
+
+def _token_rows(text: str) -> tuple:
+    """The tokens of text's lines that are neither blank nor comments, as one
+    object array, with each such line's first token position and its count."""
+    rows = [r for r in map(str.split, text.split("\n")) if r and r[0][0] != "#"]
+    width = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    tokens = np.array(list(chain.from_iterable(rows)), dtype=object)
+    return tokens, np.cumsum(width) - width, width
+
+
+def _parse_obj(path: str) -> tuple:
+    """Vertices and faces of an OBJ file as whole arrays.
+
+    The object arrays convert through float() and int(), the functions
+    `_scan_obj` applies line by line, so the two accept the same files; the
+    scan runs only after the array parse has failed, to name the line.
+    """
+    text = _read_text(path)
+    try:
+        tokens, first, width = _token_rows(text)
+        tag = tokens[first]
+        is_v, is_f = tag == "v", tag == "f"
+        if (width[is_v] < 4).any() or (width[is_f] != 4).any():
+            raise ValueError("a vertex or face line has the wrong token count")
+        verts = tokens[first[is_v, None] + np.arange(1, 4)].astype(np.float64)
+        refs = tokens[first[is_f, None] + np.arange(1, 4)]
+        if "/" in text:  # drop texture/normal refs
+            refs = np.array([t.split("/")[0] for t in refs.ravel()], dtype=object)
+        idx = refs.reshape(-1, 3).astype(np.int64)
+        seen = np.cumsum(is_v)[is_f, None]  # vertices defined before each face
+        idx = np.where(idx < 0, seen + 1 + idx, idx)  # OBJ relative indexing
+        if ((idx < 1) | (idx > seen)).any():
+            raise ValueError("a face index is out of range")
+    except (ValueError, OverflowError):
+        _scan_obj(path, text)
+        raise MeshParseError(path, 0, "malformed OBJ file")
+    if not verts.size:
         raise MeshParseError(path, 0, "no vertices found")
-    if not faces:
+    if not idx.size:
         raise MeshParseError(path, 0, "no faces found")
-    return np.asarray(verts, dtype=np.float64), np.asarray(faces, dtype=np.int64)
+    return verts, idx - 1
+
+
+def _scan_obj(path: str, text: str) -> None:
+    """Raise MeshParseError at the first line the OBJ parse rejects."""
+    nv = 0
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        tag = parts[0]
+        if tag == "v":
+            if len(parts) < 4:
+                raise MeshParseError(path, ln, "vertex needs three coordinates")
+            try:
+                [float(t) for t in parts[1:4]]
+            except ValueError:
+                raise MeshParseError(path, ln, f"bad vertex coordinate in {line!r}")
+            nv += 1
+        elif tag == "f":
+            if len(parts) != 4:
+                raise MeshParseError(
+                    path, ln, f"face has {len(parts) - 1} vertices; only triangles are supported"
+                )
+            for tok in parts[1:]:
+                try:
+                    i = int(tok.split("/")[0])
+                except ValueError:
+                    raise MeshParseError(path, ln, f"bad face index {tok!r}")
+                if i < 0:
+                    i = nv + 1 + i
+                if not (1 <= i <= nv):
+                    raise MeshParseError(path, ln, f"face index {tok!r} out of range")
+        # other tags (vn, vt, o, g, s, usemtl, mtllib) are ignored
 
 
 def _obj_text(surface: SurfaceModel) -> str:
@@ -173,12 +213,46 @@ def _obj_text(surface: SurfaceModel) -> str:
 
 
 def _parse_off(path: str) -> tuple:
-    with open(path) as fh:
-        lines = fh.readlines()
+    """Vertices and faces of an OFF file as whole arrays.
+
+    The count line, the vertex block and the face block each convert in one
+    call, through the int() and float() that `_scan_off` applies line by line
+    after a failure. Tokens past a face's three indices (colors) and lines
+    past the declared counts are ignored.
+    """
+    text = _read_text(path)
+    try:
+        tokens, first, width = _token_rows(text)
+        head = 1 if width.size and width[0] == 1 and tokens[0].upper() == "OFF" else 0
+        if head >= width.size or width[head] < 2:
+            raise ValueError("no count line")
+        nv, nf = tokens[first[head] : first[head] + 2].astype(np.int64).tolist()
+        if nv < 0 or nf < 0 or width.size - head - 1 < nv + nf:
+            raise ValueError("bad counts")
+        vrows = slice(head + 1, head + 1 + nv)
+        frows = slice(head + 1 + nv, head + 1 + nv + nf)
+        if (width[vrows] < 3).any() or (width[frows] < 4).any():
+            raise ValueError("a vertex or face line is short")
+        verts = tokens[first[vrows, None] + np.arange(3)].astype(np.float64)
+        faces = tokens[first[frows, None] + np.arange(4)].astype(np.int64)
+        if (faces[:, 0] != 3).any() or ((faces[:, 1:] < 0) | (faces[:, 1:] >= nv)).any():
+            raise ValueError("a face is not a triangle of declared vertices")
+    except (ValueError, OverflowError):
+        _scan_off(path, text)
+        raise MeshParseError(path, 0, "malformed OFF file")
+    if not nv:
+        raise MeshParseError(path, 0, "no vertices found")
+    if not nf:
+        raise MeshParseError(path, 0, "no faces found")
+    return verts, faces[:, 1:]
+
+
+def _scan_off(path: str, text: str) -> None:
+    """Raise MeshParseError at the first line the OFF parse rejects."""
     # strip comments and blanks but remember original line numbers
     rows = [
         (ln, s)
-        for ln, s in ((i + 1, l.strip()) for i, l in enumerate(lines))
+        for ln, s in ((i + 1, l.strip()) for i, l in enumerate(text.split("\n")))
         if s and not s.startswith("#")
     ]
     if not rows:
@@ -193,22 +267,20 @@ def _parse_off(path: str) -> tuple:
         nv, nf = [int(t) for t in header.split()[:2]]
     except (ValueError, IndexError):
         raise MeshParseError(path, ln, f"bad count line {header!r}")
+    if nv < 0 or nf < 0:
+        raise MeshParseError(path, ln, f"bad count line {header!r}")
     pos += 1
     if len(rows) - pos < nv + nf:
         raise MeshParseError(path, rows[-1][0], "file ends before declared counts are met")
-    verts = []
-    for k in range(nv):
-        ln, line = rows[pos + k]
+    for ln, line in rows[pos : pos + nv]:
         parts = line.split()
         if len(parts) < 3:
             raise MeshParseError(path, ln, "vertex needs three coordinates")
         try:
-            verts.append([float(t) for t in parts[:3]])
+            [float(t) for t in parts[:3]]
         except ValueError:
             raise MeshParseError(path, ln, f"bad vertex coordinate in {line!r}")
-    faces = []
-    for k in range(nf):
-        ln, line = rows[pos + nv + k]
+    for ln, line in rows[pos + nv : pos + nv + nf]:
         parts = line.split()
         try:
             cnt = int(parts[0])
@@ -219,8 +291,6 @@ def _parse_off(path: str) -> tuple:
             raise MeshParseError(path, ln, f"face has {cnt} vertices; only triangles are supported")
         if any(not (0 <= i < nv) for i in idx):
             raise MeshParseError(path, ln, "face index out of range")
-        faces.append(idx)
-    return np.asarray(verts, dtype=np.float64), np.asarray(faces, dtype=np.int64)
 
 
 def _off_text(surface: SurfaceModel) -> str:
@@ -255,7 +325,7 @@ def _parse_scene(path: str) -> tuple:
     try:
         v = np.asarray(doc["vertices"], dtype=np.float64)
         f = np.asarray(doc["faces"], dtype=np.int64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MeshParseError(path, 1, "vertices/faces are not numeric arrays")
     if v.ndim != 2 or v.shape[1] != dim:
         raise MeshParseError(
@@ -263,6 +333,9 @@ def _parse_scene(path: str) -> tuple:
         )
     if f.ndim != 2 or f.shape[1] != 3:
         raise MeshParseError(path, 1, f"faces must be shaped (F, 3), got {list(f.shape)}")
+    # the int64 conversion truncates 0.9 to 0 and reads true as 1
+    if not all(type(i) is int for row in doc["faces"] for i in row):
+        raise MeshParseError(path, 1, "face indices must be JSON integers")
     return v, f
 
 

@@ -10,9 +10,17 @@ intersection predicate without any dimension-specific branch logic.
 The candidate pairs are exactly the face pairs that share no vertex and whose
 bounding boxes, inflated by tol, overlap. A spatial hash enumerates them as
 array operations; it only prunes, and changes no member of that set.
+
+Before the exact distance, a separating-axis test (`_separated`; Ericson,
+*Real-Time Collision Detection*, 2005, ch. 4-5) drops every candidate that
+some axis separates by more than tol plus a rounding slack: the in-plane edge
+normals of both faces, in any dimension, and in R^3 the two face normals. A
+dropped pair is farther apart than tol in exact arithmetic, so only the pairs
+that may touch reach `triangle_pair_dist2`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +41,7 @@ class IntersectionReport:
 
     pairs: tuple  # of (face_i, face_j), i < j, at most max_reports entries
     count: int  # total offending pairs, may exceed len(pairs)
-    candidates: int  # pairs that reached the narrow phase
+    candidates: int  # broad-phase pairs, before the separating-axis reject
     tolerance: float
 
     @property
@@ -186,6 +194,75 @@ def _candidate_pairs(surface: SurfaceModel, margin: float) -> np.ndarray:
     return np.stack([key // nf, key % nf], axis=1)
 
 
+def _unit_axes(a: np.ndarray) -> np.ndarray:
+    """The vectors a[:, ...] (components along axis 0) scaled to unit length;
+    zero vectors stay zero.
+
+    Dividing by the largest |component| first makes that component exactly
+    +-1, so the squared norm lies in [1, n] and neither underflows nor
+    overflows.
+    """
+    big = np.abs(a).max(axis=0)
+    a = a / np.where(big > 0.0, big, 1.0)
+    return a / np.sqrt((a * a).sum(axis=0)).clip(min=1.0)
+
+
+def _separated(t1: np.ndarray, t2: np.ndarray, tol: float) -> np.ndarray:
+    """Pairs of a (K, 3, n) stack that some axis separates by more than
+    tol + slack, so that their faces are farther apart than tol.
+
+    For any vector a, p in the first face and q in the second,
+    |q - p| >= a.(q - p) / |a|, and a linear function takes its extremes over
+    a triangle at its vertices. So if the projections of the two faces'
+    vertices on a unit axis leave a gap G > tol, the faces are more than tol
+    apart. This holds for whatever axis is computed, so rounding in the axes
+    costs only rejections, never soundness. The axes are the three in-plane
+    edge normals of each face (the part of the opposite side orthogonal to the
+    edge), which exist in any n, and in R^3 the two face normals. They are
+    built from the vertices relative to the first face's first vertex o,
+    divided by rho, the largest |coordinate| of those six relative vertices,
+    so that they are O(1); an axis that computes to zero (a degenerate face)
+    rejects nothing, and nothing divides by zero.
+
+    The slack covers the rounding of the gap (unit roundoff u, dimension n).
+    Each relative vertex fl(v - o) is within u |v - o| of v - o per
+    coordinate, and each projection, a length-n dot product with a unit axis
+    whose 1-norm is at most sqrt(n), is within sqrt(n) (n + 1) u rho of the
+    exact projection of v - o, plus n 2^-1075 from products that underflow.
+    The computed unit axis has length at most 1 + (n + 5) u / 2. A rejected
+    pair has tol < G <= 2 sqrt(n) rho, so the rounding of the gap, of
+    tol + slack and of the axis length adds at most sqrt(n) (n + 10) u rho.
+    The first-order total is 3 sqrt(n) (n + 4) u rho + n 2^-1074; the slack is
+    twice that, and the other half covers the rounding of the slack itself and
+    every second-order term. Thus a rejected pair's exact distance exceeds
+    tol; it differs from the computed `triangle_pair_dist2` only by that
+    routine's own rounding.
+    """
+    n = t1.shape[2]
+    # component-major (n, 6, K), relative to o: each operation below runs over K
+    x = np.ascontiguousarray((np.concatenate([t1, t2], axis=1) - t1[:, :1]).transpose(2, 1, 0))
+    rho = np.abs(x).max(axis=(0, 1))
+    z = x / np.where(rho > 0.0, rho, 1.0)
+    axes = []
+    for tri in (z[:, :3], z[:, 3:]):
+        e = np.roll(tri, -1, axis=1) - tri  # edge k runs from vertex k to k + 1
+        w = np.roll(tri, -2, axis=1) - tri  # from vertex k to the opposite one
+        ee = (e * e).sum(axis=0)
+        ew = (e * w).sum(axis=0)
+        axes.append(ee * w - ew * e)  # |e|^2 times w's part orthogonal to e
+        if n == 3:
+            axes.append(np.cross(e[:, 0], e[:, 1], axis=0)[:, None])
+    unit = _unit_axes(np.concatenate(axes, axis=1))  # (n, m, K)
+    proj = np.einsum("nmk,nvk->mvk", unit, x)  # (m, 6, K)
+    gap = np.maximum(
+        proj[:, 3:].min(axis=1) - proj[:, :3].max(axis=1),
+        proj[:, :3].min(axis=1) - proj[:, 3:].max(axis=1),
+    )
+    u = np.finfo(np.float64).eps / 2.0
+    slack = 6.0 * math.sqrt(n) * (n + 4) * u * rho + n * 2.0**-1073
+    return (gap > tol + slack).any(axis=0)
+
+
 def self_intersections(
     surface: SurfaceModel,
     tol: float | None = None,
@@ -197,18 +274,27 @@ def self_intersections(
     candidates are exactly the pairs sharing no vertex whose bounding boxes,
     inflated by tol, overlap (`_candidate_pairs`); a pair within tol has such
     boxes, so no pair within tol is missed except those sharing a vertex.
-    Every candidate at distance <= tol is reported, in lexicographic order.
+    The separating-axis reject (`_separated`) then drops every candidate that
+    is farther apart than tol in exact arithmetic, by a margin above the
+    rounding slack derived there, and only the rest go to the exact distance
+    `triangle_pair_dist2`. Every candidate at computed distance <= tol is
+    reported, in lexicographic order; `candidates` counts the broad-phase
+    pairs, before the reject.
     """
     if tol is None:
         tol = 1e-9 * max(surface.scale, 1e-30)
     pairs = _candidate_pairs(surface, margin=tol)
     tris = surface.face_triangles()
     chunk = 16384
-    sections = [pairs[i : i + chunk] for i in range(0, pairs.shape[0], chunk)]
-    d2 = np.concatenate(
-        [np.empty(0)] + [triangle_pair_dist2(tris[sl[:, 0]], tris[sl[:, 1]]) for sl in sections]
-    )
-    hits = pairs[d2 <= tol * tol]
+    hits = [np.empty((0, 2), dtype=np.int64)]
+    for lo in range(0, pairs.shape[0], chunk):
+        block = pairs[lo : lo + chunk]
+        t1, t2 = tris[block[:, 0]], tris[block[:, 1]]
+        near = ~_separated(t1, t2, tol)
+        if near.any():
+            d2 = triangle_pair_dist2(t1[near], t2[near])
+            hits.append(block[near][d2 <= tol * tol])
+    hits = np.concatenate(hits)
     return IntersectionReport(
         pairs=tuple(map(tuple, hits[:max_reports].tolist())),
         count=int(hits.shape[0]),

@@ -244,19 +244,20 @@ class SurfaceModel:
             )
 
         directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
-        key = directed[:, 0] * nv + directed[:, 1]
-        uniq, counts = np.unique(key, return_counts=True)
-        if np.any(counts > 1):
+        key = np.sort(directed[:, 0] * nv + directed[:, 1])
+        if np.any(key[1:] == key[:-1]):
             raise InputInconsistentError(
                 "a directed edge appears twice: mesh is non-manifold or not "
                 "consistently orientable"
             )
+        # an edge's partner is its reverse, looked up among the sorted keys
         rev = directed[:, 1] * nv + directed[:, 0]
-        has_partner = np.isin(key, rev, assume_unique=False)
-        boundary_ids = np.flatnonzero(~has_partner)
+        at = np.minimum(np.searchsorted(key, rev), key.size - 1)
+        boundary_ids = np.flatnonzero(key[at] != rev)
         boundary_edges = directed[boundary_ids]
-        undirected = np.sort(directed, axis=1)
-        edge_count = np.unique(undirected[:, 0] * nv + undirected[:, 1]).size
+        # directed edges are distinct, so an interior edge is two of them and
+        # a boundary edge one
+        edge_count = (directed.shape[0] + boundary_ids.size) // 2
 
         loops = cls._chain_loops(boundary_edges)
         bmask = np.zeros(nv, dtype=bool)

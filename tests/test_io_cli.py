@@ -23,6 +23,7 @@ from surfcert import (
     UnsupportedOperationError,
     atomic_write,
     build_scene,
+    catalog_names,
     load_curve,
     load_mesh,
     m_profile,
@@ -111,6 +112,127 @@ class TestMeshRoundTrips:
         with pytest.raises(MeshParseError) as exc:
             load_mesh(str(p))
         assert exc.value.line == 5
+
+
+TRI_V = "0 0 0\n1 0 0\n0 1 0\n"  # one triangle's vertices, OFF layout
+
+
+def write(tmp_path, name: str, text: str, newline: str = "\n") -> str:
+    path = tmp_path / name
+    path.write_bytes(text.replace("\n", newline).encode())
+    return str(path)
+
+
+class TestMeshParsing:
+    """The array parsers: exact arrays for every accepted form, and each
+    MeshParseError with its message and line."""
+
+    @pytest.mark.parametrize("res", [8, 33])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_save_load_is_bitwise(self, tmp_path, name, res):
+        s = build_scene(name, res=res).surface
+        for ext in ("obj", "off", "json") if s.dim == 3 else ("json",):
+            path = str(tmp_path / f"m.{ext}")
+            save_mesh(path, s)
+            back = load_mesh(path)
+            assert back.vertices.tobytes() == s.vertices.tobytes()
+            assert back.faces.tobytes() == s.faces.tobytes()
+
+    def assert_arrays(self, path, verts, faces):
+        s = load_mesh(path)
+        assert s.vertices.tobytes() == np.array(verts, dtype=np.float64).tobytes()
+        assert s.faces.tobytes() == np.array(faces, dtype=np.int64).tobytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_obj_accepted_forms(self, tmp_path, newline):
+        text = (
+            "# header\n\n"
+            "mtllib x.mtl\n"
+            "v\t-0.0 1e-310\t0.1\n"
+            "  v 1 0 0 1.0\n"  # a w coordinate, ignored
+            "vt 0 0\nvn 0 0 1\n"
+            "v 0 1 0\n"
+            "f 1//1 2//1 3//1\n"
+            "v 1 1 0\n"
+            "f -3/1/1 -1 -2\n"  # relative: vertices 2, 4, 3
+            "s off\n"
+        )
+        path = write(tmp_path, "m.obj", text, newline)
+        verts = [[-0.0, 1e-310, 0.1], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
+        self.assert_arrays(path, verts, [[0, 1, 2], [1, 3, 2]])
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_off_accepted_forms(self, tmp_path, newline):
+        text = (
+            "off\n# counts\n4 2 5\n"
+            "-0.0\t1e-310 0.1\n1 0 0 255 0 0\n\n0 1 0\n1 1 0\n"
+            "3 0 1 2 255 255 255\n3\t1 3 2\n"
+            "trailing lines past the counts are ignored\n"
+        )
+        path = write(tmp_path, "m.off", text, newline)
+        verts = [[-0.0, 1e-310, 0.1], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
+        self.assert_arrays(path, verts, [[0, 1, 2], [1, 3, 2]])
+
+    def test_off_header_is_optional(self, tmp_path):
+        path = write(tmp_path, "m.off", "3 1 0\n" + TRI_V + "3 0 1 2\n")
+        self.assert_arrays(path, [[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("v 0 0\n", 1, "vertex needs three coordinates"),
+            ("# c\nv 0 0 x\n", 2, "bad vertex coordinate in 'v 0 0 x'"),
+            ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3 4\n", 5,
+             "face has 4 vertices; only triangles are supported"),
+            ("v 0 0 0\nv 1 0 0\nv 0 1 0\n\nf 1 2 3.0\n", 5, "bad face index '3.0'"),
+            ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 /3\n", 4, "bad face index '/3'"),
+            ("v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\n", 3, "face index '3' out of range"),
+            ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 -4\n", 4, "face index '-4' out of range"),
+            ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n", 4, "face index '0' out of range"),
+            ("f 1 2 3\n", 1, "face index '1' out of range"),
+            ("# only a comment\n", 0, "no vertices found"),
+            ("v 0 0 0\nv 1 0 0\nv 0 1 0\n", 0, "no faces found"),
+        ],
+    )
+    def test_obj_errors(self, tmp_path, text, line, message):
+        with pytest.raises(MeshParseError) as exc:
+            load_mesh(write(tmp_path, "bad.obj", text))
+        assert exc.value.line == line
+        assert str(exc.value).endswith(f"bad.obj:{line}: {message}")
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("# nothing\n\n", 0, "empty file"),
+            ("\nOFF\n", 2, "missing vertex/face counts"),
+            ("OFF\n3\n" + TRI_V, 2, "bad count line '3'"),
+            ("OFF\nthree 1 0\n" + TRI_V, 2, "bad count line 'three 1 0'"),
+            ("OFF\n-3 1 0\n" + TRI_V, 2, "bad count line '-3 1 0'"),
+            ("OFF\n3 2 0\n" + TRI_V + "3 0 1 2\n", 6, "file ends before declared counts are met"),
+            ("OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n", 4, "vertex needs three coordinates"),
+            ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 x\n3 0 1 2\n", 5, "bad vertex coordinate in '0 1 x'"),
+            ("OFF\n3 1 0\n" + TRI_V + "3 0 1 b\n", 6, "bad face line '3 0 1 b'"),
+            ("OFF\n3 1 0\n" + TRI_V + "4 0 1 2 0\n", 6, "face has 4 vertices; only triangles are supported"),
+            ("OFF\n3 1 0\n" + TRI_V + "3 0 1\n", 6, "face has 3 vertices; only triangles are supported"),
+            ("OFF\n3 1 0\n" + TRI_V + "3 0 1 3\n", 6, "face index out of range"),
+            ("OFF\n0 0 0\n", 0, "no vertices found"),
+            ("OFF\n3 0 0\n" + TRI_V, 0, "no faces found"),
+        ],
+    )
+    def test_off_errors(self, tmp_path, text, line, message):
+        with pytest.raises(MeshParseError) as exc:
+            load_mesh(write(tmp_path, "bad.off", text))
+        assert exc.value.line == line
+        assert str(exc.value).endswith(f"bad.off:{line}: {message}")
+
+    @pytest.mark.parametrize("faces", ["[[0.9, 1.2, 2.7]]", "[[0, 1, true]]", "[[0, 1, 2.0]]", '[["0", 1, 2]]'])
+    def test_json_faces_must_be_integers(self, tmp_path, faces):
+        # the int64 conversion alone would read these as face [0, 1, 2]
+        text = '{"dimension": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "faces": %s}'
+        with pytest.raises(MeshParseError) as exc:
+            load_mesh(write(tmp_path, "bad.json", text % faces))
+        assert exc.value.line == 1
+        assert str(exc.value).endswith("bad.json:1: face indices must be JSON integers")
 
 
 class TestCurveRoundTrips:

@@ -34,6 +34,7 @@ from surfcert import (
     second_form_sup,
     vertex_total_angle,
 )
+from surfcert.curves import build_cone
 from surfcert.surfaces import strip_faces
 
 MESH_REL = 2e-3  # area tolerance for res-64 catalog meshes
@@ -445,3 +446,77 @@ class TestStripFaces:
         # a fan or open strip is a disk; a periodic strip without apex, an annulus
         assert len(s.boundary_loops) == (2 if periodic and not apex else 1)
         assert euler_characteristic(s) == 2 - len(s.boundary_loops)
+
+
+def isin_topology(v: np.ndarray, f: np.ndarray) -> dict:
+    """Boundary data and edge count by the earlier formulas: partners from
+    np.isin over the reversed edges, the count from np.unique."""
+    nv, nf = v.shape[0], f.shape[0]
+    directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
+    key = directed[:, 0] * nv + directed[:, 1]
+    rev = directed[:, 1] * nv + directed[:, 0]
+    boundary_ids = np.flatnonzero(~np.isin(key, rev))
+    boundary_edges = directed[boundary_ids]
+    undirected = np.sort(directed, axis=1)
+    loops = SurfaceModel._chain_loops(boundary_edges)
+    mask = np.zeros(nv, dtype=bool)
+    leaving = np.zeros(nv, dtype=np.int64)
+    leaving[boundary_edges[:, 0]] = boundary_ids
+    for lp in loops:
+        mask[lp] = True
+    ids = leaving[np.concatenate(loops)] if loops else leaving[:0]
+    return {
+        "loops": [lp.tolist() for lp in loops],
+        "corners": np.stack([ids % nf, ids // nf], axis=1).tolist(),
+        "mask": mask.tolist(),
+        "edges": np.unique(undirected[:, 0] * nv + undirected[:, 1]).size,
+    }
+
+
+def assert_topology_matches_isin(s: SurfaceModel) -> None:
+    expected = isin_topology(s.vertices, s.faces)
+    assert [lp.tolist() for lp in s.boundary_loops] == expected["loops"]
+    assert s.boundary_face_corners.tolist() == expected["corners"]
+    assert s.boundary_vertex_mask.tolist() == expected["mask"]
+    assert s.edge_count == expected["edges"]
+
+
+class TestEdgePairing:
+    """`build` finds edge partners by searchsorted and counts edges in closed
+    form; both agree with the np.isin / np.unique formulas they replace."""
+
+    @pytest.mark.parametrize("res", [8, 16])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_scenes(self, name, res):
+        assert_topology_matches_isin(build_scene(name, res=res).surface)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_exterior_cones(self, name):
+        sc = build_scene(name, res=9)
+        for c in sc.boundaries:
+            for apex in (sc.default_x0, c.vertices[0]):
+                assert_topology_matches_isin(build_cone(c, apex, kind="exterior", R=4.0).mesh)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_grids_with_holes(self, seed):
+        # drop quad cells (i, j) with i, j odd, off the outer rings: no two
+        # share a vertex, so each hole is its own 4-vertex boundary loop
+        rng = np.random.default_rng(seed)
+        rows, cols = (int(k) for k in rng.integers(4, 10, size=2))
+        periodic = bool(seed % 2)
+        faces = strip_faces(rows, cols, periodic, apex=False)[0]
+        n = cols if periodic else cols - 1  # quad cells per ring
+        cell = np.arange(faces.shape[0]) // 2
+        i, j = cell // n, cell % n
+        hole = (i % 2 == 1) & (i < rows - 2) & (j % 2 == 1) & (j < cols - 2)
+        hole &= rng.random(n * (rows - 1))[cell] < 0.6
+        s = SurfaceModel.build(rng.normal(size=(rows * cols, 3)), faces[~hole])
+        assert len(s.boundary_loops) == (2 if periodic else 1) + int(hole.sum()) // 2
+        assert_topology_matches_isin(s)
+
+    def test_repeated_directed_edge_raises(self):
+        v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
+        # two faces on one side of edge 0 -> 1, and a face listed twice
+        for v, faces in ((v, [[0, 1, 2], [0, 1, 3]]), (v[:3], [[0, 1, 2], [0, 1, 2]])):
+            with pytest.raises(InputInconsistentError, match="directed edge appears twice"):
+                SurfaceModel.build(v, faces)
