@@ -7,6 +7,13 @@ point. The resolution parameter res controls mesh density: the disk has
 w = max(8, 2 res) wedges and rings = max(2, res // 2) rings, so
 w + 2 w (rings - 1) faces, 8064 at the default res 64. Every mesh is a
 ring-strip triangulation from surfaces.strip_faces.
+
+Each patch comes from one of three families, each giving the partial
+derivatives AnalyticPatch asks for in closed form: graphs (x, y, h(x, y))
+for the flat disk, the sector and graph_disk; surfaces of revolution
+(w(t) cos psi, w(t) sin psi, z(t)) for the sphere and the catenoid; and
+real parts of holomorphic polynomials, the Weierstrass-Enneper form of
+Enneper's surface and the branched disk.
 """
 from __future__ import annotations
 
@@ -14,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as poly
 
 from .curves import CornerFlag, PolylineCurve
 from .errors import InvalidParameterError
@@ -102,38 +110,23 @@ def _psi_grid(res: int, lo: float, hi: float, apex: bool):
 # analytic patches
 
 
-def _planar_graph_patch(height) -> AnalyticPatch:
+def _graph_patch(height) -> AnalyticPatch:
     """Patch (x, y) -> (x, y, h(x, y)); height(x, y, a, b) is the partial
     derivative of h taken a times in x and b times in y."""
 
-    def u(p):
+    def partials(p, a, b):
         x, y = p[:, 0], p[:, 1]
-        return np.stack([x, y, height(x, y, 0, 0)], axis=1)
+        if a + b == 0:
+            return np.stack([x, y, height(x, y, 0, 0)], axis=1)
+        one = np.ones_like(x)
+        plane = (one * ((a, b) == (1, 0)), one * ((a, b) == (0, 1)))
+        return np.stack([*plane, height(x, y, a, b)], axis=1)
 
-    def du(p):
-        x, y = p[:, 0], p[:, 1]
-        m = p.shape[0]
-        out = np.zeros((m, 3, 2))
-        out[:, 0, 0] = 1.0
-        out[:, 1, 1] = 1.0
-        out[:, 2, 0] = height(x, y, 1, 0)
-        out[:, 2, 1] = height(x, y, 0, 1)
-        return out
-
-    def d2u(p):
-        x, y = p[:, 0], p[:, 1]
-        m = p.shape[0]
-        out = np.zeros((m, 3, 2, 2))
-        out[:, 2, 0, 0] = height(x, y, 2, 0)
-        out[:, 2, 0, 1] = out[:, 2, 1, 0] = height(x, y, 1, 1)
-        out[:, 2, 1, 1] = height(x, y, 0, 2)
-        return out
-
-    return AnalyticPatch(u=u, du=du, d2u=d2u, dim=3)
+    return AnalyticPatch(partials=partials, dim=3)
 
 
 def _flat_patch() -> AnalyticPatch:
-    return _planar_graph_patch(lambda x, y, a, b: np.zeros_like(x))
+    return _graph_patch(lambda x, y, a, b: np.zeros_like(x))
 
 
 def _sin_derivative(k: int, t: np.ndarray) -> np.ndarray:
@@ -142,176 +135,61 @@ def _sin_derivative(k: int, t: np.ndarray) -> np.ndarray:
     return -val if k % 4 >= 2 else val
 
 
+def _revolution_patch(w, z) -> AnalyticPatch:
+    """Surface of revolution (t, psi) -> (w(t) cos psi, w(t) sin psi, z(t));
+    w(t, k) and z(t, k) are the k-th derivatives of the profile."""
+
+    def partials(p, a, b):
+        t, psi = p[:, 0], p[:, 1]
+        wt = w(t, a)
+        zt = z(t, a) if b == 0 else np.zeros_like(t)
+        return np.stack(
+            [wt * _sin_derivative(b + 1, psi), wt * _sin_derivative(b, psi), zt], axis=1
+        )
+
+    return AnalyticPatch(partials=partials, dim=3)
+
+
 def _sphere_patch(R: float) -> AnalyticPatch:
     """(phi, psi) -> sphere of radius R centered at the origin, pole at +z."""
-
-    def u(p):
-        phi, psi = p[:, 0], p[:, 1]
-        sp, cp = np.sin(phi), np.cos(phi)
-        return R * np.stack([sp * np.cos(psi), sp * np.sin(psi), cp], axis=1)
-
-    def du(p):
-        phi, psi = p[:, 0], p[:, 1]
-        sp, cp = np.sin(phi), np.cos(phi)
-        ss, cs = np.sin(psi), np.cos(psi)
-        out = np.empty((p.shape[0], 3, 2))
-        out[:, 0, 0] = R * cp * cs
-        out[:, 1, 0] = R * cp * ss
-        out[:, 2, 0] = -R * sp
-        out[:, 0, 1] = -R * sp * ss
-        out[:, 1, 1] = R * sp * cs
-        out[:, 2, 1] = 0.0
-        return out
-
-    def d2u(p):
-        phi, psi = p[:, 0], p[:, 1]
-        sp, cp = np.sin(phi), np.cos(phi)
-        ss, cs = np.sin(psi), np.cos(psi)
-        out = np.empty((p.shape[0], 3, 2, 2))
-        out[:, 0, 0, 0] = -R * sp * cs
-        out[:, 1, 0, 0] = -R * sp * ss
-        out[:, 2, 0, 0] = -R * cp
-        out[:, 0, 0, 1] = out[:, 0, 1, 0] = -R * cp * ss
-        out[:, 1, 0, 1] = out[:, 1, 1, 0] = R * cp * cs
-        out[:, 2, 0, 1] = out[:, 2, 1, 0] = 0.0
-        out[:, 0, 1, 1] = -R * sp * cs
-        out[:, 1, 1, 1] = -R * sp * ss
-        out[:, 2, 1, 1] = 0.0
-        return out
-
-    return AnalyticPatch(u=u, du=du, d2u=d2u, dim=3)
+    return _revolution_patch(
+        lambda t, k: R * _sin_derivative(k, t), lambda t, k: R * _sin_derivative(k + 1, t)
+    )
 
 
 def _catenoid_patch(a: float) -> AnalyticPatch:
     """(v, psi) -> (a cosh(v/a) cos psi, a cosh(v/a) sin psi, v)."""
 
-    def u(p):
-        v, psi = p[:, 0], p[:, 1]
-        w = a * np.cosh(v / a)
-        return np.stack([w * np.cos(psi), w * np.sin(psi), v], axis=1)
+    def w(t, k):
+        f = (np.sinh if k % 2 else np.cosh)(t / a)
+        return (a * f, f, f / a)[k]
 
-    def du(p):
-        v, psi = p[:, 0], p[:, 1]
-        w = a * np.cosh(v / a)
-        wp = np.sinh(v / a)
-        ss, cs = np.sin(psi), np.cos(psi)
-        out = np.empty((p.shape[0], 3, 2))
-        out[:, 0, 0] = wp * cs
-        out[:, 1, 0] = wp * ss
-        out[:, 2, 0] = 1.0
-        out[:, 0, 1] = -w * ss
-        out[:, 1, 1] = w * cs
-        out[:, 2, 1] = 0.0
-        return out
+    return _revolution_patch(w, lambda t, k: (t, np.ones_like(t), np.zeros_like(t))[k])
 
-    def d2u(p):
-        v, psi = p[:, 0], p[:, 1]
-        w = a * np.cosh(v / a)
-        wp = np.sinh(v / a)
-        wpp = np.cosh(v / a) / a
-        ss, cs = np.sin(psi), np.cos(psi)
-        out = np.empty((p.shape[0], 3, 2, 2))
-        out[:, 0, 0, 0] = wpp * cs
-        out[:, 1, 0, 0] = wpp * ss
-        out[:, 2, 0, 0] = 0.0
-        out[:, 0, 0, 1] = out[:, 0, 1, 0] = -wp * ss
-        out[:, 1, 0, 1] = out[:, 1, 1, 0] = wp * cs
-        out[:, 2, 0, 1] = out[:, 2, 1, 0] = 0.0
-        out[:, 0, 1, 1] = -w * cs
-        out[:, 1, 1, 1] = -w * ss
-        out[:, 2, 1, 1] = 0.0
-        return out
 
-    return AnalyticPatch(u=u, du=du, d2u=d2u, dim=3)
+def _holomorphic_patch(coeffs, **branch) -> AnalyticPatch:
+    """(x, y) = z -> (Re P_1(z), ..., Re P_n(z)) for complex polynomials P_k
+    given by ascending coefficients; d^a/dx^a d^b/dy^b Re P = Re(i^b P^(a+b))."""
+    derivs = [[poly.polyder(c, k) for c in coeffs] for k in range(3)]
+
+    def partials(p, a, b):
+        z = p[:, 0] + 1j * p[:, 1]
+        return np.stack([(1j**b * poly.polyval(z, c)).real for c in derivs[a + b]], axis=1)
+
+    return AnalyticPatch(partials=partials, dim=len(coeffs), **branch)
 
 
 def _enneper_patch() -> AnalyticPatch:
-    """Classic polynomial minimal immersion over a disk domain."""
-
-    def u(p):
-        x, y = p[:, 0], p[:, 1]
-        return np.stack(
-            [
-                x - x**3 / 3.0 + x * y * y,
-                -y + y**3 / 3.0 - x * x * y,
-                x * x - y * y,
-            ],
-            axis=1,
-        )
-
-    def du(p):
-        x, y = p[:, 0], p[:, 1]
-        out = np.empty((p.shape[0], 3, 2))
-        out[:, 0, 0] = 1.0 - x * x + y * y
-        out[:, 0, 1] = 2.0 * x * y
-        out[:, 1, 0] = -2.0 * x * y
-        out[:, 1, 1] = -1.0 + y * y - x * x
-        out[:, 2, 0] = 2.0 * x
-        out[:, 2, 1] = -2.0 * y
-        return out
-
-    def d2u(p):
-        x, y = p[:, 0], p[:, 1]
-        out = np.empty((p.shape[0], 3, 2, 2))
-        out[:, 0, 0, 0] = -2.0 * x
-        out[:, 0, 0, 1] = out[:, 0, 1, 0] = 2.0 * y
-        out[:, 0, 1, 1] = 2.0 * x
-        out[:, 1, 0, 0] = -2.0 * y
-        out[:, 1, 0, 1] = out[:, 1, 1, 0] = -2.0 * x
-        out[:, 1, 1, 1] = 2.0 * y
-        out[:, 2, 0, 0] = 2.0
-        out[:, 2, 0, 1] = out[:, 2, 1, 0] = 0.0
-        out[:, 2, 1, 1] = -2.0
-        return out
-
-    return AnalyticPatch(u=u, du=du, d2u=d2u, dim=3)
+    """Classic polynomial minimal immersion over a disk domain:
+    Re(z - z^3/3, i (z + z^3/3), z^2)."""
+    return _holomorphic_patch([[0, 1, 0, -1 / 3], [0, 1j, 0, 1j / 3], [0, 0, 1]])
 
 
 def _branched_patch(m: int, branch_radius: float) -> AnalyticPatch:
     """(x, y) = z -> (z^m, z^(m+1)/2) in R^4; branch point of order m at 0."""
-
-    def _powers(p):
-        z = p[:, 0] + 1j * p[:, 1]
-        return z
-
-    def u(p):
-        z = _powers(p)
-        f = z**m
-        g = 0.5 * z ** (m + 1)
-        return np.stack([f.real, f.imag, g.real, g.imag], axis=1)
-
-    def du(p):
-        z = _powers(p)
-        fp = m * z ** (m - 1)
-        gp = 0.5 * (m + 1) * z**m
-        out = np.empty((p.shape[0], 4, 2))
-        # for holomorphic w(z): d/dx = w', d/dy = i w'
-        for row, w in ((0, fp), (2, gp)):
-            out[:, row, 0] = w.real
-            out[:, row + 1, 0] = w.imag
-            out[:, row, 1] = -w.imag
-            out[:, row + 1, 1] = w.real
-        return out
-
-    def d2u(p):
-        z = _powers(p)
-        fpp = m * (m - 1) * z ** (m - 2) if m >= 2 else np.zeros_like(z)
-        gpp = 0.5 * (m + 1) * m * z ** (m - 1)
-        out = np.empty((p.shape[0], 4, 2, 2))
-        for row, w in ((0, fpp), (2, gpp)):
-            out[:, row, 0, 0] = w.real
-            out[:, row + 1, 0, 0] = w.imag
-            out[:, row, 0, 1] = out[:, row, 1, 0] = -w.imag
-            out[:, row + 1, 0, 1] = out[:, row + 1, 1, 0] = w.real
-            out[:, row, 1, 1] = -w.real
-            out[:, row + 1, 1, 1] = -w.imag
-        return out
-
-    return AnalyticPatch(
-        u=u,
-        du=du,
-        d2u=d2u,
-        dim=4,
+    f, g = [0] * m + [1], [0] * (m + 1) + [0.5]
+    return _holomorphic_patch(
+        [f, np.multiply(f, -1j), g, np.multiply(g, -1j)],
         branch_points=(((0.0, 0.0), m),),
         branch_radius=branch_radius,
     )
@@ -430,7 +308,7 @@ def _build_graph_disk(res: int, seed: int) -> Scene:
             ) * _sin_derivative(b, nu[i] * y + ph[1, i])
         return acc
 
-    patch = _planar_graph_patch(height)
+    patch = _graph_patch(height)
     center = patch.u(np.zeros((1, 2)))[0]
     surface = _patch_surface(patch, *_fan_grid(res))
     return _scene("graph_disk", {"res": res, "seed": int(seed)}, center, surface)
@@ -582,11 +460,9 @@ def scaled_scene(scene: Scene, factor: float) -> Scene:
     verts = old.vertices * factor
     patch = old.patch
     if patch is not None:
-        base_u, base_du, base_d2u = patch.u, patch.du, patch.d2u
+        base = patch.partials
         patch = AnalyticPatch(
-            u=lambda p: factor * base_u(p),
-            du=lambda p: factor * base_du(p),
-            d2u=lambda p: factor * base_d2u(p),
+            partials=lambda p, a, b: factor * base(p, a, b),
             dim=patch.dim,
             branch_points=patch.branch_points,
             branch_radius=patch.branch_radius,

@@ -18,7 +18,7 @@ from .errors import (
     InvalidParameterError,
     ProjectionSingularError,
 )
-from .geometry import PointN, angle_between, as_point, stable_sum, _angles_batch
+from .geometry import PointN, as_point, stable_sum, _angles_batch
 
 __all__ = [
     "CornerFlag",
@@ -37,8 +37,6 @@ __all__ = [
 
 # vertex/segment coincidence tolerance, relative to the curve scale
 COINCIDENCE_REL_TOL = 1e-12
-# segments subtending more than this are split before the arc formula
-NEAR_PI = math.pi - 1e-3
 
 
 @dataclass(frozen=True)
@@ -192,15 +190,6 @@ def curve_length(c: PolylineCurve) -> float:
     return stable_sum(np.linalg.norm(segs, axis=1).tolist())
 
 
-def _split_angle(a: np.ndarray, b: np.ndarray, x0: np.ndarray, depth: int = 0) -> float:
-    """Subtended angle of segment [a, b] at x0, splitting when nearly pi."""
-    theta = angle_between(a - x0, b - x0)
-    if theta < NEAR_PI or depth >= 60:
-        return theta
-    mid = 0.5 * (a + b)
-    return _split_angle(a, mid, x0, depth + 1) + _split_angle(mid, b, x0, depth + 1)
-
-
 def _locate_center(c: PolylineCurve, x0: PointN) -> int | None:
     """Index of the curve vertex equal to x0, or None; raises if x0 sits on a segment."""
     v = c.vertices
@@ -224,10 +213,11 @@ def radial_projection_length(c: PolylineCurve, x0: PointN) -> float:
     """Length of the curve's radial projection onto the unit sphere around x0.
 
     Each segment projects to a great-circle arc whose length is the angle the
-    segment subtends at x0; segments subtending nearly pi are split first for
-    conditioning. When x0 coincides with a curve vertex, that vertex is
-    excised: the two incident segments project to single points and contribute
-    zero, and the rest of the curve is projected as an open arc.
+    segment subtends at x0, from the half-angle formula of `_angles_batch`,
+    which stays accurate to a few ulps all the way to pi. When x0 coincides
+    with a curve vertex, that vertex is excised: the two incident segments
+    project to single points and contribute zero, and the rest of the curve
+    is projected as an open arc.
     """
     if not c.closed:
         raise InvalidParameterError("projection needs a closed curve")
@@ -235,23 +225,13 @@ def radial_projection_length(c: PolylineCurve, x0: PointN) -> float:
     center_idx = _locate_center(c, x0)
     v = c.vertices
     k = c.k
-    a = v
-    b = np.roll(v, -1, axis=0)
     keep = np.ones(k, dtype=bool)
     if center_idx is not None:
         keep[center_idx] = False
         keep[(center_idx - 1) % k] = False
-    a = a[keep]
-    b = b[keep]
-    u = a - x0[None, :]
-    w = b - x0[None, :]
-    theta = _angles_batch(u, w)
-    wide = theta >= NEAR_PI
-    if np.any(wide):
-        theta = theta.copy()
-        for i in np.flatnonzero(wide):
-            theta[i] = _split_angle(a[i], b[i], x0)
-    return stable_sum(theta.tolist())
+    u = v[keep] - x0[None, :]
+    w = np.roll(v, -1, axis=0)[keep] - x0[None, :]
+    return stable_sum(_angles_batch(u, w).tolist())
 
 
 def cone_density(c: PolylineCurve, x0: PointN) -> float:

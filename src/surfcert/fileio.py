@@ -375,17 +375,27 @@ def load_curve(path: str) -> PolylineCurve:
     dim = doc.get("dimension", v.shape[1] if v.ndim == 2 else None)
     if v.ndim != 2 or v.shape[1] != dim:
         raise MeshParseError(path, 1, f"vertices must be shaped (k, {dim})")
-    closed = bool(doc.get("closed", True))
+    # bool(), int() and float() would read "false" as true, 1.7 and true as
+    # 1, and "0.5" as 0.5
+    closed = doc.get("closed", True)
+    if type(closed) is not bool:
+        raise MeshParseError(path, 1, "'closed' must be a JSON boolean")
     flags = None
     if "corners" in doc:
         if not isinstance(doc["corners"], list):
             raise MeshParseError(path, 1, "'corners' must be a list")
         parsed = []
         for c in doc["corners"]:
-            try:
-                parsed.append(CornerFlag(index=int(c["index"]), theta=float(c["theta"])))
-            except (TypeError, KeyError, ValueError):
-                raise MeshParseError(path, 1, f"bad corner entry {c!r}")
+            entry = c if isinstance(c, dict) else {}
+            index, theta = entry.get("index"), entry.get("theta")
+            if type(index) is not int or type(theta) not in (int, float):
+                raise MeshParseError(
+                    path,
+                    1,
+                    f"bad corner entry {c!r}: 'index' must be a JSON integer"
+                    " and 'theta' a JSON number",
+                )
+            parsed.append(CornerFlag(index=index, theta=float(theta)))
         flags = tuple(parsed)
     try:
         return PolylineCurve(vertices=v, closed=closed, corner_flags=flags)

@@ -110,14 +110,13 @@ class Ball:
 
 @dataclass(frozen=True)
 class Triangle:
-    """Triangle in R^n with a winding orientation sign.
+    """Triangle in R^n; its vertex order is its orientation.
 
     Degenerate (collinear) triangles are legal; they are flagged and measure
     zero rather than raising.
     """
 
     vertices: np.ndarray  # (3, n)
-    orientation: int = 1
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=np.float64)
@@ -127,8 +126,6 @@ class Triangle:
             raise InvalidParameterError("triangle vertices need n >= 3 coordinates")
         if not np.all(np.isfinite(v)):
             raise InvalidParameterError("triangle vertices must be finite")
-        if self.orientation not in (-1, 1):
-            raise InvalidParameterError("orientation must be +1 or -1")
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
 

@@ -96,19 +96,31 @@ def strip_faces(rings: int, cols: int, periodic: bool, apex: bool):
 class AnalyticPatch:
     """Smooth immersion u: domain in R^2 -> R^n with first and second derivatives.
 
-    All three callables are batched: they take (M, 2) parameter arrays and
-    return (M, n), (M, n, 2), and (M, n, 2, 2) arrays. branch_points lists
-    ((u, v), order) pairs where the immersion degenerates (order m >= 2);
-    curvature samples within branch_radius of one are flagged unreliable
-    rather than trusted.
+    partials(p, a, b) is the batched partial derivative of u taken a times in
+    the first parameter and b times in the second, for a + b <= 2: it takes
+    an (M, 2) parameter array and returns an (M, n) array. u, du and d2u lay
+    it out as the (M, n), (M, n, 2) and (M, n, 2, 2) arrays of u, its
+    Jacobian and its Hessian; the Hessian's mixed slots share one array.
+    branch_points lists ((u, v), order) pairs where the immersion degenerates
+    (order m >= 2); curvature samples within branch_radius of one are flagged
+    unreliable rather than trusted.
     """
 
-    u: Callable[[np.ndarray], np.ndarray]
-    du: Callable[[np.ndarray], np.ndarray]
-    d2u: Callable[[np.ndarray], np.ndarray]
+    partials: Callable[[np.ndarray, int, int], np.ndarray]
     dim: int
     branch_points: tuple = ()
     branch_radius: float = 0.0
+
+    def u(self, p: np.ndarray) -> np.ndarray:
+        return self.partials(p, 0, 0)
+
+    def du(self, p: np.ndarray) -> np.ndarray:
+        return np.stack([self.partials(p, 1, 0), self.partials(p, 0, 1)], axis=-1)
+
+    def d2u(self, p: np.ndarray) -> np.ndarray:
+        mixed = self.partials(p, 1, 1)
+        rows = ((self.partials(p, 2, 0), mixed), (mixed, self.partials(p, 0, 2)))
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
     def curvature_at(self, pts: np.ndarray) -> dict:
         """Mean curvature vector and second-form norm at parameter points.

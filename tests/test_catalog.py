@@ -255,3 +255,59 @@ class TestScaling:
             scaled_scene(base, 0.0)
         with pytest.raises(InvalidParameterError):
             scaled_scene(base, -2.0)
+
+
+# every analytic entry at its defaults, then parameters that reach other
+# terms of each formula; one scene also rescaled, to cover scaled_scene
+PATCH_SCENES = [(name, {}, 1.0) for name in ALL_NAMES if catalog_entry(name).analytic] + [
+    ("cap", {"R": 2.0, "theta": 1.2}, 1.0),
+    ("catenoid", {"waist": 0.7, "height": 2.0}, 1.0),
+    ("catenoid", {"waist": 0.7, "height": 2.0}, 2.5),
+    ("enneper", {"scale": 0.5}, 1.0),
+    ("branched_disk", {"m": 3}, 1.0),
+    ("graph_disk", {"seed": 7}, 1.0),
+]
+
+# A central difference with step H errs by at most H^2 / 6 times the third
+# derivative (truncation) plus the rounding of the two samples over 2H. On
+# these domains every third and fourth partial of u is below 40 in
+# magnitude (about 12 on the m = 3 branched disk and 10 on the R = 10 cap
+# and the rescaled catenoid), and each sample is within 8 eps of its largest
+# entry, so the bound is 40 H^2 / 6 + 16 eps max|f| / H, near 7e-8. A wrong
+# or missing term is off by O(1).
+H = 1e-4
+
+
+def _fd_bound(samples):
+    return 40.0 * H * H / 6.0 + 16.0 * np.finfo(np.float64).eps * np.max(np.abs(samples)) / H
+
+
+def _patch_points(name, params, factor):
+    scene = build_scene(name, params, res=8)
+    s = (scene if factor == 1.0 else scaled_scene(scene, factor)).surface
+    pts = [s.params] if s.face_params is None else [s.params, s.face_params.reshape(-1, 2)]
+    return s.patch, np.concatenate(pts)
+
+
+class TestPatchDerivatives:
+    @pytest.mark.parametrize("name, params, factor", PATCH_SCENES)
+    def test_du_is_the_central_difference_of_u(self, name, params, factor):
+        patch, p = _patch_points(name, params, factor)
+        du = patch.du(p)
+        for j, step in enumerate(H * np.eye(2)):
+            fd = (patch.u(p + step) - patch.u(p - step)) / (2.0 * H)
+            assert np.max(np.abs(du[:, :, j] - fd)) <= _fd_bound(patch.u(p))
+
+    @pytest.mark.parametrize("name, params, factor", PATCH_SCENES)
+    def test_d2u_is_the_central_difference_of_du(self, name, params, factor):
+        patch, p = _patch_points(name, params, factor)
+        d2u = patch.d2u(p)
+        for j, step in enumerate(H * np.eye(2)):
+            fd = (patch.du(p + step) - patch.du(p - step)) / (2.0 * H)
+            assert np.max(np.abs(d2u[:, :, :, j] - fd)) <= _fd_bound(patch.du(p))
+
+    @pytest.mark.parametrize("name, params, factor", PATCH_SCENES)
+    def test_d2u_is_symmetric_bit_for_bit(self, name, params, factor):
+        patch, p = _patch_points(name, params, factor)
+        d2u = patch.d2u(p)
+        assert d2u.tobytes() == np.ascontiguousarray(d2u.swapaxes(-1, -2)).tobytes()

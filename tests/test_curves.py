@@ -116,6 +116,16 @@ class TestRadialProjection:
         got = radial_projection_length(unit_square(), (0.0, 0.0, 0.0))
         assert got == pytest.approx(math.pi / 2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-8, 1e-10])
+    def test_segment_subtending_nearly_pi(self, eps):
+        # the side (-1, eps, 0)-(1, eps, 0) subtends pi - 2 atan(eps) at the
+        # origin, the two short sides pi/4 - atan(eps) each and the far side
+        # pi/2; an arccos of the dot product loses half the digits near pi
+        c = PolylineCurve(np.array([[-1, eps, 0], [1, eps, 0], [1, 1, 0], [-1, 1, 0]], float))
+        got = radial_projection_length(c, (0.0, 0.0, 0.0))
+        want = 2.0 * math.pi - 4.0 * math.atan(eps)
+        assert abs(got - want) <= 4.0 * np.spacing(want)
+
     def test_point_on_edge_interior_rejected(self):
         with pytest.raises(ProjectionSingularError):
             radial_projection_length(unit_square(), (0.5, 0.0, 0.0))

@@ -276,6 +276,27 @@ class TestCurveRoundTrips:
         with pytest.raises(MeshParseError):
             load_curve(str(p))
 
+    SQUARE = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
+
+    def test_closed_must_be_a_json_boolean(self, tmp_path):
+        # bool("false") is True: the string would load as a closed curve
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"vertices": self.SQUARE, "closed": "false"}))
+        with pytest.raises(MeshParseError, match="'closed' must be a JSON boolean"):
+            load_curve(str(p))
+
+    @pytest.mark.parametrize(
+        "corner",
+        [{"index": 1.7, "theta": 0.5}, {"index": True, "theta": 0.5}, {"index": 1, "theta": "0.5"}],
+        ids=["fractional-index", "boolean-index", "string-theta"],
+    )
+    def test_corner_entries_must_have_json_types(self, tmp_path, corner):
+        # int() reads 1.7 and true as index 1 and float() reads "0.5"
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"vertices": self.SQUARE, "corners": [corner]}))
+        with pytest.raises(MeshParseError, match="'index' must be a JSON integer"):
+            load_curve(str(p))
+
 
 class TestReports:
     def test_envelope_shape(self):
@@ -406,7 +427,8 @@ class TestCommandLine:
         out = str(tmp_path / "report.json")
         code = main(["analyze-curve", "--curve", path, "--x0", "0.5,0.5,0", "--out", out])
         assert code == 0
-        validate_report(json.loads(open(out).read()))
+        with open(out) as fh:
+            validate_report(json.load(fh))
 
     def test_analyze_curve_batch_points(self, tmp_path, capsys):
         path = self.curve_file(tmp_path)

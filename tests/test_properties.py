@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from surfcert import (
     Ball,
@@ -31,6 +31,7 @@ from surfcert import (
     triangle_area,
     triangle_areas,
 )
+from surfcert.monotonicity import _clip_rounding_bounds
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -98,11 +99,14 @@ class TestClipProperties:
 
 
 ORACLE_LEVELS = 6  # 4**6 midpoint pieces per triangle
+U = np.finfo(np.float64).eps / 2.0  # unit roundoff
 
 
 class TestClipOracle:
     @SETTINGS
     @given(t=triangles(), b=balls())
+    @example(t=Triangle([[0, 1, 0], [0, 1, 1e-9], [0, 0, 1]]), b=Ball((0, 0, 0), 2.0))
+    @example(t=Triangle([[0, 0.8, 1], [0, 0, 2**-24], [0, 0, 0]]), b=Ball((0, 0, 0), 2.0))
     def test_clip_matches_subdivision_oracle(self, t, b):
         # independent oracle: midpoint pieces counted by where their centroid
         # falls. Every point of a piece lies within the piece's diameter of
@@ -115,12 +119,33 @@ class TestClipOracle:
         pieces = subdivide4(t.vertices[None], levels=ORACLE_LEVELS)
         areas = triangle_areas(pieces)
         dist = np.linalg.norm(pieces.mean(axis=1) - b.center, axis=1)
-        diam = np.sqrt(
-            np.max(((pieces - np.roll(pieces, 1, axis=1)) ** 2).sum(-1), axis=1)
+        edges = np.linalg.norm(pieces - np.roll(pieces, 1, axis=1), axis=2)
+        diam = edges.max(axis=1)
+        oracle = stable_sum(areas[dist <= b.radius].tolist())
+        unsure = stable_sum(areas[np.abs(dist - b.radius) <= diam].tolist())
+        # Rounding of both sides, to first order in the unit roundoff u:
+        # - the clip is within `_clip_rounding_bounds` of the exact area;
+        # - each subdivision level rounds a midpoint coordinate by at most
+        #   u M, M the largest |coordinate| of t, so the pieces' vertices are
+        #   within delta = ORACLE_LEVELS u |M| of the exact subdivision's,
+        #   which tiles t; a piece's area is Lipschitz in each vertex with
+        #   half the opposite edge as constant, so it moves by at most delta
+        #   times half the perimeter;
+        # - `triangle_areas` is within (3 + n^2 / 8) u L^2 of a piece's area,
+        #   L its longest edge;
+        # - the piece errors reach both oracle and unsure, so they count
+        #   twice, and each error-free sum adds u relative.
+        # A piece's points lie within 2L/3 of its centroid, so the
+        # classification by L = diam keeps L/3 of margin for rounding.
+        n = t.dim
+        delta = ORACLE_LEVELS * U * np.linalg.norm(np.abs(t.vertices).max(axis=0))
+        per_piece = (3.0 + n * n / 8.0) * U * diam**2 + delta * edges.sum(axis=1) / 2.0
+        bound = (
+            _clip_rounding_bounds(t.vertices[None], b.center, [b.radius])[0]
+            + 2.0 * stable_sum(per_piece.tolist())
+            + U * (oracle + unsure)
         )
-        oracle = float(areas[dist <= b.radius].sum())
-        unsure = float(areas[np.abs(dist - b.radius) <= diam].sum())
-        assert abs(got - oracle) <= unsure + 1e-12 * triangle_area(t)
+        assert abs(got - oracle) <= unsure + bound
 
 
 class TestCurveProperties:
