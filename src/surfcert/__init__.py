@@ -44,6 +44,8 @@ from .geometry import (
     point_triangle_dist2,
     clip_area_in_ball,
     clip_areas_total,
+    FaceReach,
+    face_reach,
     vertex_total_angle,
 )
 from .curves import (
@@ -142,6 +144,8 @@ __all__ = [
     "point_triangle_dist2",
     "clip_area_in_ball",
     "clip_areas_total",
+    "FaceReach",
+    "face_reach",
     "vertex_total_angle",
     "CornerFlag",
     "PolylineCurve",

@@ -370,7 +370,7 @@ def load_curve(path: str) -> PolylineCurve:
         raise MeshParseError(path, 1, "curve file needs a 'vertices' array")
     try:
         v = np.asarray(doc["vertices"], dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MeshParseError(path, 1, "vertices are not a numeric array")
     dim = doc.get("dimension", v.shape[1] if v.ndim == 2 else None)
     if v.ndim != 2 or v.shape[1] != dim:
@@ -395,7 +395,11 @@ def load_curve(path: str) -> PolylineCurve:
                     f"bad corner entry {c!r}: 'index' must be a JSON integer"
                     " and 'theta' a JSON number",
                 )
-            parsed.append(CornerFlag(index=index, theta=float(theta)))
+            try:
+                theta = float(theta)
+            except OverflowError:
+                raise MeshParseError(path, 1, f"corner theta {c!r} does not fit a float")
+            parsed.append(CornerFlag(index=index, theta=theta))
         flags = tuple(parsed)
     try:
         return PolylineCurve(vertices=v, closed=closed, corner_flags=flags)

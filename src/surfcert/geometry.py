@@ -26,6 +26,8 @@ __all__ = [
     "clip_area_in_ball",
     "clip_areas",
     "clip_areas_total",
+    "FaceReach",
+    "face_reach",
     "vertex_total_angle",
     "subdivide4",
     "point_triangle_dist2",
@@ -334,7 +336,8 @@ def _straddling_areas(rel: np.ndarray, r2: float) -> np.ndarray:
     the signed area of (foot, edge) ∩ disk.
     """
     k = rel.shape[0]
-    lengths = ((np.roll(rel, -1, axis=1) - rel) ** 2).sum(-1)  # edge i: v_i -> v_i+1
+    nxt = [1, 2, 0]
+    lengths = ((rel[:, nxt] - rel) ** 2).sum(-1)  # edge i: v_i -> v_i+1
     # rotate the vertices cyclically (orientation kept) so v0 -> v1 is longest
     order = (np.argmax(lengths, axis=1)[:, None] + np.arange(3)) % 3
     rel = rel[np.arange(k)[:, None], order]
@@ -347,44 +350,112 @@ def _straddling_areas(rel: np.ndarray, r2: float) -> np.ndarray:
     y = np.einsum("kvn,kn->kv", rel, e2)
     foot = rel[:, 0] - x[:, :1] * e1 - y[:, :1] * e2
     rho2 = np.maximum(r2 - (foot**2).sum(-1), 0.0)
-    xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-    return _edge_fan_areas(x, y, xn, yn, rho2[:, None]).sum(axis=1)
+    return _edge_fan_areas(x, y, x[:, nxt], y[:, nxt], rho2[:, None]).sum(axis=1)
 
 
-def clip_areas(verts: np.ndarray, ball: Ball) -> np.ndarray:
+def _triangle_stack(verts, dim: int) -> np.ndarray:
+    verts = np.asarray(verts, dtype=np.float64)
+    if verts.ndim != 3 or verts.shape[1] != 3:
+        raise InvalidParameterError(f"expected (K, 3, n) triangle stack, got {verts.shape}")
+    if verts.shape[2] != dim:
+        raise InputInconsistentError(
+            f"triangles have dimension {verts.shape[2]}, the ball centre has {dim}"
+        )
+    return verts
+
+
+@dataclass(frozen=True)
+class FaceReach:
+    """How far each face of a (K, 3, n) stack reaches from one centre.
+
+    areas: the wedge-product areas (`triangle_areas`); live: the faces whose
+    area is at least DEGENERATE_REL_TOL times the squared diameter; near2:
+    the squared distance from the centre to the nearest point of the face
+    (`point_triangle_dist2`); far2: the squared distance to its farthest
+    vertex. A ball of squared radius r2 about the centre holds a live face
+    whole when far2 <= r2 (the ball is convex) and misses it when
+    near2 > r2; only the faces in between need the closed form.
+    """
+
+    center: PointN
+    areas: np.ndarray
+    live: np.ndarray
+    near2: np.ndarray
+    far2: np.ndarray
+
+
+def face_reach(verts: np.ndarray, center, areas: np.ndarray | None = None) -> FaceReach:
+    """Classify a (K, 3, n) stack once about `center`, for clips at any radius.
+
+    `areas` may pass the stack's `triangle_areas` when they are already known
+    (a surface's `face_areas`); they are computed otherwise.
+    """
+    center = as_point(center)
+    verts = _triangle_stack(verts, center.size)
+    if areas is None:
+        areas = triangle_areas(verts)
+    areas = np.asarray(areas, dtype=np.float64)
+    if areas.shape != verts.shape[:1]:
+        raise InputInconsistentError(
+            f"areas of shape {areas.shape} for {verts.shape[0]} triangles"
+        )
+    return FaceReach(
+        center=center,
+        areas=areas,
+        live=(areas > 0.0) & (areas >= DEGENERATE_REL_TOL * _sq_diameters(verts)),
+        near2=point_triangle_dist2(verts, center),
+        far2=((verts - center) ** 2).sum(-1).max(axis=1),
+    )
+
+
+def _clip_parts(verts, ball: Ball, reach: FaceReach | None):
+    """(reach, inside, crossing, part) of a stack clipped by a ball: the
+    stack's reach about the centre, the mask of the live faces wholly
+    inside, the indices of the live faces the sphere crosses and the exact
+    area of each of those inside."""
+    verts = _triangle_stack(verts, ball.dim)
+    if reach is None:
+        reach = face_reach(verts, ball.center)
+    elif reach.areas.shape[0] != verts.shape[0] or not np.array_equal(
+        reach.center, ball.center
+    ):
+        raise InputInconsistentError("the face reach was built for another stack or centre")
+    r2 = ball.radius * ball.radius
+    inside = reach.live & (reach.far2 <= r2)
+    crossing = np.flatnonzero(reach.live & ~inside & (reach.near2 <= r2))
+    part = np.clip(
+        _straddling_areas(verts[crossing] - ball.center, r2), 0.0, reach.areas[crossing]
+    )
+    return reach, inside, crossing, part
+
+
+def clip_areas(verts: np.ndarray, ball: Ball, reach: FaceReach | None = None) -> np.ndarray:
     """Exact area of each triangle of a (K, 3, n) stack inside a ball.
 
     Faces with every vertex inside the ball (the ball is convex) count
     whole; faces farther from the centre than the radius count zero;
     degenerate faces (area below DEGENERATE_REL_TOL times the squared
     diameter) count zero. The rest go through the closed form of
-    `_straddling_areas`, clamped to [0, area].
+    `_straddling_areas`, clamped to [0, area]. `reach`, from `face_reach`
+    on the same stack and the ball's centre, saves classifying the faces
+    again at every radius; the result is the same.
     """
-    verts = np.asarray(verts, dtype=np.float64)
-    if verts.ndim != 3 or verts.shape[1] != 3:
-        raise InvalidParameterError(f"expected (K, 3, n) triangle stack, got {verts.shape}")
-    if verts.shape[2] != ball.dim:
-        raise InputInconsistentError(
-            f"triangles have dimension {verts.shape[2]}, ball has {ball.dim}"
-        )
-    areas = triangle_areas(verts)
-    live = (areas > 0.0) & (areas >= DEGENERATE_REL_TOL * _sq_diameters(verts))
-    r2 = ball.radius * ball.radius
-    inside = live & np.all(((verts - ball.center) ** 2).sum(-1) <= r2, axis=1)
-    out = np.where(inside, areas, 0.0)
-    rest = np.nonzero(live & ~inside)[0]
-    rest = rest[point_triangle_dist2(verts[rest], ball.center) <= r2]
-    out[rest] = np.clip(_straddling_areas(verts[rest] - ball.center, r2), 0.0, areas[rest])
+    reach, inside, crossing, part = _clip_parts(verts, ball, reach)
+    out = np.where(inside, reach.areas, 0.0)
+    out[crossing] = part
     return out
 
 
-def clip_areas_total(verts: np.ndarray, ball: Ball) -> float:
+def clip_areas_total(verts: np.ndarray, ball: Ball, reach: FaceReach | None = None) -> float:
     """Exact total area of the (K, 3, n) triangle stack inside a ball.
 
-    The error-free sum, in face order, of `clip_areas`; exact up to
-    floating-point rounding in any dimension n >= 3.
+    The error-free sum of `clip_areas`, which is correctly rounded whatever
+    the order, so it adds only the nonzero parts: the areas of the faces
+    inside and the clipped areas of the faces the sphere crosses. Exact up
+    to floating-point rounding in any dimension n >= 3.
     """
-    return stable_sum(clip_areas(verts, ball).tolist())
+    reach, inside, _crossing, part = _clip_parts(verts, ball, reach)
+    return stable_sum(reach.areas[inside].tolist() + part.tolist())
 
 
 def clip_area_in_ball(t: Triangle, b: Ball) -> float:

@@ -22,11 +22,13 @@ from .errors import (
 )
 from .geometry import (
     Ball,
+    FaceReach,
     PointN,
     as_point,
     clip_areas,
     clip_areas_total,
-    point_triangle_dist2,
+    face_reach,
+    stable_sum,
     subdivide4,
     triangle_areas,
 )
@@ -328,22 +330,15 @@ def m_profile(
     if constants is None:
         constants = property_p_constants(s, math.inf)
 
-    all_bv = np.concatenate([c.vertices for c in curves], axis=0)
-    dists = np.linalg.norm(all_bv - np.asarray(x0)[None, :], axis=1)
-    positive = dists[dists > 1e-12 * max(s.scale, 1e-30)]
-    if positive.size == 0:
-        raise InputInconsistentError("x0 coincides with the entire boundary")
-    t_max = 2.0 * max(radii) / float(positive.min()) + 1.0
-    # the surface and its exterior cones, clipped as one stack per radius
-    tris = np.concatenate(
-        [s.face_triangles()]
-        + [build_cone(c, x0, kind="exterior", R=t_max).mesh.face_triangles() for c in curves]
-    )
-    m_vals = [clip_areas_total(tris, Ball(center=x0, radius=r)) / r**2 for r in radii]
+    # the surface and its exterior cones, classified once about x0 and
+    # clipped as one stack per radius
+    tris, areas = _profile_stack(s, curves, x0, max(radii))
+    reach = face_reach(tris, x0, areas)
+    m_vals = [clip_areas_total(tris, Ball(center=x0, radius=r), reach) / r**2 for r in radii]
 
     lam, alpha = constants.lam, constants.alpha
     w = [math.exp(lam * r**alpha) * m for r, m in zip(radii, m_vals)]
-    clip_err = _clip_rounding_bounds(tris, x0, radii)
+    clip_err = _clip_rounding_bounds(tris, reach, radii)
     u = np.finfo(np.float64).eps / 2.0
     m_err = [float(e) / r**2 + 2.0 * u * m for e, r, m in zip(clip_err, radii, m_vals)]
     tol_disc = 3.0 * max(wi * dm for wi, dm in zip(w, m_err))
@@ -363,11 +358,28 @@ def m_profile(
     )
 
 
-def _clip_rounding_bounds(tris: np.ndarray, x0: np.ndarray, radii) -> np.ndarray:
-    """First-order bound, per radius r, on the rounding error of
-    clip_areas_total(tris, B(x0, r)).
+def _profile_stack(s: SurfaceModel, curves: list, x0: PointN, r_max: float):
+    """(triangles, areas) of the surface followed by the exterior cone over
+    each curve with vertex x0, truncated to exit the ball of radius r_max."""
+    all_bv = np.concatenate([c.vertices for c in curves], axis=0)
+    dists = np.linalg.norm(all_bv - np.asarray(x0)[None, :], axis=1)
+    positive = dists[dists > 1e-12 * max(s.scale, 1e-30)]
+    if positive.size == 0:
+        raise InputInconsistentError("x0 coincides with the entire boundary")
+    t_max = 2.0 * r_max / float(positive.min()) + 1.0
+    meshes = [s] + [build_cone(c, x0, kind="exterior", R=t_max).mesh for c in curves]
+    return (
+        np.concatenate([mesh.face_triangles() for mesh in meshes]),
+        np.concatenate([mesh.face_areas for mesh in meshes]),
+    )
 
-    For a face within r of x0 (the clip's own point_triangle_dist2 test),
+
+def _clip_rounding_bounds(tris: np.ndarray, reach: FaceReach, radii) -> np.ndarray:
+    """First-order bound, per radius r, on the rounding error of
+    clip_areas_total(tris, B(x0, r), reach), `reach` the stack's
+    `face_reach` about x0.
+
+    For a face within r of x0 (reach.near2 <= r^2, the clip's own test),
     with longest edge L, s = r + L, unit roundoff u and dimension n, every
     quantity the closed form reads has magnitude at most s, and to first
     order in u:
@@ -390,9 +402,8 @@ def _clip_rounding_bounds(tris: np.ndarray, x0: np.ndarray, radii) -> np.ndarray
     n = tris.shape[2]
     u = np.finfo(np.float64).eps / 2.0
     longest = np.linalg.norm(tris - np.roll(tris, 1, axis=1), axis=2).max(axis=1)
-    d2 = point_triangle_dist2(tris, np.asarray(x0))
     r = np.asarray(radii, dtype=np.float64)[:, None]
-    per_face = np.where(d2[None, :] <= r * r, (r + longest[None, :]) ** 2, 0.0)
+    per_face = np.where(reach.near2[None, :] <= r * r, (r + longest[None, :]) ** 2, 0.0)
     return 24.0 * (n + 6) * u * per_face.sum(axis=1)
 
 
@@ -494,9 +505,10 @@ def identity_defect(s: SurfaceModel, x0, sigma: float, r: float) -> float:
     x0a = np.asarray(x0)
 
     # LHS from exact piece-level clipping
-    a_r = clip_areas_total(coords, Ball(center=x0, radius=r))
-    a_s = clip_areas_total(coords, Ball(center=x0, radius=sigma))
-    lhs = a_r / r**2 - a_s / sigma**2
+    reach = face_reach(coords, x0, areas)
+    in_r = clip_areas(coords, Ball(center=x0, radius=r), reach)
+    in_sigma = clip_areas(coords, Ball(center=x0, radius=sigma), reach)
+    lhs = stable_sum(in_r.tolist()) / r**2 - stable_sum(in_sigma.tolist()) / sigma**2
 
     # shell term: 7-point rule in parameter space on interior pieces; a band
     # piece weighs its centroid value by its exact area inside the annulus
@@ -526,10 +538,9 @@ def identity_defect(s: SurfaceModel, x0, sigma: float, r: float) -> float:
 
     vr = np.linalg.norm(coords - x0a[None, None, :], axis=2)
     inside_r = np.all(vr <= r, axis=1)
-    mind2 = point_triangle_dist2(coords, x0a)
-    outside_sigma = mind2 >= sigma * sigma
+    outside_sigma = reach.near2 >= sigma * sigma
     interior = inside_r & outside_sigma
-    band = ~interior & ~(mind2 >= r * r) & ~np.all(vr <= sigma, axis=1)
+    band = ~interior & ~(reach.near2 >= r * r) & ~np.all(vr <= sigma, axis=1)
 
     shell = 0.0
     if np.any(interior):
@@ -545,7 +556,7 @@ def identity_defect(s: SurfaceModel, x0, sigma: float, r: float) -> float:
             acc += _Q7_W[q] * shell_integrand(pts)
         shell += float((acc * par_area).sum())
     if np.any(band):
-        ring = clip_areas(coords[band], Ball(x0, r)) - clip_areas(coords[band], Ball(x0, sigma))
+        ring = in_r[band] - in_sigma[band]
         vals = shell_integrand(pcent[band], metric_J=False)
         shell += float((vals * ring).sum())
 
@@ -588,18 +599,19 @@ def check_property_p(
         prof = m_profile(s, curves, x0, radii=radii, constants=k)
 
     if s.patch is not None and s.params is not None:
-        _pp, coords, _areas, _cc, pcent = _analytic_pieces(s, DEFAULT_REFINE)
+        _pp, coords, areas, _cc, pcent = _analytic_pieces(s, DEFAULT_REFINE)
         curv = s.patch.curvature_at(pcent)
         hmag = np.where(curv["unreliable"], 0.0, curv["mean_curvature_norm"])
     else:
         scalar, _ = mean_curvature_field(s)
         vals = np.where(scalar.unreliable, 0.0, scalar.values)
-        coords = s.face_triangles()
+        coords, areas = s.face_triangles(), s.face_areas
         hmag = vals[s.faces].mean(axis=1)
+    reach = face_reach(coords, x0, areas)
 
     integrals, bounds, slacks, violations = [], [], [], []
     for idx, r in enumerate(prof.radii):
-        w = clip_areas(coords, Ball(center=x0, radius=r))
+        w = clip_areas(coords, Ball(center=x0, radius=r), reach)
         integral = float((hmag * w).sum())
         bound = k.alpha * k.lam * r ** (k.alpha + 1.0) * prof.m_values[idx]
         slack = bound - integral

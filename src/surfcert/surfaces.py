@@ -25,6 +25,7 @@ from .geometry import (
     PointN,
     as_point,
     clip_areas_total,
+    face_reach,
     stable_sum,
     triangle_areas,
     _angles_batch,
@@ -625,7 +626,8 @@ def density_estimate(
         )
     radii = (r1, 0.5 * r1, 0.25 * r1)
     tris = surface.face_triangles()
-    ratios = tuple(clip_areas_total(tris, Ball(x0, r)) / (math.pi * r * r) for r in radii)
+    reach = face_reach(tris, x0, surface.face_areas)
+    ratios = tuple(clip_areas_total(tris, Ball(x0, r), reach) / (math.pi * r * r) for r in radii)
     design = np.array([[1.0, r * r] for r in radii])
     coef, *_ = np.linalg.lstsq(design, np.asarray(ratios), rcond=None)
     return DensityEstimate(

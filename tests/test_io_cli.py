@@ -500,3 +500,23 @@ class TestCommandLine:
         code = main(["analyze-surface", "--mesh", "/nonexistent/x.obj", "--x0", "0,0,0"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    # a JSON integer too large for a float: float() raises OverflowError
+    HUGE = "1" + "0" * 400
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],'
+            ' "corners": [{"index": 1, "theta": %s}]}' % HUGE,
+            '{"vertices": [[0, 0, 0], [%s, 0, 0], [1, 1, 0], [0, 1, 0]]}' % HUGE,
+        ],
+        ids=["corner-theta", "vertex-coordinate"],
+    )
+    def test_curve_number_too_large_for_a_float_exits_1(self, tmp_path, capsys, doc):
+        path = tmp_path / "huge.json"
+        path.write_text(doc)
+        code = main(["analyze-curve", "--curve", str(path), "--x0", "0.5,0.5,0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err

@@ -14,22 +14,35 @@ import numpy as np
 import pytest
 
 from surfcert import (
+    Ball,
+    InputInconsistentError,
     InvalidParameterError,
     UnsupportedOperationError,
     SurfaceModel,
     build_scene,
+    catalog_names,
     check_large_radius_bound,
     check_property_p,
     check_weighted_monotonicity,
+    clip_areas_total,
     conormal_spot_check,
     default_radius_grid,
+    density_estimate,
     extrinsic_diameter,
+    face_reach,
     identity_defect,
     lp_norm,
     m_profile,
     mean_curvature_field,
+    nearest_vertex,
+    point_triangle_dist2,
     property_p_constants,
+    stable_sum,
+    triangle_areas,
 )
+from surfcert import geometry
+from surfcert.geometry import DEGENERATE_REL_TOL, _straddling_areas, clip_areas
+from surfcert.monotonicity import _profile_stack
 
 
 @pytest.fixture(scope="module")
@@ -210,3 +223,84 @@ class TestCurvatureMassBound:
         rep = check_property_p(cap.surface, k, cap.default_x0, radii=(0.5, 1.0, 2.0, 4.0))
         assert rep.ok, rep.violations
         assert min(rep.slacks) > 0.0
+
+
+def _per_radius_clip(verts: np.ndarray, ball: Ball) -> np.ndarray:
+    """The clip classified from scratch at one radius: the vertex test for
+    faces wholly inside, then the nearest-point test on the faces left."""
+    areas = triangle_areas(verts)
+    sq_diam = ((verts - np.roll(verts, 1, axis=1)) ** 2).sum(-1).max(axis=1)
+    live = (areas > 0.0) & (areas >= DEGENERATE_REL_TOL * sq_diam)
+    r2 = ball.radius * ball.radius
+    inside = live & np.all(((verts - ball.center) ** 2).sum(-1) <= r2, axis=1)
+    out = np.where(inside, areas, 0.0)
+    rest = np.nonzero(live & ~inside)[0]
+    rest = rest[point_triangle_dist2(verts[rest], ball.center) <= r2]
+    out[rest] = np.clip(_straddling_areas(verts[rest] - ball.center, r2), 0.0, areas[rest])
+    return out
+
+
+def _centres(s: SurfaceModel, x0) -> list:
+    """The mesh vertex nearest x0 and the centroid of a face around it."""
+    vi, _ = nearest_vertex(s, x0)
+    face = s.faces[np.flatnonzero((s.faces == vi).any(axis=1))[0]]
+    return [s.vertices[vi], s.vertices[face].mean(axis=0)]
+
+
+class TestFaceReach:
+    @pytest.mark.parametrize("res", [16, 32])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_reach_gives_the_per_radius_clip_bit_for_bit(self, name, res):
+        scene = build_scene(name, res=res)
+        s = scene.surface
+        for x0 in _centres(s, scene.default_x0):
+            radii = default_radius_grid(s, x0)
+            stacks = [
+                (s.face_triangles(), s.face_areas),
+                _profile_stack(s, list(scene.boundaries), x0, max(radii)),
+            ]
+            for tris, areas in stacks:
+                reach = face_reach(tris, x0, areas)
+                for r in radii:
+                    ball = Ball(x0, r)
+                    got = clip_areas(tris, ball, reach)
+                    assert got.tobytes() == clip_areas(tris, ball).tobytes()
+                    assert got.tobytes() == _per_radius_clip(tris, ball).tobytes()
+                    assert clip_areas_total(tris, ball, reach) == stable_sum(got.tolist())
+
+    def test_reach_for_another_centre_or_stack_raises(self, disk):
+        tris = disk.surface.face_triangles()
+        reach = face_reach(tris, (0.0, 0.0, 0.0))
+        with pytest.raises(InputInconsistentError):
+            clip_areas(tris, Ball((0.1, 0.0, 0.0), 0.5), reach)
+        with pytest.raises(InputInconsistentError):
+            clip_areas_total(tris[1:], Ball((0.0, 0.0, 0.0), 0.5), reach)
+        with pytest.raises(InputInconsistentError):
+            face_reach(tris, (0.0, 0.0, 0.0), disk.surface.face_areas[1:])
+
+    @pytest.fixture
+    def dist_calls(self, monkeypatch):
+        calls = []
+        real = geometry.point_triangle_dist2
+
+        def counted(verts, p):
+            calls.append(len(verts))
+            return real(verts, p)
+
+        monkeypatch.setattr(geometry, "point_triangle_dist2", counted)
+        return calls
+
+    def test_profile_measures_distances_once(self, dist_calls):
+        scene = build_scene("catenoid", res=16)
+        prof = m_profile(scene.surface, list(scene.boundaries), scene.default_x0)
+        tris, _ = _profile_stack(
+            scene.surface, list(scene.boundaries), scene.default_x0, max(prof.radii)
+        )
+        assert len(prof.radii) > 1
+        assert dist_calls == [len(tris)]
+
+    def test_density_measures_distances_once(self, dist_calls):
+        scene = build_scene("graph_disk", res=16)
+        est = density_estimate(scene.surface, _centres(scene.surface, scene.default_x0)[1])
+        assert est.mode == "extrapolated" and len(est.radii) == 3
+        assert dist_calls == [scene.surface.n_faces]

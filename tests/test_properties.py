@@ -22,6 +22,7 @@ from surfcert import (
     build_scene,
     clip_area_in_ball,
     delta_for_epsilon,
+    face_reach,
     lp_norm,
     m_profile,
     projection_bound_report,
@@ -141,7 +142,9 @@ class TestClipOracle:
         delta = ORACLE_LEVELS * U * np.linalg.norm(np.abs(t.vertices).max(axis=0))
         per_piece = (3.0 + n * n / 8.0) * U * diam**2 + delta * edges.sum(axis=1) / 2.0
         bound = (
-            _clip_rounding_bounds(t.vertices[None], b.center, [b.radius])[0]
+            _clip_rounding_bounds(
+                t.vertices[None], face_reach(t.vertices[None], b.center), [b.radius]
+            )[0]
             + 2.0 * stable_sum(per_piece.tolist())
             + U * (oracle + unsure)
         )
