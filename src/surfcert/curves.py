@@ -209,16 +209,10 @@ def _locate_center(c: PolylineCurve, x0: PointN) -> int | None:
     return None
 
 
-def radial_projection_length(c: PolylineCurve, x0: PointN) -> float:
-    """Length of the curve's radial projection onto the unit sphere around x0.
-
-    Each segment projects to a great-circle arc whose length is the angle the
-    segment subtends at x0, from the half-angle formula of `_angles_batch`,
-    which stays accurate to a few ulps all the way to pi. When x0 coincides
-    with a curve vertex, that vertex is excised: the two incident segments
-    project to single points and contribute zero, and the rest of the curve
-    is projected as an open arc.
-    """
+def _subtended_angles(c: PolylineCurve, x0: PointN) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, angles): the mask of the segments [v_i, v_i+1] that do not end
+    at x0 and the angle each of them subtends at x0, from the half-angle
+    formula of `_angles_batch`, accurate to a few ulps all the way to pi."""
     if not c.closed:
         raise InvalidParameterError("projection needs a closed curve")
     x0 = as_point(x0, dim=c.dim)
@@ -231,7 +225,19 @@ def radial_projection_length(c: PolylineCurve, x0: PointN) -> float:
         keep[(center_idx - 1) % k] = False
     u = v[keep] - x0[None, :]
     w = np.roll(v, -1, axis=0)[keep] - x0[None, :]
-    return stable_sum(_angles_batch(u, w).tolist())
+    return keep, _angles_batch(u, w)
+
+
+def radial_projection_length(c: PolylineCurve, x0: PointN) -> float:
+    """Length of the curve's radial projection onto the unit sphere around x0.
+
+    Each segment projects to a great-circle arc whose length is the angle the
+    segment subtends at x0 (`_subtended_angles`). When x0 coincides with a
+    curve vertex, that vertex is excised: the two incident segments project
+    to single points and contribute zero, and the rest of the curve is
+    projected as an open arc.
+    """
+    return stable_sum(_subtended_angles(c, x0)[1].tolist())
 
 
 def cone_density(c: PolylineCurve, x0: PointN) -> float:
@@ -245,76 +251,36 @@ class ConeSurface:
 
     apex: PointN
     base: PolylineCurve
-    kind: str
-    t_range: tuple[float, float]
     mesh: "SurfaceModel"  # noqa: F821 (import cycle kept one-way)
 
 
-def build_cone(
-    c: PolylineCurve,
-    x0: PointN,
-    kind: str = "unit",
-    R: float | None = None,
-) -> ConeSurface:
-    """Triangulate {x0 + t (x - x0) : x in curve} for t in a range set by kind.
+def build_cone(c: PolylineCurve, x0: PointN) -> ConeSurface:
+    """Triangulate {x0 + t (x - x0) : x in curve, t in [0, 1]}.
 
-    kind "unit" spans t in [0, 1] (apex included, fan at the tip); kind
-    "exterior" spans t in [1, R]. Every ring reuses the curve's vertices
-    scaled about x0, so the t = 1 ring coincides with the curve
-    vertex-for-vertex. An exterior cone may have its apex at a curve vertex
-    (the two incident segments sweep rays of zero area and are skipped); a
-    unit cone may not.
+    Every ring reuses the curve's vertices scaled about x0, so the t = 1 ring
+    coincides with the curve vertex-for-vertex, and the apex closes the fan
+    at t = 0. The apex may not lie on the curve.
     """
     from .surfaces import SurfaceModel, strip_faces
 
-    if kind not in ("unit", "exterior"):
-        raise InvalidParameterError(f"cone kind must be 'unit' or 'exterior', got {kind!r}")
     if not c.closed:
         raise InvalidParameterError("cones need a closed base curve")
     x0 = as_point(x0, dim=c.dim)
-    center_idx = _locate_center(c, x0)
-    if kind == "exterior":
-        if R is None or not (R > 1.0) or not math.isfinite(R):
-            raise InvalidParameterError("exterior cones need truncation R > 1")
-        t_lo, t_hi = 1.0, float(R)
-    else:
-        if center_idx is not None:
-            raise InvalidParameterError("unit cone apex must not lie on the curve")
-        t_lo, t_hi = 0.0, 1.0
+    if _locate_center(c, x0) is not None:
+        raise InvalidParameterError("unit cone apex must not lie on the curve")
 
     v = c.vertices
     k = c.k
     rad = v - x0[None, :]
-    dist = np.linalg.norm(rad, axis=1)
+    span = float(np.linalg.norm(rad, axis=1).mean())
     edges = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
-    if kind == "exterior":
-        # geometric rings: ruled strips are exact geometry, so ring count only
-        # has to keep strip areas commensurate with the local scale of any
-        # clipping ball, which doubling achieves with O(log R) rings
-        ts = [t_lo]
-        while ts[-1] * 2.0 < t_hi:
-            ts.append(ts[-1] * 2.0)
-        ts.append(t_hi)
-        ts = np.asarray(ts)
-    else:
-        span = (t_hi - t_lo) * float(dist.mean())
-        nt = int(np.clip(round(span / max(float(edges.mean()), 1e-12)), 1, 512))
-        ts = np.linspace(t_lo, t_hi, nt + 1)
-    ring_pts = (x0[None, None, :] + ts[:, None, None] * rad[None, :, :]).reshape(-1, c.dim)
-    unit = kind == "unit"
-    faces, _ring, col = strip_faces(ts.size - unit, k, True, unit)
-    # a unit cone's apex stands in for its t = 0 ring
-    stack = np.concatenate([x0[None, :], ring_pts[k:]]) if unit else ring_pts
-    if center_idx is not None:
-        # the two base segments at the apex sweep rays of zero area, and the
-        # apex's column collapses to x0: drop both and renumber
-        faces = faces[~np.isin(col[:, 0], [center_idx, (center_idx - 1) % k])]
-        keep = np.arange(stack.shape[0]) % k != center_idx
-        faces = (np.cumsum(keep) - 1)[faces]
-        stack = stack[keep]
-
-    surf = SurfaceModel.build(stack, faces)
-    return ConeSurface(apex=x0, base=c, kind=kind, t_range=(t_lo, t_hi), mesh=surf)
+    nt = int(np.clip(round(span / max(float(edges.mean()), 1e-12)), 1, 512))
+    ts = np.linspace(0.0, 1.0, nt + 1)
+    # the apex stands in for the t = 0 ring
+    rings = x0[None, None, :] + ts[1:, None, None] * rad[None, :, :]
+    stack = np.concatenate([x0[None, :], rings.reshape(-1, c.dim)])
+    surf = SurfaceModel.build(stack, strip_faces(nt, k, True, True)[0])
+    return ConeSurface(apex=x0, base=c, mesh=surf)
 
 
 @dataclass(frozen=True)

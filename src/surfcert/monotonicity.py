@@ -2,10 +2,11 @@
 and the mean-curvature smallness constants.
 
 m(r) = area((M u E) n B(r)) / r^2, where E is the exterior cone over the
-boundary with vertex x0. The identity defect integrates the derivative
-identity for A(r)/r^2 between two radii and reports LHS minus RHS; it needs
-an analytic source because the curvature term cannot be trusted on raw
-meshes.
+boundary with vertex x0, measured in closed form: over a segment [a, b] it
+is the plane wedge from x0 less the triangle (x0, a, b). The identity defect
+integrates the derivative identity for A(r)/r^2 between two radii and
+reports LHS minus RHS; it needs an analytic source because the curvature
+term cannot be trusted on raw meshes.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PolylineCurve, build_cone
+from .curves import PolylineCurve, _subtended_angles
 from .errors import (
     InputInconsistentError,
     InvalidParameterError,
@@ -22,8 +23,8 @@ from .errors import (
 )
 from .geometry import (
     Ball,
-    FaceReach,
     PointN,
+    _point_segment_dist2,
     as_point,
     clip_areas,
     clip_areas_total,
@@ -305,17 +306,19 @@ def m_profile(
     """Profile of m(r) over a radius grid, with pairwise weighted defects.
 
     boundary: the surface's boundary as one curve or a sequence covering all
-    mesh loops (verified vertex-for-vertex up to cyclic shift). The exterior
-    cone over each curve with vertex x0 is truncated far enough to exit the
-    largest queried ball.
+    mesh loops (verified vertex-for-vertex up to cyclic shift). m(r) r^2 is
+    one error-free sum: the surface's area in the ball plus, for each
+    boundary segment [a, b] closer to x0 than r, theta r^2 / 2 less the
+    area of the fan triangle (x0, a, b) in the ball, theta the angle [a, b]
+    subtends at x0. x0 inside a segment raises ProjectionSingularError.
 
     tol_disc bounds the rounding error of any weighted increment w_j - w_i,
-    w = exp(lam r^alpha) m. With dm(r) = (`_clip_rounding_bounds` at r) / r^2
-    + 2u m(r), the last term for the rounding of the exact sum and of the
-    division, that error is at most w_j dm(r_j) + w_i dm(r_i); the third
-    unit in tol_disc = 3 max_r w(r) dm(r) covers the weights and the
-    subtraction. m_errors holds dm(r) at each radius, for checks that weigh
-    m differently.
+    w = exp(lam r^alpha) m. With dm(r) = (`_clip_rounding_bounds` at r of
+    the surface and of the fan) / r^2 + 2u m(r), the last term for the
+    rounding of the exact sum and of the division, that error is at most
+    w_j dm(r_j) + w_i dm(r_i); the third unit in tol_disc =
+    3 max_r w(r) dm(r) covers the weights and the subtraction. m_errors
+    holds dm(r) at each radius, for checks that weigh m differently.
     """
     x0 = as_point(x0, dim=s.dim)
     curves = _as_curves(boundary)
@@ -330,15 +333,24 @@ def m_profile(
     if constants is None:
         constants = property_p_constants(s, math.inf)
 
-    # the surface and its exterior cones, classified once about x0 and
-    # clipped as one stack per radius
-    tris, areas = _profile_stack(s, curves, x0, max(radii))
-    reach = face_reach(tris, x0, areas)
-    m_vals = [clip_areas_total(tris, Ball(center=x0, radius=r), reach) / r**2 for r in radii]
-
+    # a segment's cone adds nothing until r passes the segment's distance
+    tris = s.face_triangles()
+    reach = face_reach(tris, x0, s.face_areas)
+    fan, fan_near2, theta = _boundary_fan(curves, x0)
+    fan_reach = face_reach(fan, x0)
+    m_vals = []
+    for r in radii:
+        ball = Ball(center=x0, radius=r)
+        parts = [clip_areas_total(tris, ball, reach)]
+        crossed = fan_near2 < r * r
+        if crossed.any():
+            parts += (theta[crossed] * (0.5 * r * r)).tolist()
+            parts += (-clip_areas(fan, ball, fan_reach)[crossed]).tolist()
+        m_vals.append(stable_sum(parts) / r**2)
     lam, alpha = constants.lam, constants.alpha
     w = [math.exp(lam * r**alpha) * m for r, m in zip(radii, m_vals)]
-    clip_err = _clip_rounding_bounds(tris, reach, radii)
+    clip_err = _clip_rounding_bounds(tris, reach.near2, radii)
+    clip_err += _clip_rounding_bounds(fan, fan_near2, radii)
     u = np.finfo(np.float64).eps / 2.0
     m_err = [float(e) / r**2 + 2.0 * u * m for e, r, m in zip(clip_err, radii, m_vals)]
     tol_disc = 3.0 * max(wi * dm for wi, dm in zip(w, m_err))
@@ -358,31 +370,32 @@ def m_profile(
     )
 
 
-def _profile_stack(s: SurfaceModel, curves: list, x0: PointN, r_max: float):
-    """(triangles, areas) of the surface followed by the exterior cone over
-    each curve with vertex x0, truncated to exit the ball of radius r_max."""
-    all_bv = np.concatenate([c.vertices for c in curves], axis=0)
-    dists = np.linalg.norm(all_bv - np.asarray(x0)[None, :], axis=1)
-    positive = dists[dists > 1e-12 * max(s.scale, 1e-30)]
-    if positive.size == 0:
-        raise InputInconsistentError("x0 coincides with the entire boundary")
-    t_max = 2.0 * r_max / float(positive.min()) + 1.0
-    meshes = [s] + [build_cone(c, x0, kind="exterior", R=t_max).mesh for c in curves]
-    return (
-        np.concatenate([mesh.face_triangles() for mesh in meshes]),
-        np.concatenate([mesh.face_areas for mesh in meshes]),
-    )
+def _boundary_fan(curves: list, x0: PointN):
+    """(fan, near2, theta) over the segments [a, b] of the curves that do not
+    end at x0: the (k, 3, n) triangles (x0, a, b), the squared distance from
+    x0 to each segment and the angle each subtends at x0. Raises
+    ProjectionSingularError when x0 lies inside a segment."""
+    fans, near2, theta = [], [], []
+    for c in curves:
+        keep, angles = _subtended_angles(c, x0)
+        a = c.vertices[keep]
+        b = np.roll(c.vertices, -1, axis=0)[keep]
+        fans.append(np.stack([np.broadcast_to(x0, a.shape), a, b], axis=1))
+        near2.append(_point_segment_dist2(a, b, x0))
+        theta.append(angles)
+    return np.concatenate(fans), np.concatenate(near2), np.concatenate(theta)
 
 
-def _clip_rounding_bounds(tris: np.ndarray, reach: FaceReach, radii) -> np.ndarray:
-    """First-order bound, per radius r, on the rounding error of
-    clip_areas_total(tris, B(x0, r), reach), `reach` the stack's
-    `face_reach` about x0.
+def _clip_rounding_bounds(tris: np.ndarray, near2: np.ndarray, radii) -> np.ndarray:
+    """First-order bound, per radius r, on the rounding error of the clip of
+    the (K, 3, n) stack `tris` by B(x0, r), over the faces with
+    near2 <= r^2: the squared distances the clip is gated on, a surface's
+    `face_reach(tris, x0).near2` or the segment distances of `m_profile`'s
+    boundary fan.
 
-    For a face within r of x0 (reach.near2 <= r^2, the clip's own test),
-    with longest edge L, s = r + L, unit roundoff u and dimension n, every
-    quantity the closed form reads has magnitude at most s, and to first
-    order in u:
+    For such a face, with longest edge L, s = r + L, unit roundoff u and
+    dimension n, every quantity the closed form reads has magnitude at most
+    s, and to first order in u:
     - the in-plane vertices move by at most (2n + 5) u s, so the area moves
       by at most the perimeter 3s times that;
     - rho^2 = r^2 - h^2 is off by at most (5n + 19) u s^2, so the area is off
@@ -391,19 +404,31 @@ def _clip_rounding_bounds(tris: np.ndarray, reach: FaceReach, radii) -> np.ndarr
       nine sector and chord-triangle terms (absolute sum at most
       3 (1 + pi) s^2 / 2, relative error 5u each), the edge sums and the
       clamp add at most 45 u s^2.
-    Together at most 24 (n + 6) u s^2 per face. A face fully inside counts
-    its wedge-product area (`triangle_areas`), half the norm of the minors
-    e1_i e2_j - e1_j e2_i; each minor is off by at most 4u (|e1_i e2_j| +
-    |e1_j e2_i|) and the squares, sum and root add (n^2 - n + 4) u / 4 of
-    relative error, so that area is off by at most (3 + n^2 / 8) u L^2
-    whatever the face's shape, within the budget since s >= 3L/2 there. An
-    underestimate only makes the checks that use tol_disc stricter.
+    Together at most 24 (n + 6) u s^2 per face, which leaves
+    ((18 - 5 pi) n + 84 - 19 pi) u s^2 > (3n/2 + 12) u s^2 unused. A face
+    fully inside counts its wedge-product area (`triangle_areas`), half the
+    norm of the minors e1_i e2_j - e1_j e2_i; each minor is off by at most
+    4u (|e1_i e2_j| + |e1_j e2_i|) and the squares, sum and root add
+    (n^2 - n + 4) u / 4 of relative error, so that area is off by at most
+    (3 + n^2 / 8) u L^2 whatever the face's shape, within the budget since
+    s >= 3L/2 there.
+
+    A fan triangle (x0, a, b) also carries its wedge term theta r^2 / 2, with
+    theta from `_angles_batch(a - x0, b - x0)`. There each norm is off by
+    (n/2 + 1) u relative and each unit vector by (n/2 + 2) u, so the chord
+    lengths |a' - b'| and |a' + b'|, whose squares sum to 4, are off by
+    (2n + 8) u each. atan2 of the two moves by at most 1/sqrt(2) times that,
+    plus its own ulp, so theta is off by (2 sqrt(2) (n + 4) + 2 pi) u; with
+    the two roundings of theta (r^2 / 2), theta <= pi, the wedge term is off
+    by at most (sqrt(2) (n + 4) + 2 pi) u r^2 < (3n/2 + 12) u s^2, inside the
+    unused part. An underestimate only makes the checks that use tol_disc
+    stricter.
     """
     n = tris.shape[2]
     u = np.finfo(np.float64).eps / 2.0
     longest = np.linalg.norm(tris - np.roll(tris, 1, axis=1), axis=2).max(axis=1)
     r = np.asarray(radii, dtype=np.float64)[:, None]
-    per_face = np.where(reach.near2[None, :] <= r * r, (r + longest[None, :]) ** 2, 0.0)
+    per_face = np.where(near2[None, :] <= r * r, (r + longest[None, :]) ** 2, 0.0)
     return 24.0 * (n + 6) * u * per_face.sum(axis=1)
 
 

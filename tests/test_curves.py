@@ -213,7 +213,7 @@ class TestCone:
         # cone over a radius-1 circle at height 1 from the origin: each mesh
         # triangle is exact, total = sum of the k flat triangles
         c = regular_polygon(64, z=1.0)
-        cone = build_cone(c, (0.0, 0.0, 0.0), kind="unit")
+        cone = build_cone(c, (0.0, 0.0, 0.0))
         got = float(cone.mesh.face_areas.sum())
         # side length of the base polygon and slant height of each triangle
         side = 2.0 * math.sin(math.pi / 64)
@@ -223,32 +223,7 @@ class TestCone:
 
     def test_unit_cone_apex_on_curve_rejected(self):
         with pytest.raises(InvalidParameterError):
-            build_cone(unit_square(), (0.0, 0.0, 0.0), kind="unit")
-
-    def test_exterior_cone_apex_on_curve_allowed(self):
-        cone = build_cone(unit_square(), (0.0, 0.0, 0.0), kind="exterior", R=3.0)
-        assert cone.mesh.face_areas.sum() > 0.0
-
-    def test_exterior_cone_ring_counts(self):
-        # R = 5 gives the rings t = 1, 2, 4, 5
-        c, rings = regular_polygon(12), 4
-        off = build_cone(c, (0.1, 0.2, 0.0), kind="exterior", R=5.0)
-        assert (off.mesh.n_vertices, off.mesh.n_faces) == (c.k * rings, 2 * c.k * (rings - 1))
-        # apex at a curve vertex: its column and the two strips beside it go
-        apex = c.vertices[5]
-        on = build_cone(c, apex, kind="exterior", R=5.0)
-        assert on.mesh.n_faces == 2 * (c.k - 2) * (rings - 1)
-        assert on.mesh.n_vertices == (c.k - 1) * rings
-        assert np.linalg.norm(on.mesh.vertices - apex, axis=1).min() > 0.0
-        assert len(on.mesh.boundary_loops) == 1
-
-    def test_exterior_cone_needs_radius(self):
-        with pytest.raises(InvalidParameterError):
-            build_cone(regular_polygon(8), (0.0, 0.0, 0.0), kind="exterior")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            build_cone(regular_polygon(8), (0.0, 0.0, 0.0), kind="frustum")
+            build_cone(unit_square(), (0.0, 0.0, 0.0))
 
 
 class TestPlaneDeviation:

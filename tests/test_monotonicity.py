@@ -2,12 +2,14 @@
 
 The flat disk is the exact reference: the disk plus the exterior cone
 over its rim tile the whole plane, so m(r) = pi at every radius from the
-center, and from a rim vertex m(r) tends to the polygon sector value
-(pi - 2*pi/k) / 2. The integrated identity has defect zero on flat input
-for every radius pair, including pairs that straddle the rim, which
-exercises the boundary moment with weight (1/2)(max(sigma,rho)^-2 - r^-2).
+center, and from a rim vertex m(r) is the polygon sector value
+(pi - 2*pi/k) / 2, both to the profile's own rounding bound. The integrated
+identity has defect zero on flat input for every radius pair, including
+pairs that straddle the rim, which exercises the boundary moment with
+weight (1/2)(max(sigma,rho)^-2 - r^-2).
 """
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from surfcert import (
     Ball,
     InputInconsistentError,
     InvalidParameterError,
+    ProjectionSingularError,
     UnsupportedOperationError,
     SurfaceModel,
     build_scene,
@@ -41,8 +44,12 @@ from surfcert import (
     triangle_areas,
 )
 from surfcert import geometry
+from surfcert.cli import main
 from surfcert.geometry import DEGENERATE_REL_TOL, _straddling_areas, clip_areas
-from surfcert.monotonicity import _profile_stack
+from surfcert.monotonicity import _boundary_fan
+
+
+U = np.finfo(np.float64).eps / 2.0  # unit roundoff
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +64,9 @@ def disk_profile(disk):
 
 class TestProfile:
     def test_disk_profile_is_constant_pi(self, disk_profile):
-        for m in disk_profile.m_values:
-            assert m == pytest.approx(math.pi, rel=1e-4)
+        # math.pi is within u pi of pi
+        for m, dm in zip(disk_profile.m_values, disk_profile.m_errors):
+            assert abs(m - math.pi) <= dm + U * math.pi
 
     def test_disk_weighted_values_equal_raw_for_flat_input(self, disk_profile):
         # lam = 0 on a flat mesh, so the weight is identically 1
@@ -70,9 +78,10 @@ class TestProfile:
         k = len(loop)
         x0 = disk.surface.vertices[loop[0]]
         prof = m_profile(disk.surface, disk.boundaries, x0, radii=(0.01, 0.02))
+        # the three roundings of want put it within 2 u pi of its exact value
         want = (math.pi - 2.0 * math.pi / k) / 2.0
-        for m in prof.m_values:
-            assert m == pytest.approx(want, rel=1e-4)
+        for m, dm in zip(prof.m_values, prof.m_errors):
+            assert abs(m - want) <= dm + 2.0 * U * math.pi
 
     def test_default_grid_contains_diameter_and_four_diameters(self, disk):
         r0 = extrinsic_diameter(disk.surface)
@@ -114,6 +123,29 @@ class TestProfile:
             max_area = max(m * r * r for r, m in zip(prof.radii, prof.m_values))
             old = 3.0 * 1e-6 * max_area / min(r * r for r in prof.radii)
             assert 0.0 < prof.tol_disc <= old
+
+    @pytest.mark.parametrize("res", [16, 32, 64])
+    def test_exterior_cone_reaches_every_ball_near_a_segment(self, res, capsys):
+        # the centroid of face 0 sits much closer to the sector's straight
+        # edge than to any boundary vertex; the sector plus its exterior
+        # cone is the whole plane, so m(r) = pi at every radius
+        sector = build_scene("flat_sector", res=res)
+        s = sector.surface
+        x0 = s.vertices[s.faces[0]].mean(axis=0)
+        prof = m_profile(s, sector.boundaries, x0)
+        for m, dm in zip(prof.m_values, prof.m_errors):
+            assert abs(m - math.pi) <= dm + U * math.pi
+        point = ",".join(repr(float(v)) for v in x0)
+        code = main(["monotonicity", "--catalog", "flat_sector", "--res", str(res), "--x0", point])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert payload["weighted_monotone"] and payload["large_radius_ok"]
+
+    def test_center_inside_a_boundary_segment_raises(self, disk):
+        loop = disk.surface.boundary_loops[0]
+        x0 = disk.surface.vertices[loop[:2]].mean(axis=0)
+        with pytest.raises(ProjectionSingularError):
+            m_profile(disk.surface, disk.boundaries, x0, radii=(0.5, 1.0))
 
     def test_nonpositive_radius_rejected(self, disk):
         with pytest.raises(InvalidParameterError):
@@ -255,10 +287,8 @@ class TestFaceReach:
         s = scene.surface
         for x0 in _centres(s, scene.default_x0):
             radii = default_radius_grid(s, x0)
-            stacks = [
-                (s.face_triangles(), s.face_areas),
-                _profile_stack(s, list(scene.boundaries), x0, max(radii)),
-            ]
+            fan = _boundary_fan(list(scene.boundaries), x0)[0]
+            stacks = [(s.face_triangles(), s.face_areas), (fan, None)]
             for tris, areas in stacks:
                 reach = face_reach(tris, x0, areas)
                 for r in radii:
@@ -293,11 +323,10 @@ class TestFaceReach:
     def test_profile_measures_distances_once(self, dist_calls):
         scene = build_scene("catenoid", res=16)
         prof = m_profile(scene.surface, list(scene.boundaries), scene.default_x0)
-        tris, _ = _profile_stack(
-            scene.surface, list(scene.boundaries), scene.default_x0, max(prof.radii)
-        )
+        fan = _boundary_fan(list(scene.boundaries), scene.default_x0)[0]
         assert len(prof.radii) > 1
-        assert dist_calls == [len(tris)]
+        # one classification of the surface and one of the boundary fan
+        assert dist_calls == [scene.surface.n_faces, len(fan)]
 
     def test_density_measures_distances_once(self, dist_calls):
         scene = build_scene("graph_disk", res=16)
