@@ -95,7 +95,6 @@ from .monotonicity import (
     check_property_p,
     check_weighted_monotonicity,
     check_large_radius_bound,
-    conormal_spot_check,
 )
 from .intersect import IntersectionReport, triangle_pair_dist2, self_intersections
 from .certificates import (
@@ -188,7 +187,6 @@ __all__ = [
     "check_property_p",
     "check_weighted_monotonicity",
     "check_large_radius_bound",
-    "conormal_spot_check",
     "IntersectionReport",
     "triangle_pair_dist2",
     "self_intersections",

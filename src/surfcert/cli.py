@@ -10,6 +10,7 @@ successful determination), 2 when a certificate came out not-applicable,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -356,7 +357,10 @@ def _add_out(sp):
     sp.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and each parse fills a fresh namespace."""
     parser = _Parser(
         prog="surfcert",
         description="Densities, boundary curvature, monotonicity profiles and "

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import _segment_pair_dist2
+from .errors import InvalidParameterError
 from .geometry import point_triangle_dist2
 from .surfaces import SurfaceModel
 
@@ -279,10 +280,15 @@ def self_intersections(
     rounding slack derived there, and only the rest go to the exact distance
     `triangle_pair_dist2`. Every candidate at computed distance <= tol is
     reported, in lexicographic order; `candidates` counts the broad-phase
-    pairs, before the reject.
+    pairs, before the reject. A tol that is negative, NaN or infinite, or a
+    negative max_reports, raises InvalidParameterError.
     """
     if tol is None:
         tol = 1e-9 * max(surface.scale, 1e-30)
+    if not (tol >= 0.0 and math.isfinite(tol)):
+        raise InvalidParameterError(f"tol must be finite and >= 0, got {tol!r}")
+    if max_reports < 0:
+        raise InvalidParameterError(f"max_reports must be >= 0, got {max_reports!r}")
     pairs = _candidate_pairs(surface, margin=tol)
     tris = surface.face_triangles()
     chunk = 16384

@@ -56,7 +56,6 @@ __all__ = [
     "check_property_p",
     "check_weighted_monotonicity",
     "check_large_radius_bound",
-    "conormal_spot_check",
     "default_radius_grid",
 ]
 
@@ -349,8 +348,8 @@ def m_profile(
         m_vals.append(stable_sum(parts) / r**2)
     lam, alpha = constants.lam, constants.alpha
     w = [math.exp(lam * r**alpha) * m for r, m in zip(radii, m_vals)]
-    clip_err = _clip_rounding_bounds(tris, reach.near2, radii)
-    clip_err += _clip_rounding_bounds(fan, fan_near2, radii)
+    clip_err = _clip_rounding_bounds(tris, reach.near2, reach.far2, radii)
+    clip_err += _clip_rounding_bounds(fan, fan_near2, fan_reach.far2, radii, wedge=True)
     u = np.finfo(np.float64).eps / 2.0
     m_err = [float(e) / r**2 + 2.0 * u * m for e, r, m in zip(clip_err, radii, m_vals)]
     tol_disc = 3.0 * max(wi * dm for wi, dm in zip(w, m_err))
@@ -386,16 +385,19 @@ def _boundary_fan(curves: list, x0: PointN):
     return np.concatenate(fans), np.concatenate(near2), np.concatenate(theta)
 
 
-def _clip_rounding_bounds(tris: np.ndarray, near2: np.ndarray, radii) -> np.ndarray:
+def _clip_rounding_bounds(
+    tris: np.ndarray, near2: np.ndarray, far2: np.ndarray, radii, wedge: bool = False
+) -> np.ndarray:
     """First-order bound, per radius r, on the rounding error of the clip of
     the (K, 3, n) stack `tris` by B(x0, r), over the faces with
     near2 <= r^2: the squared distances the clip is gated on, a surface's
     `face_reach(tris, x0).near2` or the segment distances of `m_profile`'s
-    boundary fan.
+    boundary fan. far2 is `face_reach(tris, x0).far2`, the squared distance
+    of each face's farthest corner.
 
-    For such a face, with longest edge L, s = r + L, unit roundoff u and
-    dimension n, every quantity the closed form reads has magnitude at most
-    s, and to first order in u:
+    For a face the sphere crosses (far2 > r^2), with longest edge L,
+    s = r + L, unit roundoff u and dimension n, every quantity the closed
+    form reads has magnitude at most s, and to first order in u:
     - the in-plane vertices move by at most (2n + 5) u s, so the area moves
       by at most the perimeter 3s times that;
     - rho^2 = r^2 - h^2 is off by at most (5n + 19) u s^2, so the area is off
@@ -406,30 +408,37 @@ def _clip_rounding_bounds(tris: np.ndarray, near2: np.ndarray, radii) -> np.ndar
       clamp add at most 45 u s^2.
     Together at most 24 (n + 6) u s^2 per face, which leaves
     ((18 - 5 pi) n + 84 - 19 pi) u s^2 > (3n/2 + 12) u s^2 unused. A face
-    fully inside counts its wedge-product area (`triangle_areas`), half the
-    norm of the minors e1_i e2_j - e1_j e2_i; each minor is off by at most
-    4u (|e1_i e2_j| + |e1_j e2_i|) and the squares, sum and root add
-    (n^2 - n + 4) u / 4 of relative error, so that area is off by at most
-    (3 + n^2 / 8) u L^2 whatever the face's shape, within the budget since
-    s >= 3L/2 there.
+    wholly inside (far2 <= r^2) counts its wedge-product area
+    (`triangle_areas`), half the norm of the minors e1_i e2_j - e1_j e2_i;
+    each minor is off by at most 4u (|e1_i e2_j| + |e1_j e2_i|) and the
+    squares, sum and root add (n^2 - n + 4) u / 4 of relative error, so that
+    area is off by at most (3 + n^2 / 8) u L^2 whatever the face's shape,
+    and that is what such a face is charged.
 
-    A fan triangle (x0, a, b) also carries its wedge term theta r^2 / 2, with
-    theta from `_angles_batch(a - x0, b - x0)`. There each norm is off by
-    (n/2 + 1) u relative and each unit vector by (n/2 + 2) u, so the chord
-    lengths |a' - b'| and |a' + b'|, whose squares sum to 4, are off by
-    (2n + 8) u each. atan2 of the two moves by at most 1/sqrt(2) times that,
-    plus its own ulp, so theta is off by (2 sqrt(2) (n + 4) + 2 pi) u; with
-    the two roundings of theta (r^2 / 2), theta <= pi, the wedge term is off
-    by at most (sqrt(2) (n + 4) + 2 pi) u r^2 < (3n/2 + 12) u s^2, inside the
-    unused part. An underestimate only makes the checks that use tol_disc
-    stricter.
+    With `wedge`, each triangle is a fan triangle (x0, a, b) that also
+    carries its wedge term theta r^2 / 2, with theta from
+    `_angles_batch(a - x0, b - x0)`. There each norm is off by (n/2 + 1) u
+    relative and each unit vector by (n/2 + 2) u, so the chord lengths
+    |a' - b'| and |a' + b'|, whose squares sum to 4, are off by (2n + 8) u
+    each. atan2 of the two moves by at most 1/sqrt(2) times that, plus its
+    own ulp, so theta is off by (2 sqrt(2) (n + 4) + 2 pi) u; with the two
+    roundings of theta (r^2 / 2), theta <= pi, the wedge term is off by at
+    most (sqrt(2) (n + 4) + 2 pi) u r^2 < (3n/2 + 12) u s^2. A crossing fan
+    triangle's budget holds it in its unused part; one wholly inside is
+    charged it on top of its area's bound. An underestimate only makes the
+    checks that use tol_disc stricter.
     """
     n = tris.shape[2]
     u = np.finfo(np.float64).eps / 2.0
     longest = np.linalg.norm(tris - np.roll(tris, 1, axis=1), axis=2).max(axis=1)
     r = np.asarray(radii, dtype=np.float64)[:, None]
-    per_face = np.where(near2[None, :] <= r * r, (r + longest[None, :]) ** 2, 0.0)
-    return 24.0 * (n + 6) * u * per_face.sum(axis=1)
+    r2 = r * r
+    # in units of the crossing budget 24 (n + 6) u
+    inside = (3.0 + n * n / 8.0) * longest**2
+    if wedge:
+        inside = inside + (math.sqrt(2.0) * (n + 4) + 2.0 * math.pi) * r2
+    per_face = np.where(far2 <= r2, inside / (24.0 * (n + 6)), (r + longest) ** 2)
+    return 24.0 * (n + 6) * u * np.where(near2 <= r2, per_face, 0.0).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +466,14 @@ def _analytic_pieces(s: SurfaceModel, refine: int):
 
 
 def _boundary_elements(s: SurfaceModel, refine: int):
-    """Subdivided boundary sub-edges with midpoints, lengths, outward
-    conormals, and unit tangents, all from the analytic tangent plane.
+    """Subdivided boundary sub-edges with midpoints, lengths and outward
+    conormals, all from the analytic tangent plane.
 
-    Returns (midpoints (B,n), lengths (B,), conormals (B,n), tangents (B,n)).
+    Returns (midpoints (B,n), lengths (B,), conormals (B,n)).
     """
     patch = s.patch
     fp = s.face_param_triangles()
-    mids, lens, conos, tangs = [], [], [], []
+    mids, lens, conos = [], [], []
     splits = 2 ** (refine + 2)
     t0s = np.arange(splits) / splits
     t1s = t0s + 1.0 / splits
@@ -492,15 +501,9 @@ def _boundary_elements(s: SurfaceModel, refine: int):
         sign = np.sign(np.einsum("sn,sn->s", v, xm - xc[None, :]))
         sign[sign == 0] = 1.0
         conos.append(v * sign[:, None])
-        tangs.append(tn)
         mids.append(xm)
         lens.append(np.linalg.norm(x1p - x0p, axis=1))
-    return (
-        np.concatenate(mids),
-        np.concatenate(lens),
-        np.concatenate(conos),
-        np.concatenate(tangs),
-    )
+    return np.concatenate(mids), np.concatenate(lens), np.concatenate(conos)
 
 
 def _step_moment_integral(rho: np.ndarray, moment: np.ndarray, sigma: float, r: float) -> float:
@@ -591,7 +594,7 @@ def identity_defect(s: SurfaceModel, x0, sigma: float, r: float) -> float:
     rho_c = np.linalg.norm(ccent - x0a[None, :], axis=1)
     curv_term = _step_moment_integral(rho_c, vmom * areas, sigma, r)
 
-    mids, lens, conos, _tangs = _boundary_elements(s, DEFAULT_REFINE)
+    mids, lens, conos = _boundary_elements(s, DEFAULT_REFINE)
     bmom = np.einsum("bn,bn->b", mids - x0a[None, :], conos) * lens
     brho = np.linalg.norm(mids - x0a[None, :], axis=1)
     bdry_term = _step_moment_integral(brho, bmom, sigma, r)
@@ -702,38 +705,3 @@ def check_large_radius_bound(prof: MonotonicityProfile) -> LargeRadiusReport:
         tolerance=prof.tol_disc,
         violations=tuple(violations),
     )
-
-
-def conormal_spot_check(s: SurfaceModel, x0) -> float:
-    """Max over boundary sub-edges of (x-x0).nu_M - |radial component normal
-    to the boundary tangent|; nonpositive values are consistent with the
-    exterior-cone comparison used by the profile."""
-    x0 = as_point(x0, dim=s.dim)
-    if s.patch is not None and s.params is not None:
-        mids, _lens, conos, tn = _boundary_elements(s, refine=0)
-        x0a = np.asarray(x0)
-        d = mids - x0a[None, :]
-        radial = np.einsum("bn,bn->b", d, conos)
-        perp = d - np.einsum("bn,bn->b", d, tn)[:, None] * tn
-        return float(np.max(radial - np.linalg.norm(perp, axis=1)))
-    # mesh-only fallback: face-plane conormals
-    verts = s.vertices
-    best = -math.inf
-    x0a = np.asarray(x0)
-    for fi, la in s.boundary_face_corners.tolist():
-        tri = verts[s.faces[fi]]
-        pa, pb = tri[la], tri[(la + 1) % 3]
-        mid = 0.5 * (pa + pb)
-        cent = tri.mean(axis=0)
-        t = pb - pa
-        tn = t / max(np.linalg.norm(t), 1e-300)
-        v = mid - cent
-        v = v - float(v @ tn) * tn
-        nv = np.linalg.norm(v)
-        if nv < 1e-300:
-            continue
-        nu = v / nv
-        d = mid - x0a
-        perp = d - float(d @ tn) * tn
-        best = max(best, float(d @ nu) - float(np.linalg.norm(perp)))
-    return best

@@ -204,10 +204,10 @@ class SurfaceModel:
     """Consistently oriented manifold triangle mesh, possibly with boundary.
 
     `build` validates the mesh and computes its areas and topology; the
-    quantities derived from them (`diameter`, `mean_curvature`,
-    `angle_sums`) are computed on first access and cached. `vertices` and
-    `faces` are read-only, so a cached value cannot go stale, and cached
-    arrays are read-only too.
+    quantities derived from them (`scale`, `diameter`, `mean_curvature`,
+    `angle_sums`, `face_spans`, `vertex_faces`) are computed on first access
+    and cached. `vertices` and `faces` are read-only, so a cached value
+    cannot go stale, and cached arrays are read-only too.
 
     boundary_face_corners is a (B, 2) array over the boundary edges, loop by
     loop: for the edge loop[e] -> loop[e + 1], its face and the corner c of
@@ -386,8 +386,9 @@ class SurfaceModel:
     def total_area(self) -> float:
         return stable_sum(self.face_areas.tolist())
 
-    @property
+    @cached_property
     def scale(self) -> float:
+        """Length of the bounding box's diagonal, at least 1e-300."""
         ext = self.vertices.max(axis=0) - self.vertices.min(axis=0)
         return max(float(np.linalg.norm(ext)), 1e-300)
 
@@ -458,6 +459,34 @@ class SurfaceModel:
         return sums
 
     @cached_property
+    def face_spans(self) -> np.ndarray:
+        """Per face, max(|v1 - v0|, |v2 - v0|) with v0, v1, v2 its corners.
+
+        A face is the convex hull of its corners, so every point of it lies
+        within its span of its first corner v0.
+        """
+        v, f = self.vertices, self.faces
+        v0 = v[f[:, 0]]
+        spans = np.maximum(
+            np.linalg.norm(v[f[:, 1]] - v0, axis=1), np.linalg.norm(v[f[:, 2]] - v0, axis=1)
+        )
+        spans.flags.writeable = False
+        return spans
+
+    @cached_property
+    def vertex_faces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Vertex-to-face incidence (start, ids): the faces around vertex i
+        are ids[start[i]:start[i + 1]], in ascending order."""
+        corners = self.faces.ravel()
+        # a stable sort keeps each vertex's corners, and so its faces, in order
+        ids = np.argsort(corners, kind="stable") // 3
+        start = np.zeros(self.n_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(corners, minlength=self.n_vertices), out=start[1:])
+        ids.flags.writeable = False
+        start.flags.writeable = False
+        return start, ids
+
+    @cached_property
     def mean_curvature(self) -> VectorField:
         """Per-vertex mean curvature vector, analytic when a patch is present.
 
@@ -501,9 +530,15 @@ class SurfaceModel:
         unreliable.flags.writeable = False
         return VectorField(values=hvec, provenance=provenance, unreliable=unreliable)
 
+
+def _vertex_distances(surface: SurfaceModel, x0: PointN) -> np.ndarray:
+    """The computed |v - x0| of every vertex; x0 a validated point."""
+    return np.linalg.norm(surface.vertices - x0[None, :], axis=1)
+
+
 def nearest_vertex(surface: SurfaceModel, x0: PointN) -> tuple[int, float]:
     x0 = as_point(x0, dim=surface.dim)
-    d = np.linalg.norm(surface.vertices - x0[None, :], axis=1)
+    d = _vertex_distances(surface, x0)
     i = int(np.argmin(d))
     return i, float(d[i])
 
@@ -556,13 +591,57 @@ class DensityEstimate:
 
 
 def _local_edge_length(surface: SurfaceModel, vertex: int) -> float:
-    mask = (surface.faces == vertex).any(axis=1)
-    f = surface.faces[mask]
+    """Median length of the edges of the faces around `vertex`, each face's
+    three edges counted."""
+    start, ids = surface.vertex_faces
+    f = surface.faces[ids[start[vertex] : start[vertex + 1]]]
     v = surface.vertices
     e = np.concatenate(
         [v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 1]], v[f[:, 0]] - v[f[:, 2]]]
     )
     return float(np.median(np.linalg.norm(e, axis=1)))
+
+
+def _faces_meeting_ball(
+    surface: SurfaceModel, x0: PointN, dist: np.ndarray, r: float
+) -> np.ndarray:
+    """Ascending ids of the faces a clip by the closed ball B(x0, r) can
+    count; `dist` holds the computed |v - x0| of every vertex. Each face
+    left out is one the clip counts zero at r and at every smaller radius,
+    so clipping only these faces gives the same total, bit for bit.
+
+    A face is the convex hull of its corners, so it lies within its span
+    L = max(|v1 - v0|, |v2 - v0|) (`SurfaceModel.face_spans`) of its first
+    corner v0, and with D = |v0 - x0| it misses the ball when D - L > r. The
+    clip drops a face when the computed `point_triangle_dist2` and the
+    computed squared distance of its farthest corner both exceed the
+    computed r^2, so the test also covers rounding (unit roundoff u,
+    dimension n, e = sqrt(n / 2) 2^-537 for squares that underflow):
+    - whatever region `point_triangle_dist2` picks, it measures the distance
+      to v0 + s e0 + t e1 with s, t >= 0 and s + t <= 1 + 2u, e0 and e1 the
+      rounded edges from v0, or in its degenerate fallback to a point
+      a + t (b - a) of an edge, t in [0, 1]. Such a point lies within
+      (1 + 3u) L of v0, and evaluating it adds at most 3u |v0| + 5u L, with
+      |v0| <= |x0| + D. The farthest corner is at least D away.
+    - the differences, squares and sum of that squared distance lose at
+      most (n + 2) u of it plus n 2^-1075, and r^2 rounds up by at most u,
+      so the clip drops the face once it is more than
+      r (1 + (n + 3) u / 2) + e away.
+    - the computed D and L are within (n + 4) u / 2 of theirs, relative,
+      plus e, and the subtraction adds u (D + L).
+    With r < D + L on a dropped face, all of this is at most
+    (n + 13) u (|x0| + D + L) + 3e to first order. The slack is twice that,
+    from the computed values; the other half covers the rounding of the
+    slack and of r + slack, and every second-order term. An overflowed
+    distance makes the slack inf or the difference NaN, and keeps the face.
+    """
+    n = surface.dim
+    u = np.finfo(np.float64).eps / 2.0
+    e = math.sqrt(n / 2.0) * 2.0**-537
+    lead = dist[surface.faces[:, 0]]
+    spans = surface.face_spans
+    slack = 2.0 * (n + 13) * u * (float(np.linalg.norm(x0)) + lead + spans) + 6.0 * e
+    return np.flatnonzero(~(lead - spans > r + slack))
 
 
 def density_estimate(
@@ -582,18 +661,30 @@ def density_estimate(
     (more than half the surface extent) it falls back to a tenth of the
     extent. An r1 that reaches the boundary from an interior point, or that
     exceeds half the extent, raises RadiusTooLargeError.
+
+    The extrapolation reads only the faces near x0: one pass over the
+    vertex distances, which finding the nearest vertex needs anyway, picks
+    the faces whose first corner is close enough for them to meet the
+    largest ball (`_faces_meeting_ball`), and only those are gathered,
+    classified and clipped. Every face left out is one the clip of the whole
+    surface counts zero at all three radii, and the clip's total is an
+    error-free sum, correctly rounded in any order, so the ratios are the
+    whole surface's bit for bit. The local edge length reads the faces
+    around the nearest vertex from the cached incidence
+    (`SurfaceModel.vertex_faces`).
     """
     x0 = as_point(x0, dim=surface.dim)
-    vi, dist = nearest_vertex(surface, x0)
+    dist = _vertex_distances(surface, x0)
+    vi = int(np.argmin(dist))
     scale = surface.scale
-    at_vertex = dist <= VERTEX_MATCH_REL_TOL * scale
+    at_vertex = dist[vi] <= VERTEX_MATCH_REL_TOL * scale
     if mode == "auto":
         mode = "pl_exact" if at_vertex else "extrapolated"
     if mode == "pl_exact":
         if not at_vertex:
             raise InvalidParameterError(
                 "pl_exact density needs x0 at a mesh vertex; nearest vertex is "
-                f"{dist:.3g} away"
+                f"{dist[vi]:.3g} away"
             )
         note = "flat-PL interpretation" if surface.boundary_vertex_mask[vi] else ""
         return DensityEstimate(
@@ -625,8 +716,9 @@ def density_estimate(
             suggested_radius=0.25 * scale,
         )
     radii = (r1, 0.5 * r1, 0.25 * r1)
-    tris = surface.face_triangles()
-    reach = face_reach(tris, x0, surface.face_areas)
+    ids = _faces_meeting_ball(surface, x0, dist, r1)
+    tris = surface.vertices[surface.faces[ids]]
+    reach = face_reach(tris, x0, surface.face_areas[ids])
     ratios = tuple(clip_areas_total(tris, Ball(x0, r), reach) / (math.pi * r * r) for r in radii)
     design = np.array([[1.0, r * r] for r in radii])
     coef, *_ = np.linalg.lstsq(design, np.asarray(ratios), rcond=None)

@@ -186,13 +186,14 @@ class TestDensityCertificate:
 
     def test_profile_slack_is_gated_by_its_own_rounding(self):
         # torus_minus_disk has a large lambda: the profile's tol_disc, which
-        # weighs m by exp(lam r^alpha) up to 4 r0, is in the millions
+        # weighs m by exp(lam r^alpha) up to 4 r0, is in the thousands, and
+        # would forgive the slack of -0.01 set below
         torus = build_scene("torus_minus_disk", res=32)
         s, x0 = torus.surface, torus.default_x0
         prof = m_profile(s, torus.boundaries, x0, constants=property_p_constants(s, math.inf))
         cert = density_estimate_certificate(s, torus.boundaries, x0, math.inf, profile=prof)
         assert cert.status == "satisfied"
-        assert prof.tol_disc > 1e6
+        assert prof.tol_disc > 1e3
         assert 0.0 < cert.conclusion["profile_tolerance"] < 1e-8
 
         # set m at the diameter, where the weight is 1, so that its slack is

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surfcert import SurfaceModel, build_scene, self_intersections, triangle_pair_dist2
+from surfcert import (
+    InvalidParameterError,
+    SurfaceModel,
+    build_scene,
+    self_intersections,
+    triangle_pair_dist2,
+)
 from surfcert.intersect import _candidate_pairs, _separated
 
 
@@ -111,6 +117,23 @@ class TestSelfContactSweep:
         rep = self_intersections(self.plus_sign(), max_reports=2)
         assert len(rep.pairs) == 2
         assert rep.count == 4
+
+    def test_zero_tolerance_and_zero_reports_are_allowed(self):
+        assert self_intersections(self.plus_sign(), tol=0.0).tolerance == 0.0
+        rep = self_intersections(self.plus_sign(), max_reports=0)
+        assert rep.pairs == ()
+        assert rep.count == 4
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, float("inf"), float("-inf")])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # nan and negative values used to sweep nothing and report clean
+        with pytest.raises(InvalidParameterError):
+            self_intersections(self.plus_sign(), tol=tol)
+
+    def test_negative_max_reports_rejected(self):
+        # a negative slice bound used to drop pairs from the end of the listing
+        with pytest.raises(InvalidParameterError):
+            self_intersections(self.plus_sign(), max_reports=-1)
 
     @pytest.mark.parametrize("name", ["flat_disk", "cap", "catenoid"])
     def test_catalog_surfaces_are_embedded(self, name):

@@ -34,7 +34,7 @@ from surfcert import (
     profile_csv_text,
     profile_svg_text,
 )
-from surfcert.cli import main
+from surfcert.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -490,6 +490,24 @@ class TestCommandLine:
         code = main(["certify", "--p", "inf"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_calls_in_a_row_parse_independently(self, tmp_path, capsys):
+        # the parser is built once per process; repeated options must not
+        # carry over from one call to the next
+        assert build_parser() is build_parser()
+        path = self.curve_file(tmp_path)
+        two = ["analyze-curve", "--curve", path, "--x0", "0.5,0.5,0", "--x0", "0.25,0.5,0"]
+        one = ["analyze-curve", "--curve", path, "--x0", "0.25,0.5,0"]
+        outputs = []
+        for argv in (two, one, ["catalog"], two):
+            assert main(argv) == 0
+            outputs.append(json.loads(capsys.readouterr().out)["payload"])
+        first, single, listing, again = outputs
+        assert len(first["points"]) == 2
+        assert "points" not in single and single["x0"] == [0.25, 0.5, 0.0]
+        assert single["projection_length"] == first["points"][1]["projection_length"]
+        assert "surfaces" in listing and "tc" not in listing
+        assert again == first
 
     def test_unknown_subcommand_exits_1(self):
         with pytest.raises(SystemExit) as exc:

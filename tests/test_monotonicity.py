@@ -14,21 +14,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from surfcert import (
     Ball,
     InputInconsistentError,
     InvalidParameterError,
     ProjectionSingularError,
+    RadiusTooLargeError,
     UnsupportedOperationError,
     SurfaceModel,
+    as_point,
     build_scene,
     catalog_names,
     check_large_radius_bound,
     check_property_p,
     check_weighted_monotonicity,
     clip_areas_total,
-    conormal_spot_check,
     default_radius_grid,
     density_estimate,
     extrinsic_diameter,
@@ -46,7 +48,8 @@ from surfcert import (
 from surfcert import geometry
 from surfcert.cli import main
 from surfcert.geometry import DEGENERATE_REL_TOL, _straddling_areas, clip_areas
-from surfcert.monotonicity import _boundary_fan
+from surfcert.monotonicity import _boundary_fan, _clip_rounding_bounds
+from surfcert.surfaces import _faces_meeting_ball, _vertex_distances
 
 
 U = np.finfo(np.float64).eps / 2.0  # unit roundoff
@@ -205,16 +208,6 @@ class TestIntegratedIdentity:
             identity_defect(bare, (0.0, 0.0, 0.0), 0.2, 0.5)
 
 
-class TestConormalComparison:
-    def test_disk_is_the_equality_case(self, disk):
-        # on a flat disk from the center the conormal is exactly radial
-        assert abs(conormal_spot_check(disk.surface, (0.0, 0.0, 0.0))) <= 1e-12
-
-    def test_cap_is_strictly_consistent(self):
-        cap = build_scene("cap", res=32)
-        assert conormal_spot_check(cap.surface, cap.default_x0) < 0.0
-
-
 class TestSmallnessConstants:
     def test_finite_exponent_formula(self):
         cap = build_scene("cap")
@@ -330,6 +323,124 @@ class TestFaceReach:
 
     def test_density_measures_distances_once(self, dist_calls):
         scene = build_scene("graph_disk", res=16)
-        est = density_estimate(scene.surface, _centres(scene.surface, scene.default_x0)[1])
+        s = scene.surface
+        x0 = as_point(_centres(s, scene.default_x0)[1])
+        est = density_estimate(s, x0)
         assert est.mode == "extrapolated" and len(est.radii) == 3
-        assert dist_calls == [scene.surface.n_faces]
+        # one classification, of the faces near x0 only
+        kept = _faces_meeting_ball(s, x0, _vertex_distances(s, x0), est.radii[0])
+        assert dist_calls == [kept.size]
+        assert 0 < kept.size < s.n_faces
+
+
+class TestClipRoundingBounds:
+    @pytest.mark.parametrize("name", ["graph_disk", "catenoid"])
+    def test_inside_faces_are_charged_their_own_bound(self, name, monkeypatch):
+        # a face wholly inside is charged (3 + n^2/8) u L^2 rather than the
+        # crossing budget 24 (n + 6) u (r + L)^2; far2 = inf charges every
+        # gated face the crossing budget, as the bound did before
+        scene = build_scene(name, res=32)
+        s, x0 = scene.surface, scene.default_x0
+        radii = default_radius_grid(s, x0)
+        tris = s.face_triangles()
+        reach = face_reach(tris, x0, s.face_areas)
+        crossing_only = np.full_like(reach.far2, np.inf)
+        got = _clip_rounding_bounds(tris, reach.near2, reach.far2, radii)
+        old = _clip_rounding_bounds(tris, reach.near2, crossing_only, radii)
+        assert np.all(got <= old)
+        assert got[0] < old[0] / 2.0
+        assert got[-1] < old[-1] / 1e5
+
+        from surfcert import monotonicity
+
+        real = monotonicity._clip_rounding_bounds
+
+        def crossing_budget(tris, near2, far2, radii, wedge=False):
+            return real(tris, near2, np.full_like(far2, np.inf), radii, wedge)
+
+        prof = m_profile(s, list(scene.boundaries), x0)
+        monkeypatch.setattr(monotonicity, "_clip_rounding_bounds", crossing_budget)
+        loose = m_profile(s, list(scene.boundaries), x0)
+        assert prof.m_values == loose.m_values
+        assert all(a <= b for a, b in zip(prof.m_errors, loose.m_errors))
+        assert prof.tol_disc < loose.tol_disc / 2.0
+
+    def test_inside_fan_triangles_keep_the_wedge_term(self, disk):
+        # beyond the rim every fan triangle is inside, and its charge is its
+        # area's bound plus the wedge term's (sqrt(2) (n + 4) + 2 pi) u r^2
+        fan, near2, _theta = _boundary_fan(list(disk.boundaries), np.zeros(3))
+        far2 = face_reach(fan, np.zeros(3)).far2
+        r = 3.0
+        longest = np.linalg.norm(fan - np.roll(fan, 1, axis=1), axis=2).max(axis=1)
+        area_only = (3.0 + 9.0 / 8.0) * U * longest**2
+        wedge = (math.sqrt(2.0) * 7.0 + 2.0 * math.pi) * U * r * r
+        got = _clip_rounding_bounds(fan, near2, far2, [r], wedge=True)[0]
+        assert got == pytest.approx(float((area_only + wedge).sum()), rel=1e-12)
+        assert _clip_rounding_bounds(fan, near2, far2, [r])[0] == pytest.approx(
+            float(area_only.sum()), rel=1e-12
+        )
+
+
+def _sliver_mesh() -> SurfaceModel:
+    """A bumped grid whose columns 1e-15 and 1e-9 wide hold dead and live
+    slivers, next to faces hundreds of times longer than wide."""
+    xs = np.array([0.0, 1e-15, 1e-9, 0.3, 0.3 + 1e-9, 0.7, 1.0])
+    ys = np.linspace(0.0, 1.0, 13)
+    xx, yy = np.meshgrid(xs, ys, indexing="ij")
+    xx, yy = xx.ravel(), yy.ravel()
+    verts = np.stack([xx, yy, 0.1 * np.sin(3.0 * xx) * np.cos(2.0 * yy)], axis=1)
+    cols = ys.size
+    faces = []
+    for i in range(xs.size - 1):
+        for j in range(cols - 1):
+            a, b = i * cols + j, (i + 1) * cols + j
+            faces += [(a, b, b + 1), (a, b + 1, a + 1)]
+    return SurfaceModel.build(verts, np.asarray(faces))
+
+
+SURFACES = {name: (lambda name=name: build_scene(name, res=16).surface) for name in catalog_names()}
+SURFACES["slivers"] = _sliver_mesh
+
+
+def _whole_surface_ratios(s: SurfaceModel, x0, radii) -> tuple:
+    tris = s.face_triangles()
+    reach = face_reach(tris, x0, s.face_areas)
+    return tuple(clip_areas_total(tris, Ball(x0, r), reach) / (math.pi * r * r) for r in radii)
+
+
+class TestDensityReadsOnlyNearbyFaces:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(SURFACES)),
+        face=st.integers(min_value=0, max_value=10**6),
+        weights=st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 3),
+        lift=st.one_of(st.just(0.0), st.floats(min_value=-10.0, max_value=10.0)),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_same_estimate_as_the_whole_surface(self, name, face, weights, lift, seed):
+        # a centre on a face, or lifted off it in a random direction (R^4
+        # for branched_disk) by up to ten edge lengths, which from far enough
+        # out leaves no face in the ball
+        s = SURFACES[name]()
+        corners = s.vertices[s.faces[face % s.n_faces]]
+        w = np.asarray(weights) + 1e-3
+        step = np.random.default_rng(seed).normal(size=s.dim)
+        step *= lift * np.linalg.norm(corners[1] - corners[0]) / np.linalg.norm(step)
+        x0 = as_point(w @ corners / w.sum() + step)
+        try:
+            est = density_estimate(s, x0, mode="extrapolated")
+        except RadiusTooLargeError as err:
+            assume(err.suggested_radius > 0.0)
+            est = density_estimate(s, x0, mode="extrapolated", r1=err.suggested_radius)
+        # (a) the ratios, and so the estimate, of clipping every face
+        whole = _whole_surface_ratios(s, x0, est.radii)
+        assert [r.hex() for r in est.ratios] == [r.hex() for r in whole]
+        design = np.array([[1.0, r * r] for r in est.radii])
+        coef = np.linalg.lstsq(design, np.asarray(whole), rcond=None)[0]
+        assert est.value.hex() == float(coef[0]).hex()
+        # (b) every face left out is one the clip drops at the largest ball
+        r1 = est.radii[0]
+        kept = _faces_meeting_ball(s, x0, _vertex_distances(s, x0), r1)
+        dropped = face_reach(np.delete(s.face_triangles(), kept, axis=0), x0)
+        assert np.all(dropped.near2 > r1 * r1)  # point_triangle_dist2
+        assert np.all(dropped.far2 > r1 * r1)

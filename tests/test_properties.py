@@ -141,10 +141,9 @@ class TestClipOracle:
         n = t.dim
         delta = ORACLE_LEVELS * U * np.linalg.norm(np.abs(t.vertices).max(axis=0))
         per_piece = (3.0 + n * n / 8.0) * U * diam**2 + delta * edges.sum(axis=1) / 2.0
+        reach = face_reach(t.vertices[None], b.center)
         bound = (
-            _clip_rounding_bounds(
-                t.vertices[None], face_reach(t.vertices[None], b.center).near2, [b.radius]
-            )[0]
+            _clip_rounding_bounds(t.vertices[None], reach.near2, reach.far2, [b.radius])[0]
             + 2.0 * stable_sum(per_piece.tolist())
             + U * (oracle + unsure)
         )
