@@ -34,15 +34,12 @@ from .errors import (
 )
 from .geometry import (
     Ball,
-    Triangle,
     as_point,
     stable_sum,
     angle_between,
-    triangle_area,
     triangle_areas,
     subdivide4,
     point_triangle_dist2,
-    clip_area_in_ball,
     clip_areas_total,
     FaceReach,
     face_reach,
@@ -65,15 +62,12 @@ from .curves import (
 from .surfaces import (
     AnalyticPatch,
     ScalarField,
-    VectorField,
     SurfaceModel,
     DensityEstimate,
     nearest_vertex,
     boundary_distance,
     boundary_polyline,
-    area_in_ball,
     density_estimate,
-    density,
     mean_curvature_field,
     lp_norm,
     extrinsic_diameter,
@@ -101,6 +95,7 @@ from .certificates import (
     DeltaSolution,
     Hypothesis,
     Certificate,
+    certificate_status,
     delta_for_epsilon,
     density_estimate_certificate,
     embeddedness_certificate,
@@ -133,15 +128,12 @@ __all__ = [
     "InfeasibleError",
     "MeshParseError",
     "Ball",
-    "Triangle",
     "as_point",
     "stable_sum",
     "angle_between",
-    "triangle_area",
     "triangle_areas",
     "subdivide4",
     "point_triangle_dist2",
-    "clip_area_in_ball",
     "clip_areas_total",
     "FaceReach",
     "face_reach",
@@ -160,15 +152,12 @@ __all__ = [
     "best_fit_plane_deviation",
     "AnalyticPatch",
     "ScalarField",
-    "VectorField",
     "SurfaceModel",
     "DensityEstimate",
     "nearest_vertex",
     "boundary_distance",
     "boundary_polyline",
-    "area_in_ball",
     "density_estimate",
-    "density",
     "mean_curvature_field",
     "lp_norm",
     "extrinsic_diameter",
@@ -193,6 +182,7 @@ __all__ = [
     "DeltaSolution",
     "Hypothesis",
     "Certificate",
+    "certificate_status",
     "delta_for_epsilon",
     "curvature_prefactor",
     "density_estimate_certificate",

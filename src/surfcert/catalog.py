@@ -314,8 +314,9 @@ def _build_graph_disk(res: int, seed: int) -> Scene:
     return _scene("graph_disk", {"res": res, "seed": int(seed)}, center, surface)
 
 
-def _build_torus_minus_disk(res: int, R0: float = 2.0, r_tube: float = 0.7) -> Scene:
+def _build_torus_minus_disk(res: int) -> Scene:
     """Mesh-only torus with a rectangular block of cells removed (b=1, g=1)."""
+    R0, r_tube = 2.0, 0.7  # from the axis to the tube's centre; the tube's radius
     n = max(16, int(res))
     angle = 2.0 * math.pi * np.arange(n) / n
     w = R0 + r_tube * np.cos(angle)  # distance from the axis at tube angle j

@@ -44,8 +44,8 @@ __all__ = [
     "DeltaSolution",
     "Hypothesis",
     "Certificate",
+    "certificate_status",
     "delta_for_epsilon",
-    "curvature_prefactor",
     "density_estimate_certificate",
     "embeddedness_certificate",
     "corner_density_certificate",
@@ -100,6 +100,15 @@ class Hypothesis:
         }
 
 
+def certificate_status(hypotheses_ok, satisfied) -> str:
+    """A certificate's status from its hypotheses' truth values and its
+    conclusion's: "not-applicable" if any hypothesis fails, else
+    "satisfied" or "violated" as the conclusion holds or fails."""
+    if not all(hypotheses_ok):
+        return "not-applicable"
+    return "satisfied" if satisfied else "violated"
+
+
 @dataclass(frozen=True)
 class Certificate:
     theorem_id: str
@@ -110,14 +119,9 @@ class Certificate:
     status: str = field(init=False)
 
     def __post_init__(self):
-        hyps_ok = all(h.ok for h in self.hypotheses)
-        concl_ok = bool(self.conclusion.get("satisfied", False))
-        if not hyps_ok:
-            status = "not-applicable"
-        elif concl_ok:
-            status = "satisfied"
-        else:
-            status = "violated"
+        status = certificate_status(
+            (h.ok for h in self.hypotheses), self.conclusion.get("satisfied", False)
+        )
         object.__setattr__(self, "status", status)
 
     def to_dict(self) -> dict:

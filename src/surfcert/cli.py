@@ -186,7 +186,6 @@ def _cmd_analyze_curve(args) -> int:
 
 def _cmd_analyze_surface(args) -> int:
     s, curves, scene = _load_scene(args)
-    scalar, _vec = mean_curvature_field(s)
     payload = {
         "vertices": s.n_vertices,
         "faces": s.n_faces,
@@ -197,7 +196,7 @@ def _cmd_analyze_surface(args) -> int:
         "area": s.total_area,
         "extrinsic_diameter": extrinsic_diameter(s),
         "tc": sum(total_curvature(c) for c in curves),
-        "mean_curvature_sup": lp_norm(scalar, s, math.inf),
+        "mean_curvature_sup": lp_norm(mean_curvature_field(s), s, math.inf),
         "curvature_source": "analytic" if s.patch is not None else "discrete",
     }
     if s.patch is not None:

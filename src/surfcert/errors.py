@@ -4,6 +4,17 @@ All toolkit errors derive from GeometryError so callers (and the CLI) can
 distinguish domain failures from programming bugs.
 """
 
+__all__ = [
+    "GeometryError",
+    "InvalidParameterError",
+    "ProjectionSingularError",
+    "RadiusTooLargeError",
+    "InputInconsistentError",
+    "UnsupportedOperationError",
+    "InfeasibleError",
+    "MeshParseError",
+]
+
 
 class GeometryError(Exception):
     """Base class for all toolkit errors."""

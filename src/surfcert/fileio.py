@@ -16,6 +16,7 @@ from itertools import chain
 
 import numpy as np
 
+from .certificates import certificate_status
 from .curves import CornerFlag, PolylineCurve
 from .errors import (
     InputInconsistentError,
@@ -450,6 +451,10 @@ def validate_report(doc: dict) -> None:
             validate_report(item)
     if kind == "certificate":
         _validate_certificate(payload)
+    if kind == "genus":
+        if not isinstance(payload.get("certificate"), dict):
+            raise InputInconsistentError("genus payload needs a 'certificate' object")
+        _validate_certificate(payload["certificate"])
     if kind == "monotonicity":
         for key in ("radii", "m", "weighted_m"):
             if not isinstance(payload.get(key), list):
@@ -460,8 +465,6 @@ def _validate_certificate(payload: dict) -> None:
     for key in ("theorem", "status", "hypotheses", "conclusion", "citations", "inputs_digest"):
         if key not in payload:
             raise InputInconsistentError(f"certificate payload is missing {key!r}")
-    if payload["status"] not in ("satisfied", "violated", "not-applicable"):
-        raise InputInconsistentError(f"bad certificate status {payload['status']!r}")
     if not isinstance(payload["hypotheses"], list):
         raise InputInconsistentError("certificate hypotheses must be a list")
     for h in payload["hypotheses"]:
@@ -469,9 +472,11 @@ def _validate_certificate(payload: dict) -> None:
             raise InputInconsistentError(f"bad hypothesis entry {h!r}")
     if not isinstance(payload["conclusion"], dict) or "satisfied" not in payload["conclusion"]:
         raise InputInconsistentError("certificate conclusion needs a 'satisfied' flag")
-    ok_hyps = all(h["ok"] for h in payload["hypotheses"])
-    if payload["conclusion"]["satisfied"] and payload["status"] == "satisfied" and not ok_hyps:
-        raise InputInconsistentError("satisfied certificate with a failed hypothesis")
+    status = certificate_status(
+        (h["ok"] for h in payload["hypotheses"]), payload["conclusion"]["satisfied"]
+    )
+    if payload["status"] != status:
+        raise InputInconsistentError(f"certificate status {payload['status']!r}, not {status!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +506,14 @@ def _svg_path(xs, ys) -> str:
     return " ".join(f"{'M' if i == 0 else 'L'}{x:.2f},{y:.2f}" for i, (x, y) in enumerate(zip(xs, ys)))
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list:
+def _ticks(lo: float, hi: float) -> list:
+    """Five evenly spaced axis ticks from lo to hi."""
     if not (hi > lo):
         hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return [float(t) for t in raw]
+    return [float(t) for t in np.linspace(lo, hi, 5)]
 
 
-def profile_svg_text(profile, title: str = "area ratio profile") -> str:
+def profile_svg_text(profile) -> str:
     """Standalone SVG plot of m(r) and the weighted profile."""
     W, H = 640, 420
     ml, mr, mt, mb = 70, 20, 40, 50
@@ -535,7 +540,7 @@ def profile_svg_text(profile, title: str = "area ratio profile") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
         f'viewBox="0 0 {W} {H}" font-family="sans-serif" font-size="12">',
         f'<rect width="{W}" height="{H}" fill="white"/>',
-        f'<text x="{W / 2:.0f}" y="22" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{W / 2:.0f}" y="22" text-anchor="middle" font-size="15">area ratio profile</text>',
         # axes
         f'<line x1="{ml}" y1="{H - mb}" x2="{W - mr}" y2="{H - mb}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{H - mb}" stroke="black"/>',

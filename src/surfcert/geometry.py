@@ -1,4 +1,4 @@
-"""Dimension-agnostic primitives: points, balls, triangles, sphere clipping.
+"""Dimension-agnostic primitives: points, balls, triangle stacks, sphere clipping.
 
 Everything here works in ambient dimension n >= 3. A point is a 1-D float64
 array; batches of triangles are (K, 3, n) arrays. Accumulations that feed
@@ -8,7 +8,7 @@ bit-stable across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +17,10 @@ from .errors import InputInconsistentError, InvalidParameterError
 __all__ = [
     "PointN",
     "Ball",
-    "Triangle",
     "as_point",
     "angle_between",
     "stable_sum",
-    "triangle_area",
     "triangle_areas",
-    "clip_area_in_ball",
     "clip_areas",
     "clip_areas_total",
     "FaceReach",
@@ -110,40 +107,6 @@ class Ball:
         return self.center.size
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Triangle in R^n; its vertex order is its orientation.
-
-    Degenerate (collinear) triangles are legal; they are flagged and measure
-    zero rather than raising.
-    """
-
-    vertices: np.ndarray  # (3, n)
-
-    def __post_init__(self):
-        v = np.array(self.vertices, dtype=np.float64)
-        if v.shape[0] != 3 or v.ndim != 2:
-            raise InvalidParameterError(f"triangle needs 3 vertices, got shape {v.shape}")
-        if v.shape[1] < 3:
-            raise InvalidParameterError("triangle vertices need n >= 3 coordinates")
-        if not np.all(np.isfinite(v)):
-            raise InvalidParameterError("triangle vertices must be finite")
-        v.flags.writeable = False
-        object.__setattr__(self, "vertices", v)
-
-    @property
-    def dim(self) -> int:
-        return self.vertices.shape[1]
-
-    @property
-    def area(self) -> float:
-        return triangle_area(self)
-
-    @property
-    def degenerate(self) -> bool:
-        return triangle_area(self) == 0.0
-
-
 def triangle_areas(verts: np.ndarray) -> np.ndarray:
     """Areas of a (K, 3, n) stack: half the norm of the wedge product e1∧e2.
 
@@ -188,15 +151,6 @@ def _sq_diameters(verts: np.ndarray) -> np.ndarray:
     d12 = ((verts[:, 2] - verts[:, 1]) ** 2).sum(-1)
     d20 = ((verts[:, 0] - verts[:, 2]) ** 2).sum(-1)
     return np.maximum(np.maximum(d01, d12), d20)
-
-
-def triangle_area(t: Triangle) -> float:
-    """Area of one triangle; collapses to 0.0 below the degeneracy floor."""
-    verts = t.vertices[None, :, :]
-    a = float(triangle_areas(verts)[0])
-    if a < DEGENERATE_REL_TOL * float(_sq_diameters(verts)[0]):
-        return 0.0
-    return a
 
 
 def _point_segment_dist2(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -458,16 +412,6 @@ def clip_areas_total(verts: np.ndarray, ball: Ball, reach: FaceReach | None = No
     return stable_sum(reach.areas[inside].tolist() + part.tolist())
 
 
-def clip_area_in_ball(t: Triangle, b: Ball) -> float:
-    """Exact area of triangle ∩ ball, within [0, area(t)].
-
-    Degenerate triangles measure zero.
-    """
-    if t.dim != b.dim:
-        raise InputInconsistentError(f"triangle dim {t.dim} != ball dim {b.dim}")
-    return clip_areas_total(t.vertices[None, :, :], b)
-
-
 def _match_vertex(tri: np.ndarray, p: np.ndarray, tol: float) -> int | None:
     d = np.linalg.norm(tri - p[None, :], axis=1)
     i = int(np.argmin(d))
@@ -477,7 +421,8 @@ def _match_vertex(tri: np.ndarray, p: np.ndarray, tol: float) -> int | None:
 def vertex_total_angle(star, apex: PointN | None = None) -> float:
     """Sum of the apex angles of a triangle star around its shared vertex.
 
-    The apex is inferred as the vertex common to every triangle of the star.
+    `star` is a sequence of (3, n) vertex arrays, or a (K, 3, n) stack. The
+    apex is inferred as the vertex common to every triangle of the star.
     Two-triangle stars can share a whole edge, which makes the common vertex
     ambiguous; pass ``apex`` explicitly in that case.
 
@@ -485,7 +430,7 @@ def vertex_total_angle(star, apex: PointN | None = None) -> float:
     of the surface at the vertex (2*pi at a flat interior vertex, pi along a
     straight boundary, 2*pi*k at a k-fold covering vertex).
     """
-    tris = [t.vertices if isinstance(t, Triangle) else np.asarray(t, dtype=np.float64) for t in star]
+    tris = [np.asarray(t, dtype=np.float64) for t in star]
     if len(tris) == 0:
         raise InvalidParameterError("empty star")
     dims = {t.shape[1] for t in tris}

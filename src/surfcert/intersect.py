@@ -26,21 +26,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import _segment_pair_dist2
-from .errors import InvalidParameterError
 from .geometry import point_triangle_dist2
 from .surfaces import SurfaceModel
 
-__all__ = ["IntersectionReport", "self_intersections"]
+__all__ = ["IntersectionReport", "triangle_pair_dist2", "self_intersections", "SWEEP_REL_TOL"]
 
 # candidate interior solves are ridge-regularized by this times the Gram trace
 _RIDGE = 1e-12
+# the sweep's contact tolerance, relative to the surface's scale; never 0, since
+# the computed distance of two faces that really cross can round above 0
+SWEEP_REL_TOL = 1e-9
+# the report lists at most this many offending pairs; it counts them all
+_MAX_REPORTS = 32
 
 
 @dataclass(frozen=True)
 class IntersectionReport:
     """Outcome of a sweep: offending face pairs and the scale of the test."""
 
-    pairs: tuple  # of (face_i, face_j), i < j, at most max_reports entries
+    pairs: tuple  # of (face_i, face_j), i < j, the first _MAX_REPORTS of them
     count: int  # total offending pairs, may exceed len(pairs)
     candidates: int  # broad-phase pairs, before the separating-axis reject
     tolerance: float
@@ -50,8 +54,8 @@ class IntersectionReport:
         return self.count == 0
 
 
-def _bary_feasible(lam0: np.ndarray, lam1: np.ndarray, eps: float = 0.0):
-    return (lam0 >= -eps) & (lam1 >= -eps) & (lam0 + lam1 <= 1.0 + eps)
+def _bary_feasible(lam0: np.ndarray, lam1: np.ndarray):
+    return (lam0 >= 0.0) & (lam1 >= 0.0) & (lam0 + lam1 <= 1.0)
 
 
 def _solve_gram(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -109,12 +113,12 @@ def triangle_pair_dist2(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
         for j in range(3):
             a2, b2 = t2[:, j], t2[:, (j + 1) % 3]
             best = np.minimum(best, _segment_pair_dist2(a1, b1, a2, b2))
-    # 6 vertex-triangle distances (point_triangle_dist2 is one point vs many
-    # triangles; here each row pairs its own point, so go through the rowwise
-    # helper by treating each vertex against the opposite stack)
+    # 6 vertex-triangle distances: point_triangle_dist2 measures from one
+    # point, so each row's triangle is shifted to put its own vertex there
+    origin = np.zeros(t1.shape[2])
     for i in range(3):
-        best = np.minimum(best, _rowwise_point_tri_dist2(t1[:, i], t2))
-        best = np.minimum(best, _rowwise_point_tri_dist2(t2[:, i], t1))
+        best = np.minimum(best, point_triangle_dist2(t2 - t1[:, i, None], origin))
+        best = np.minimum(best, point_triangle_dist2(t1 - t2[:, i, None], origin))
     # 6 edge-triangle interior candidates
     for i in range(3):
         a1, b1 = t1[:, i], t1[:, (i + 1) % 3]
@@ -124,14 +128,6 @@ def triangle_pair_dist2(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     # interior-interior candidate
     best = np.minimum(best, _interior_tri_tri(t1, t2))
     return best
-
-
-def _rowwise_point_tri_dist2(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
-    """Squared distance from p[k] to tri[k]; thin wrapper over the stack form."""
-    # point_triangle_dist2 broadcasts one point over a stack; the rowwise case
-    # is served by shifting each triangle so its own point sits at the origin
-    shifted = tri - p[:, None, :]
-    return point_triangle_dist2(shifted, np.zeros(tri.shape[2]))
 
 
 def _candidate_pairs(surface: SurfaceModel, margin: float) -> np.ndarray:
@@ -264,31 +260,22 @@ def _separated(t1: np.ndarray, t2: np.ndarray, tol: float) -> np.ndarray:
     return (gap > tol + slack).any(axis=0)
 
 
-def self_intersections(
-    surface: SurfaceModel,
-    tol: float | None = None,
-    max_reports: int = 32,
-) -> IntersectionReport:
+def self_intersections(surface: SurfaceModel) -> IntersectionReport:
     """Sweep all non-adjacent face pairs for contact within tol.
 
-    tol defaults to 1e-9 times the surface's bounding-box diagonal. The
-    candidates are exactly the pairs sharing no vertex whose bounding boxes,
-    inflated by tol, overlap (`_candidate_pairs`); a pair within tol has such
-    boxes, so no pair within tol is missed except those sharing a vertex.
-    The separating-axis reject (`_separated`) then drops every candidate that
-    is farther apart than tol in exact arithmetic, by a margin above the
-    rounding slack derived there, and only the rest go to the exact distance
-    `triangle_pair_dist2`. Every candidate at computed distance <= tol is
-    reported, in lexicographic order; `candidates` counts the broad-phase
-    pairs, before the reject. A tol that is negative, NaN or infinite, or a
-    negative max_reports, raises InvalidParameterError.
+    tol is SWEEP_REL_TOL times the surface's bounding-box diagonal, and the
+    report carries it as `tolerance`. The candidates are exactly the pairs
+    sharing no vertex whose bounding boxes, inflated by tol, overlap
+    (`_candidate_pairs`); a pair within tol has such boxes, so no pair within
+    tol is missed except those sharing a vertex. The separating-axis reject
+    (`_separated`) then drops every candidate that is farther apart than tol
+    in exact arithmetic, by a margin above the rounding slack derived there,
+    and only the rest go to the exact distance `triangle_pair_dist2`. Every
+    candidate at computed distance <= tol counts; the first _MAX_REPORTS of
+    them, in lexicographic order, are listed. `candidates` counts the
+    broad-phase pairs, before the reject.
     """
-    if tol is None:
-        tol = 1e-9 * max(surface.scale, 1e-30)
-    if not (tol >= 0.0 and math.isfinite(tol)):
-        raise InvalidParameterError(f"tol must be finite and >= 0, got {tol!r}")
-    if max_reports < 0:
-        raise InvalidParameterError(f"max_reports must be >= 0, got {max_reports!r}")
+    tol = SWEEP_REL_TOL * max(surface.scale, 1e-30)
     pairs = _candidate_pairs(surface, margin=tol)
     tris = surface.face_triangles()
     chunk = 16384
@@ -302,7 +289,7 @@ def self_intersections(
             hits.append(block[near][d2 <= tol * tol])
     hits = np.concatenate(hits)
     return IntersectionReport(
-        pairs=tuple(map(tuple, hits[:max_reports].tolist())),
+        pairs=tuple(map(tuple, hits[:_MAX_REPORTS].tolist())),
         count=int(hits.shape[0]),
         candidates=int(pairs.shape[0]),
         tolerance=tol,

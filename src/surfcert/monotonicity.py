@@ -59,8 +59,8 @@ __all__ = [
     "default_radius_grid",
 ]
 
-# quadrature pieces per face = 4**DEFAULT_REFINE
-DEFAULT_REFINE = 1
+# quadrature pieces per face = 4**REFINE; boundary sub-edges per edge = 2**(REFINE + 2)
+REFINE = 1
 
 # degree-5 rule on the reference triangle: barycentric abscissae and weights
 _Q7_A1 = (6.0 - math.sqrt(15.0)) / 21.0
@@ -128,18 +128,6 @@ class MonotonicityProfile:
             for r, m in zip(self.radii, self.m_values)
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "x0": [float(v) for v in self.x0],
-            "radii": list(self.radii),
-            "m": list(self.m_values),
-            "weighted_m": list(self.weighted_m),
-            "alpha": self.alpha,
-            "lambda": self.lam,
-            "r0": self.r0,
-            "tol_disc": self.tol_disc,
-        }
-
 
 @dataclass(frozen=True)
 class PropertyPReport:
@@ -196,8 +184,7 @@ def curvature_prefactor(p: float) -> tuple[float, float]:
 def property_p_constants(s: SurfaceModel, p: float) -> PropertyPConstants:
     """Smallness constants from the surface's mean curvature at exponent p."""
     cp, alpha = curvature_prefactor(p)
-    scalar, _vec = mean_curvature_field(s)
-    hnorm = lp_norm(scalar, s, p)
+    hnorm = lp_norm(mean_curvature_field(s), s, p)
     lam = cp * hnorm
     if math.isinf(p):
         return PropertyPConstants(
@@ -445,7 +432,7 @@ def _clip_rounding_bounds(
 # quadrature pieces over an analytic surface
 
 
-def _analytic_pieces(s: SurfaceModel, refine: int):
+def _analytic_pieces(s: SurfaceModel):
     """Subdivide faces in parameter space and lift through the patch.
 
     Returns (param pieces (K,3,2), coordinate pieces (K,3,n), areas (K,),
@@ -456,7 +443,7 @@ def _analytic_pieces(s: SurfaceModel, refine: int):
             "this operation needs an analytic source; the mesh alone cannot "
             "supply curvature and exact boundary data"
         )
-    pp = subdivide4(s.face_param_triangles(), levels=refine)
+    pp = subdivide4(s.face_param_triangles(), levels=REFINE)
     flat = pp.reshape(-1, 2)
     coords = s.patch.u(flat).reshape(pp.shape[0], 3, -1)
     areas = triangle_areas(coords)
@@ -465,7 +452,7 @@ def _analytic_pieces(s: SurfaceModel, refine: int):
     return pp, coords, areas, ccent, pcent
 
 
-def _boundary_elements(s: SurfaceModel, refine: int):
+def _boundary_elements(s: SurfaceModel):
     """Subdivided boundary sub-edges with midpoints, lengths and outward
     conormals, all from the analytic tangent plane.
 
@@ -474,7 +461,7 @@ def _boundary_elements(s: SurfaceModel, refine: int):
     patch = s.patch
     fp = s.face_param_triangles()
     mids, lens, conos = [], [], []
-    splits = 2 ** (refine + 2)
+    splits = 2 ** (REFINE + 2)
     t0s = np.arange(splits) / splits
     t1s = t0s + 1.0 / splits
     for fi, la in s.boundary_face_corners.tolist():
@@ -529,7 +516,7 @@ def identity_defect(s: SurfaceModel, x0, sigma: float, r: float) -> float:
     if not (0.0 < sigma < r):
         raise InvalidParameterError(f"need 0 < sigma < r, got {sigma}, {r}")
     x0 = as_point(x0, dim=s.dim)
-    pp, coords, areas, ccent, pcent = _analytic_pieces(s, DEFAULT_REFINE)
+    pp, coords, areas, ccent, pcent = _analytic_pieces(s)
     x0a = np.asarray(x0)
 
     # LHS from exact piece-level clipping
@@ -594,7 +581,7 @@ def identity_defect(s: SurfaceModel, x0, sigma: float, r: float) -> float:
     rho_c = np.linalg.norm(ccent - x0a[None, :], axis=1)
     curv_term = _step_moment_integral(rho_c, vmom * areas, sigma, r)
 
-    mids, lens, conos = _boundary_elements(s, DEFAULT_REFINE)
+    mids, lens, conos = _boundary_elements(s)
     bmom = np.einsum("bn,bn->b", mids - x0a[None, :], conos) * lens
     brho = np.linalg.norm(mids - x0a[None, :], axis=1)
     bdry_term = _step_moment_integral(brho, bmom, sigma, r)
@@ -627,11 +614,11 @@ def check_property_p(
         prof = m_profile(s, curves, x0, radii=radii, constants=k)
 
     if s.patch is not None and s.params is not None:
-        _pp, coords, areas, _cc, pcent = _analytic_pieces(s, DEFAULT_REFINE)
+        _pp, coords, areas, _cc, pcent = _analytic_pieces(s)
         curv = s.patch.curvature_at(pcent)
         hmag = np.where(curv["unreliable"], 0.0, curv["mean_curvature_norm"])
     else:
-        scalar, _ = mean_curvature_field(s)
+        scalar = mean_curvature_field(s)
         vals = np.where(scalar.unreliable, 0.0, scalar.values)
         coords, areas = s.face_triangles(), s.face_areas
         hmag = vals[s.faces].mean(axis=1)

@@ -34,7 +34,7 @@ from .monotonicity import (
     m_profile,
     property_p_constants,
 )
-from .surfaces import boundary_polyline, density, extrinsic_diameter, genus
+from .surfaces import boundary_polyline, density_estimate, extrinsic_diameter, genus
 
 __all__ = ["CheckResult", "run_checks", "random_simple_polygon"]
 
@@ -83,13 +83,13 @@ def _default_profile(name: str, params: dict | None = None, res: int = 64):
 # seeded polygon generator (criteria 2 and 3)
 
 
-def random_simple_polygon(rng: np.random.Generator, k_max: int = 40) -> PolylineCurve:
-    """Star-shaped polygon around the z axis with vertical noise.
+def random_simple_polygon(rng: np.random.Generator) -> PolylineCurve:
+    """Star-shaped polygon of 5 to 40 vertices around the z axis, with vertical noise.
 
     Sorted distinct polar angles make the xy projection simple, hence the
     space curve as well; the z jitter takes it off any plane.
     """
-    k = int(rng.integers(5, k_max + 1))
+    k = int(rng.integers(5, 41))
     for _ in range(64):
         ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, k))
         gaps = np.diff(ang, append=ang[0] + 2.0 * math.pi)
@@ -392,7 +392,7 @@ def _check_scale_invariance():
             [
                 k.lam * extrinsic_diameter(cap.surface) ** k.alpha,
                 total_curvature(cap.boundary),
-                density(cap.surface, cap.default_x0),
+                density_estimate(cap.surface, cap.default_x0).value,
                 corner.conclusion["measured"],
             ]
         )

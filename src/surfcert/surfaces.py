@@ -36,10 +36,7 @@ __all__ = [
     "SurfaceModel",
     "AnalyticPatch",
     "ScalarField",
-    "VectorField",
     "DensityEstimate",
-    "area_in_ball",
-    "density",
     "density_estimate",
     "mean_curvature_field",
     "lp_norm",
@@ -169,34 +166,10 @@ class AnalyticPatch:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Per-vertex scalar samples with provenance and reliability flags."""
+    """Per-vertex scalar samples with reliability flags."""
 
     values: np.ndarray
-    provenance: str  # "analytic" or "discrete"
     unreliable: np.ndarray
-
-    def reliable_max(self) -> float:
-        good = self.values[~self.unreliable]
-        if good.size == 0:
-            raise InputInconsistentError("field has no reliable samples")
-        return float(np.abs(good).max())
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Per-vertex vector samples with provenance and reliability flags."""
-
-    values: np.ndarray
-    provenance: str
-    unreliable: np.ndarray
-
-    @cached_property
-    def norm(self) -> ScalarField:
-        values = np.linalg.norm(self.values, axis=1)
-        values.flags.writeable = False
-        return ScalarField(
-            values=values, provenance=self.provenance, unreliable=self.unreliable
-        )
 
 
 @dataclass(frozen=True)
@@ -204,10 +177,11 @@ class SurfaceModel:
     """Consistently oriented manifold triangle mesh, possibly with boundary.
 
     `build` validates the mesh and computes its areas and topology; the
-    quantities derived from them (`scale`, `diameter`, `mean_curvature`,
-    `angle_sums`, `face_spans`, `vertex_faces`) are computed on first access
-    and cached. `vertices` and `faces` are read-only, so a cached value
-    cannot go stale, and cached arrays are read-only too.
+    quantities derived from them (`scale`, `diameter`, `mean_curvature` (the
+    per-vertex |H| field), `angle_sums`, `face_spans`, `vertex_faces`) are
+    computed on first access and cached. `vertices` and `faces` are
+    read-only, so a cached value cannot go stale, and cached arrays are
+    read-only too.
 
     boundary_face_corners is a (B, 2) array over the boundary edges, loop by
     loop: for the edge loop[e] -> loop[e + 1], its face and the corner c of
@@ -221,7 +195,6 @@ class SurfaceModel:
     boundary_loops: tuple = ()
     boundary_face_corners: np.ndarray = field(repr=False, default=None)
     boundary_vertex_mask: np.ndarray = field(repr=False, default=None)
-    degenerate_face_count: int = 0
     edge_count: int = 0
     patch: AnalyticPatch | None = None
     params: np.ndarray | None = None
@@ -283,8 +256,6 @@ class SurfaceModel:
         corners = np.stack([ids % f.shape[0], ids // f.shape[0]], axis=1)
 
         areas = triangle_areas(v[f])
-        sq_ext = float(((v.max(0) - v.min(0)) ** 2).sum())
-        degenerate = int((areas <= 1e-14 * max(sq_ext, 1e-300)).sum())
         pva = np.zeros(nv)
         np.add.at(pva, f[:, 0], areas / 3.0)
         np.add.at(pva, f[:, 1], areas / 3.0)
@@ -325,7 +296,6 @@ class SurfaceModel:
             boundary_loops=loops,
             boundary_face_corners=corners,
             boundary_vertex_mask=bmask,
-            degenerate_face_count=degenerate,
             edge_count=int(edge_count),
             patch=patch,
             params=params,
@@ -487,8 +457,8 @@ class SurfaceModel:
         return start, ids
 
     @cached_property
-    def mean_curvature(self) -> VectorField:
-        """Per-vertex mean curvature vector, analytic when a patch is present.
+    def mean_curvature(self) -> ScalarField:
+        """Per-vertex |H|, the mean curvature's norm, analytic when a patch is present.
 
         The discrete fallback is the cotangent formula with barycentric vertex
         areas; boundary vertices and vertices touching degenerate faces carry
@@ -497,7 +467,6 @@ class SurfaceModel:
         if self.patch is not None:
             out = self.patch.curvature_at(self.params)
             hvec, unreliable = out["mean_curvature_vec"], out["unreliable"]
-            provenance = "analytic"
         else:
             v, f = self.vertices, self.faces
             acc = np.zeros_like(v)
@@ -525,10 +494,10 @@ class SurfaceModel:
             safe = np.where(tiny, 1.0, area)
             unreliable = self.boundary_vertex_mask | tiny | degen_vertex
             hvec = np.where(unreliable[:, None], 0.0, -acc / safe[:, None])
-            provenance = "discrete"
-        hvec.flags.writeable = False
+        values = np.linalg.norm(hvec, axis=1)
+        values.flags.writeable = False
         unreliable.flags.writeable = False
-        return VectorField(values=hvec, provenance=provenance, unreliable=unreliable)
+        return ScalarField(values=values, unreliable=unreliable)
 
 
 def _vertex_distances(surface: SurfaceModel, x0: PointN) -> np.ndarray:
@@ -569,12 +538,6 @@ def boundary_polyline(surface: SurfaceModel, loop_index: int = 0, corner_flags=N
         )
     lp = surface.boundary_loops[loop_index]
     return PolylineCurve(surface.vertices[lp], closed=True, corner_flags=corner_flags)
-
-
-def area_in_ball(surface: SurfaceModel, x0: PointN, r: float) -> float:
-    """Area of the surface inside the ball of radius r around x0."""
-    ball = Ball(as_point(x0, dim=surface.dim), r)
-    return clip_areas_total(surface.face_triangles(), ball)
 
 
 @dataclass(frozen=True)
@@ -727,43 +690,30 @@ def density_estimate(
     )
 
 
-def density(
-    surface: SurfaceModel,
-    x0: PointN,
-    mode: str = "auto",
-    r1: float | None = None,
-) -> float:
-    """Area density of the surface at x0 (see density_estimate for details)."""
-    return density_estimate(surface, x0, mode=mode, r1=r1).value
-
-
-def mean_curvature_field(surface: SurfaceModel) -> tuple[ScalarField, VectorField]:
-    """Per-vertex |H| and mean curvature vector (trace convention: a sphere
-    of radius R has |H| = 2/R); see SurfaceModel.mean_curvature.
+def mean_curvature_field(surface: SurfaceModel) -> ScalarField:
+    """Per-vertex |H| (trace convention: a sphere of radius R has |H| = 2/R);
+    see SurfaceModel.mean_curvature.
     """
-    vec = surface.mean_curvature
-    return vec.norm, vec
+    return surface.mean_curvature
 
 
 def lp_norm(field: ScalarField, surface: SurfaceModel, p: float) -> float:
     """L^p norm of a per-vertex field over the surface area measure.
 
-    p must exceed 2 (or be math.inf). Unreliable samples are excluded; their
-    vertex area is dropped from the integral, which is documented behavior,
-    not a bug: reliable samples only.
+    p must exceed 2 or be math.inf. Unreliable samples are left out of the
+    integral, and so is their vertex area.
     """
     if field.values.shape[0] != surface.n_vertices:
         raise InvalidParameterError("field and surface vertex counts differ")
-    if p == math.inf:
-        return field.reliable_max()
-    if not (p > 2):
+    if not (p == math.inf or p > 2):
         raise InvalidParameterError("lp_norm needs p > 2 or p = inf")
     good = ~field.unreliable
     if not good.any():
         raise InputInconsistentError("field has no reliable samples")
-    vals = np.abs(field.values[good]) ** p
-    weights = surface.per_vertex_area[good]
-    return float(np.dot(vals, weights) ** (1.0 / p))
+    vals = np.abs(field.values[good])
+    if p == math.inf:
+        return float(vals.max())
+    return float(np.dot(vals**p, surface.per_vertex_area[good]) ** (1.0 / p))
 
 
 def extrinsic_diameter(surface: SurfaceModel) -> float:

@@ -15,7 +15,7 @@ from surfcert import (
     build_scene,
     catalog_entry,
     catalog_names,
-    density,
+    density_estimate,
     genus,
     scaled_scene,
 )
@@ -210,7 +210,7 @@ class TestBranchedDisk:
         scene = build_scene("branched_disk", res=48)
         assert scene.surface.dim == 4  # two sheets separated in the 4th axis
         m = scene.parameters["m"]
-        got = density(scene.surface, np.zeros(4))
+        got = density_estimate(scene.surface, np.zeros(4)).value
         assert got == pytest.approx(float(m), abs=0.02)
 
 

@@ -120,7 +120,7 @@ class TestPrefactor:
         s = build_scene("graph_disk", res=16).surface
         c, alpha = curvature_prefactor(p)
         k = property_p_constants(s, p)
-        assert k.lam == c * lp_norm(mean_curvature_field(s)[0], s, p)
+        assert k.lam == c * lp_norm(mean_curvature_field(s), s, p)
         assert k.alpha == alpha
 
 

@@ -15,14 +15,12 @@ from surfcert import (
     Ball,
     InputInconsistentError,
     InvalidParameterError,
-    Triangle,
     angle_between,
-    clip_area_in_ball,
     clip_areas_total,
+    face_reach,
     point_triangle_dist2,
     stable_sum,
     subdivide4,
-    triangle_area,
     triangle_areas,
     vertex_total_angle,
 )
@@ -32,11 +30,23 @@ from surfcert.geometry import DEGENERATE_REL_TOL, _edge_fan_areas
 REL = 1e-12
 
 
-def tri(*pts) -> Triangle:
-    return Triangle(np.array(pts, dtype=float))
+def tri(*pts) -> np.ndarray:
+    """One triangle as a (3, n) array."""
+    return np.array(pts, dtype=float)
 
 
-def big_triangle(side: float = 40.0) -> Triangle:
+def clip(t: np.ndarray, ball: Ball) -> float:
+    """Area of one triangle inside a ball: the clip of a one-face stack."""
+    return clip_areas_total(t[None], ball)
+
+
+def live_area(t: np.ndarray) -> float:
+    """Area of one triangle, 0.0 when `face_reach` counts it degenerate."""
+    reach = face_reach(t[None], t[0])
+    return float(reach.areas[0]) if reach.live[0] else 0.0
+
+
+def big_triangle(side: float = 40.0) -> np.ndarray:
     # equilateral, centroid at the origin, in the z = 0 plane
     h = side * math.sqrt(3.0) / 2.0
     return tri(
@@ -49,17 +59,17 @@ def big_triangle(side: float = 40.0) -> Triangle:
 class TestClipClosedForms:
     def test_triangle_fully_inside(self):
         t = tri((0, 0, 0), (1, 0, 0), (0, 1, 0))
-        got = clip_area_in_ball(t, Ball((0.2, 0.2, 0.0), 100.0))
+        got = clip(t, Ball((0.2, 0.2, 0.0), 100.0))
         assert got == pytest.approx(0.5, rel=1e-12)
 
     def test_triangle_fully_outside(self):
         t = tri((10, 0, 0), (11, 0, 0), (10, 1, 0))
-        assert clip_area_in_ball(t, Ball((0, 0, 0), 1.0)) == 0.0
+        assert clip(t, Ball((0, 0, 0), 1.0)) == 0.0
 
     def test_small_ball_in_triangle_interior_is_a_disk(self):
         t = big_triangle()
         r = 1.5
-        got = clip_area_in_ball(t, Ball((0.0, 0.0, 0.0), r))
+        got = clip(t, Ball((0.0, 0.0, 0.0), r))
         assert got == pytest.approx(math.pi * r * r, rel=REL)
 
     def test_ball_on_edge_midpoint_is_a_half_disk(self):
@@ -69,13 +79,13 @@ class TestClipClosedForms:
         # midpoint of the bottom edge, well away from both endpoints
         center = (0.0, -h / 3.0, 0.0)
         r = 2.0
-        got = clip_area_in_ball(t, Ball(center, r))
+        got = clip(t, Ball(center, r))
         assert got == pytest.approx(math.pi * r * r / 2.0, rel=REL)
 
     def test_ball_at_right_angle_corner_is_a_quarter_disk(self):
         t = tri((0, 0, 0), (30, 0, 0), (0, 30, 0))
         r = 1.0
-        got = clip_area_in_ball(t, Ball((0.0, 0.0, 0.0), r))
+        got = clip(t, Ball((0.0, 0.0, 0.0), r))
         assert got == pytest.approx(math.pi * r * r / 4.0, rel=REL)
 
     def test_offset_plane_clips_to_smaller_disk(self):
@@ -83,7 +93,7 @@ class TestClipClosedForms:
         # sqrt(r^2 - d^2)
         t = big_triangle()
         r, d = 2.0, 1.2
-        got = clip_area_in_ball(t, Ball((0.0, 0.0, d), r))
+        got = clip(t, Ball((0.0, 0.0, d), r))
         expect = math.pi * (r * r - d * d)
         assert got == pytest.approx(expect, rel=REL)
 
@@ -91,40 +101,32 @@ class TestClipClosedForms:
         t = tri((0, 0, 0), (3, 0, 0), (0, 2, 0))
         prev = 0.0
         for r in (0.2, 0.5, 1.0, 1.8, 2.6, 10.0):
-            cur = clip_area_in_ball(t, Ball((0.5, 0.4, 0.0), r))
-            assert cur >= prev - REL * triangle_area(t)
+            cur = clip(t, Ball((0.5, 0.4, 0.0), r))
+            assert cur >= prev - REL * live_area(t)
             prev = cur
-        assert prev == pytest.approx(triangle_area(t), rel=1e-12)
+        assert prev == pytest.approx(live_area(t), rel=1e-12)
 
     def test_result_bounded_by_triangle_area(self):
         t = tri((0, 0, 0), (2, 0, 0), (0, 2, 0))
-        a = triangle_area(t)
+        a = live_area(t)
         for r in (0.1, 0.7, 1.3, 5.0):
-            got = clip_area_in_ball(t, Ball((0.3, 0.3, 0.0), r))
+            got = clip(t, Ball((0.3, 0.3, 0.0), r))
             assert 0.0 <= got <= a + 1e-15
 
     def test_degenerate_triangle_measures_zero(self):
         t = tri((0, 0, 0), (1, 1, 1), (2, 2, 2))
-        assert triangle_area(t) == 0.0
-        assert clip_area_in_ball(t, Ball((0, 0, 0), 5.0)) == 0.0
+        assert live_area(t) == 0.0
+        assert clip(t, Ball((0, 0, 0), 5.0)) == 0.0
 
     def test_dimension_mismatch_rejected(self):
         t = tri((0, 0, 0), (1, 0, 0), (0, 1, 0))
         with pytest.raises(InputInconsistentError):
-            clip_area_in_ball(t, Ball((0.0, 0.0, 0.0, 0.0), 1.0))
+            clip(t, Ball((0.0, 0.0, 0.0, 0.0), 1.0))
 
     def test_four_dimensional_clip(self):
         # same in-plane disk geometry, embedded in R^4
-        t = Triangle(
-            np.array(
-                [
-                    [-20.0, -11.547, 0.0, 3.0],
-                    [20.0, -11.547, 0.0, 3.0],
-                    [0.0, 23.094, 0.0, 3.0],
-                ]
-            )
-        )
-        got = clip_area_in_ball(t, Ball((0.0, 0.0, 0.0, 3.0), 1.5))
+        t = tri((-20.0, -11.547, 0.0, 3.0), (20.0, -11.547, 0.0, 3.0), (0.0, 23.094, 0.0, 3.0))
+        got = clip(t, Ball((0.0, 0.0, 0.0, 3.0), 1.5))
         assert got == pytest.approx(math.pi * 1.5**2, rel=REL)
 
     def test_stack_total_matches_sum_of_singles(self):
@@ -132,20 +134,16 @@ class TestClipClosedForms:
         stack = rng.normal(size=(12, 3, 3))
         b = Ball((0.1, -0.2, 0.05), 1.1)
         total = clip_areas_total(stack, b)
-        singles = sum(clip_area_in_ball(Triangle(v), b) for v in stack)
+        singles = sum(clip(v, b) for v in stack)
         assert total == pytest.approx(singles, abs=1e-12)
 
     def test_offset_ball_in_r4_cuts_a_disk_of_radius_rho(self):
         # large triangle in the plane x3 = 1, x4 = 0 of R^4; the centre sits
         # off that plane by h in both normal directions
-        t = Triangle(
-            np.array(
-                [[-50.0, -30.0, 1.0, 0.0], [50.0, -30.0, 1.0, 0.0], [0.0, 60.0, 1.0, 0.0]]
-            )
-        )
+        t = tri((-50.0, -30.0, 1.0, 0.0), (50.0, -30.0, 1.0, 0.0), (0.0, 60.0, 1.0, 0.0))
         r, c3, c4 = 3.0, 0.4, -1.1
         h2 = (1.0 - c3) ** 2 + c4**2
-        got = clip_area_in_ball(t, Ball((0.7, 2.0, c3, c4), r))
+        got = clip(t, Ball((0.7, 2.0, c3, c4), r))
         assert got == pytest.approx(math.pi * (r * r - h2), rel=REL)
 
     @pytest.mark.parametrize("corner", [0.0, -0.0])
@@ -157,7 +155,7 @@ class TestClipClosedForms:
         # and atan2(0, -0.0) = pi would add a spurious half disk
         t = tri((corner, corner, corner), (40.0, 0.0, 0.0), (32.0, 12.0, 0.0))
         r = 1.0
-        got = clip_area_in_ball(t, Ball((center, center, center + h), r))
+        got = clip(t, Ball((center, center, center + h), r))
         rho2 = r * r - h * h
         assert got == pytest.approx(0.5 * rho2 * math.atan2(12.0, 32.0), rel=REL)
 
@@ -166,10 +164,10 @@ class TestClipClosedForms:
         # from (4, 0, 0) to (-4, 0, 0): a half disk, never a full one
         t = tri((4.0, -0.0, -0.0), (-4.0, 0.0, 0.0), (0.0, -6.0, -0.0))
         for center in [(-0.0, -0.0, -0.0), (0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)]:
-            got = clip_area_in_ball(t, Ball(center, 1.5))
+            got = clip(t, Ball(center, 1.5))
             assert got == pytest.approx(0.5 * math.pi * 1.5**2, rel=REL)
         # centred on the edge's end vertex: a sector of that corner's angle
-        got = clip_area_in_ball(t, Ball((-4.0, -0.0, 0.0), 1.0))
+        got = clip(t, Ball((-4.0, -0.0, 0.0), 1.0))
         assert got == pytest.approx(0.5 * math.atan2(6.0, 4.0), rel=REL)
 
     def test_edge_term_ignores_signed_zeros(self):
@@ -195,10 +193,10 @@ class TestClipClosedForms:
         pts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, eps, 0.0)]
         for shift in range(3):
             t = tri(*(pts[shift:] + pts[:shift]))
-            area = triangle_area(t)
+            area = live_area(t)
             assert area == pytest.approx(eps / 2.0, rel=1e-12, abs=0.0)
             for center, r in [((0.5, 0.0, 0.0), 0.2), ((0.0, 0.0, 0.1), 0.3), ((1.2, 0.0, 0.0), 0.3)]:
-                got = clip_area_in_ball(t, Ball(center, r))
+                got = clip(t, Ball(center, r))
                 assert math.isfinite(got)
                 assert 0.0 <= got <= area
 
@@ -210,8 +208,8 @@ class TestClipClosedForms:
         pts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, h, 0.0)]
         for shift in range(3):
             t = tri(*(pts[shift:] + pts[:shift]))
-            assert triangle_area(t) == area
-            assert clip_area_in_ball(t, Ball((0.5, 0.0, 0.0), 2.0)) == area
+            assert live_area(t) == area
+            assert clip(t, Ball((0.5, 0.0, 0.0), 2.0)) == area
         lifted = np.array([[p + (0.0,) for p in pts]])
         assert triangle_areas(lifted)[0] == area
 
@@ -361,8 +359,8 @@ class TestValidation:
 
     def test_triangle_needs_three_vertices(self):
         with pytest.raises(InvalidParameterError):
-            Triangle(np.zeros((2, 3)))
+            clip_areas_total(np.zeros((1, 2, 3)), Ball((0, 0, 0), 1.0))
 
     def test_triangle_needs_at_least_three_coordinates(self):
         with pytest.raises(InvalidParameterError):
-            Triangle(np.zeros((3, 2)))
+            face_reach(np.zeros((1, 3, 2)), np.zeros(2))

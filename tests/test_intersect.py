@@ -15,13 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from surfcert import (
-    InvalidParameterError,
     SurfaceModel,
     build_scene,
     self_intersections,
     triangle_pair_dist2,
 )
-from surfcert.intersect import _candidate_pairs, _separated
+from surfcert.intersect import SWEEP_REL_TOL, _candidate_pairs, _separated
 
 
 def pair(t1, t2):
@@ -104,36 +103,27 @@ class TestSelfContactSweep:
         assert rep.clean
 
     def test_tolerance_widens_the_net(self):
-        # sheets 0.05 apart: clean at the default tolerance, flagged at 0.1
+        # parallel sheets half the sweep tolerance apart touch in all four
+        # overlapping pairs; twice the tolerance apart they are clean
+        scale = float(np.hypot(2.0, 0.4))  # the sheets' bounding-box diagonal
         va = np.array([[-1, -0.2, 0], [1, -0.2, 0], [1, 0.2, 0], [-1, 0.2, 0]], float)
-        vb = va + np.array([0.0, 0.0, 0.05])
-        v = np.vstack([va, vb])
         f = np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6], [4, 6, 7]])
-        s = SurfaceModel.build(v, f)
-        assert self_intersections(s).clean
-        assert not self_intersections(s, tol=0.1).clean
+        for gap, count in [(0.5, 4), (2.0, 0)]:
+            vb = va + np.array([0.0, 0.0, gap * SWEEP_REL_TOL * scale])
+            rep = self_intersections(SurfaceModel.build(np.vstack([va, vb]), f))
+            assert rep.tolerance == pytest.approx(SWEEP_REL_TOL * scale, rel=1e-12)
+            assert rep.count == count
 
     def test_max_reports_caps_the_listing_not_the_count(self):
-        rep = self_intersections(self.plus_sign(), max_reports=2)
-        assert len(rep.pairs) == 2
-        assert rep.count == 4
-
-    def test_zero_tolerance_and_zero_reports_are_allowed(self):
-        assert self_intersections(self.plus_sign(), tol=0.0).tolerance == 0.0
-        rep = self_intersections(self.plus_sign(), max_reports=0)
-        assert rep.pairs == ()
-        assert rep.count == 4
-
-    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, float("inf"), float("-inf")])
-    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
-        # nan and negative values used to sweep nothing and report clean
-        with pytest.raises(InvalidParameterError):
-            self_intersections(self.plus_sign(), tol=tol)
-
-    def test_negative_max_reports_rejected(self):
-        # a negative slice bound used to drop pairs from the end of the listing
-        with pytest.raises(InvalidParameterError):
-            self_intersections(self.plus_sign(), max_reports=-1)
+        # two 20-cell strips crossing along the x axis: far more than 32
+        # contacts, of which the first 32 are listed and all are counted
+        a = sheet(2, 21, np.array([[1.0, 0, 0], [0, 0.2, 0]]), [0, 0, 0])
+        b = sheet(2, 21, np.array([[1.0, 0, 0], [0, 0, 0.2]]), [0, 0, 0])
+        f = grid_faces(2, 21)
+        s = SurfaceModel.build(np.vstack([a, b]), np.vstack([f, f + 42]))
+        assert_sweep_matches_oracle(s)
+        rep = self_intersections(s)
+        assert len(rep.pairs) == 32 < rep.count
 
     @pytest.mark.parametrize("name", ["flat_disk", "cap", "catenoid"])
     def test_catalog_surfaces_are_embedded(self, name):
@@ -166,7 +156,7 @@ def grid_faces(rows: int, cols: int) -> np.ndarray:
 
 
 def default_tol(s: SurfaceModel) -> float:
-    return 1e-9 * s.scale
+    return SWEEP_REL_TOL * s.scale
 
 
 def oracle_pairs(s: SurfaceModel, tol: float) -> np.ndarray:

@@ -16,6 +16,7 @@ import pytest
 
 from surfcert import (
     CornerFlag,
+    InputInconsistentError,
     InvalidParameterError,
     MeshParseError,
     PolylineCurve,
@@ -24,6 +25,7 @@ from surfcert import (
     atomic_write,
     build_scene,
     catalog_names,
+    certificate_status,
     load_curve,
     load_mesh,
     m_profile,
@@ -329,6 +331,46 @@ class TestReports:
         bad = dict(good, status="satisfied")  # failed hypothesis cannot satisfy
         with pytest.raises(Exception):
             validate_report(report_envelope("certificate", bad))
+
+    @staticmethod
+    def certificate(status: str, hypothesis_ok: bool, satisfied: bool) -> dict:
+        return {
+            "theorem": "density-lower-bound",
+            "status": status,
+            "hypotheses": [
+                {"name": "h", "required": "x", "measured": 1.0, "ok": hypothesis_ok}
+            ],
+            "conclusion": {"satisfied": satisfied},
+            "citations": ["density-lower-bound"],
+            "inputs_digest": "0" * 64,
+        }
+
+    @pytest.mark.parametrize(
+        "status, hypothesis_ok, satisfied",
+        [
+            ("satisfied", True, False),
+            ("violated", False, False),
+            ("violated", False, True),
+            ("not-applicable", True, True),
+            ("not-applicable", True, False),
+            ("bogus", True, True),
+        ],
+    )
+    def test_certificate_status_must_follow_from_its_parts(
+        self, status, hypothesis_ok, satisfied
+    ):
+        doc = self.certificate(status, hypothesis_ok, satisfied)
+        with pytest.raises(InputInconsistentError, match="status"):
+            validate_report(report_envelope("certificate", doc))
+        right = certificate_status([hypothesis_ok], satisfied)
+        validate_report(report_envelope("certificate", dict(doc, status=right)))
+
+    def test_genus_payload_certificate_is_validated(self):
+        for bad in ({"status": "bogus"}, self.certificate("satisfied", True, False), None):
+            with pytest.raises(InputInconsistentError):
+                validate_report(report_envelope("genus", {"delta": 0.5, "certificate": bad}))
+        good = self.certificate("violated", True, False)
+        validate_report(report_envelope("genus", {"delta": 0.5, "certificate": good}))
 
     def test_batch_reports_validate_recursively(self):
         inner = report_envelope("curve-analysis", {"x": 1})

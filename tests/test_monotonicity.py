@@ -20,6 +20,7 @@ from surfcert import (
     Ball,
     InputInconsistentError,
     InvalidParameterError,
+    PolylineCurve,
     ProjectionSingularError,
     RadiusTooLargeError,
     UnsupportedOperationError,
@@ -155,6 +156,43 @@ class TestProfile:
             m_profile(disk.surface, disk.boundaries, (0.0, 0.0, 0.0), radii=(0.5, -1.0))
 
 
+class TestBoundaryMatching:
+    """m_profile takes the boundary curves up to cyclic shift and orientation
+    of each loop, and rejects curves that are not the mesh's loops."""
+
+    @pytest.mark.parametrize("name", ["graph_disk", "catenoid", "flat_sector", "cap"])
+    def test_shifted_and_reversed_loops_give_the_same_profile(self, name):
+        scene = build_scene(name, res=16)
+        s = scene.surface
+        want = m_profile(s, scene.boundaries, scene.default_x0)
+        for shift, step in [(1, 1), (5, 1), (1, -1), (5, -1)]:
+            curves = [
+                PolylineCurve(np.roll(c.vertices, shift, axis=0)[::step])
+                for c in scene.boundaries
+            ]
+            got = m_profile(s, curves, scene.default_x0)
+            assert got.m_values == want.m_values
+
+    def test_moved_vertex_is_rejected(self):
+        scene = build_scene("graph_disk", res=16)
+        v = scene.boundary.vertices.copy()
+        v[3, 2] += 1e-6 * scene.surface.scale
+        with pytest.raises(InputInconsistentError):
+            m_profile(scene.surface, PolylineCurve(v), scene.default_x0)
+
+    def test_missing_loop_is_rejected(self):
+        scene = build_scene("catenoid", res=16)
+        assert len(scene.boundaries) == 2
+        with pytest.raises(InputInconsistentError):
+            m_profile(scene.surface, scene.boundaries[:1], scene.default_x0)
+
+    def test_curve_with_a_vertex_fewer_is_rejected(self):
+        scene = build_scene("graph_disk", res=16)
+        v = np.delete(scene.boundary.vertices, 3, axis=0)
+        with pytest.raises(InputInconsistentError):
+            m_profile(scene.surface, PolylineCurve(v), scene.default_x0)
+
+
 class TestWeightedMonotonicity:
     def test_disk_has_no_violations(self, disk_profile):
         rep = check_weighted_monotonicity(disk_profile)
@@ -212,7 +250,7 @@ class TestSmallnessConstants:
     def test_finite_exponent_formula(self):
         cap = build_scene("cap")
         k = property_p_constants(cap.surface, 4.0)
-        f, _vec = mean_curvature_field(cap.surface)
+        f = mean_curvature_field(cap.surface)
         prefactor = (2.0 * 4.0 / (4.0 - 2.0)) * (2.0 / math.pi) ** (1.0 / 4.0)
         assert k.p == 4.0
         assert k.alpha == pytest.approx(0.5)
@@ -223,7 +261,7 @@ class TestSmallnessConstants:
     def test_sup_norm_case(self):
         cap = build_scene("cap")
         k = property_p_constants(cap.surface, math.inf)
-        f, _vec = mean_curvature_field(cap.surface)
+        f = mean_curvature_field(cap.surface)
         assert k.alpha == 1.0
         assert k.lam == pytest.approx(lp_norm(f, cap.surface, math.inf), rel=1e-12)
 

@@ -18,9 +18,8 @@ from surfcert import (
     PolylineCurve,
     ProjectionSingularError,
     ScalarField,
-    Triangle,
     build_scene,
-    clip_area_in_ball,
+    clip_areas_total,
     delta_for_epsilon,
     face_reach,
     lp_norm,
@@ -29,7 +28,6 @@ from surfcert import (
     stable_sum,
     subdivide4,
     total_curvature,
-    triangle_area,
     triangle_areas,
 )
 from surfcert.monotonicity import _clip_rounding_bounds
@@ -41,8 +39,7 @@ finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinit
 
 @st.composite
 def triangles(draw):
-    pts = np.array([[draw(finite) for _ in range(3)] for _ in range(3)])
-    return Triangle(pts)
+    return np.array([[draw(finite) for _ in range(3)] for _ in range(3)])
 
 
 @st.composite
@@ -65,20 +62,31 @@ def star_polygons(draw):
     return PolylineCurve(pts)
 
 
+def clip(t: np.ndarray, ball: Ball) -> float:
+    """Area of one (3, n) triangle inside a ball: the clip of a one-face stack."""
+    return clip_areas_total(t[None], ball)
+
+
+def live_area(t: np.ndarray) -> float:
+    """Area of one triangle, 0.0 when `face_reach` counts it degenerate."""
+    reach = face_reach(t[None], t[0])
+    return float(reach.areas[0]) if reach.live[0] else 0.0
+
+
 class TestClipProperties:
     @SETTINGS
     @given(t=triangles(), b=balls())
     def test_clip_stays_within_bounds(self, t, b):
-        got = clip_area_in_ball(t, b)
-        area = triangle_area(t)
+        got = clip(t, b)
+        area = live_area(t)
         assert -1e-12 <= got <= area * (1.0 + 1e-9) + 1e-12
 
     @SETTINGS
     @given(t=triangles(), b=balls(), factor=st.floats(min_value=1.1, max_value=4.0))
     def test_clip_monotone_in_radius(self, t, b, factor):
-        small = clip_area_in_ball(t, b)
-        grown = clip_area_in_ball(t, Ball(b.center, b.radius * factor))
-        assert grown >= small - 1e-6 * max(triangle_area(t), 1e-9)
+        small = clip(t, b)
+        grown = clip(t, Ball(b.center, b.radius * factor))
+        assert grown >= small - 1e-6 * max(live_area(t), 1e-9)
 
     @SETTINGS
     @given(
@@ -92,11 +100,11 @@ class TestClipProperties:
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
         sh = np.asarray(shift)
-        t2 = Triangle(t.vertices @ q.T + sh)
+        t2 = t @ q.T + sh
         b2 = Ball(np.asarray(b.center) @ q.T + sh, b.radius)
-        a1 = clip_area_in_ball(t, b)
-        a2 = clip_area_in_ball(t2, b2)
-        assert a2 == pytest.approx(a1, abs=2e-6 * max(triangle_area(t), 1.0))
+        a1 = clip(t, b)
+        a2 = clip(t2, b2)
+        assert a2 == pytest.approx(a1, abs=2e-6 * max(live_area(t), 1.0))
 
 
 ORACLE_LEVELS = 6  # 4**6 midpoint pieces per triangle
@@ -106,18 +114,18 @@ U = np.finfo(np.float64).eps / 2.0  # unit roundoff
 class TestClipOracle:
     @SETTINGS
     @given(t=triangles(), b=balls())
-    @example(t=Triangle([[0, 1, 0], [0, 1, 1e-9], [0, 0, 1]]), b=Ball((0, 0, 0), 2.0))
-    @example(t=Triangle([[0, 0.8, 1], [0, 0, 2**-24], [0, 0, 0]]), b=Ball((0, 0, 0), 2.0))
+    @example(t=np.array([[0, 1, 0], [0, 1, 1e-9], [0, 0, 1]]), b=Ball((0, 0, 0), 2.0))
+    @example(t=np.array([[0, 0.8, 1], [0, 0, 2**-24], [0, 0, 0]]), b=Ball((0, 0, 0), 2.0))
     def test_clip_matches_subdivision_oracle(self, t, b):
         # independent oracle: midpoint pieces counted by where their centroid
         # falls. Every point of a piece lies within the piece's diameter of
         # its centroid, so a piece whose centroid is farther than that from
         # the sphere is classified right; the other pieces bound the error.
-        got = clip_area_in_ball(t, b)
-        if t.degenerate:
+        got = clip(t, b)
+        if live_area(t) == 0.0:
             assert got == 0.0
             return
-        pieces = subdivide4(t.vertices[None], levels=ORACLE_LEVELS)
+        pieces = subdivide4(t[None], levels=ORACLE_LEVELS)
         areas = triangle_areas(pieces)
         dist = np.linalg.norm(pieces.mean(axis=1) - b.center, axis=1)
         edges = np.linalg.norm(pieces - np.roll(pieces, 1, axis=1), axis=2)
@@ -138,12 +146,12 @@ class TestClipOracle:
         #   twice, and each error-free sum adds u relative.
         # A piece's points lie within 2L/3 of its centroid, so the
         # classification by L = diam keeps L/3 of margin for rounding.
-        n = t.dim
-        delta = ORACLE_LEVELS * U * np.linalg.norm(np.abs(t.vertices).max(axis=0))
+        n = t.shape[1]
+        delta = ORACLE_LEVELS * U * np.linalg.norm(np.abs(t).max(axis=0))
         per_piece = (3.0 + n * n / 8.0) * U * diam**2 + delta * edges.sum(axis=1) / 2.0
-        reach = face_reach(t.vertices[None], b.center)
+        reach = face_reach(t[None], b.center)
         bound = (
-            _clip_rounding_bounds(t.vertices[None], reach.near2, reach.far2, [b.radius])[0]
+            _clip_rounding_bounds(t[None], reach.near2, reach.far2, [b.radius])[0]
             + 2.0 * stable_sum(per_piece.tolist())
             + U * (oracle + unsure)
         )
@@ -191,7 +199,6 @@ class TestNormProperties:
         rng = np.random.default_rng(seed)
         f = ScalarField(
             values=rng.uniform(0.0, 3.0, size=s.n_vertices),
-            provenance="analytic",
             unreliable=np.zeros(s.n_vertices, dtype=bool),
         )
         area = float(s.face_areas.sum())
@@ -206,8 +213,8 @@ class TestNormProperties:
         base = rng.uniform(0.0, 2.0, size=s.n_vertices)
         bump = rng.uniform(0.0, 1.0, size=s.n_vertices)
         clean = np.zeros(s.n_vertices, dtype=bool)
-        f = ScalarField(base, "analytic", clean)
-        g = ScalarField(base + bump, "analytic", clean)
+        f = ScalarField(base, clean)
+        g = ScalarField(base + bump, clean)
         for p in (3.0, math.inf):
             assert lp_norm(g, s, p) >= lp_norm(f, s, p) - 1e-12
 

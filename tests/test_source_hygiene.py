@@ -7,11 +7,16 @@ because a decorator may register them (the selftest's checks are collected
 by ``@_check``). Every parameter of every function must be read by that
 function's body, apart from ``self``, ``cls`` and names starting with ``_``.
 
+Every public name has one owner: each name the package exports (bar
+``__version__``) is listed in exactly one submodule's ``__all__``, every
+submodule has an ``__all__``, and every listed name exists.
+
 numpy is the only runtime dependency: no module imports anything but the
 standard library, numpy and surfcert itself, at any depth of the source.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -82,6 +87,31 @@ def test_every_parameter_is_read():
                 if p not in read and p not in ("self", "cls") and not p.startswith("_")
             ]
     assert unread == []
+
+
+def test_every_public_name_has_one_owner():
+    import surfcert
+
+    owners, problems = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"surfcert.{path.stem}")
+        listed = getattr(module, "__all__", None)
+        if listed is None:
+            problems.append(f"{path.stem} has no __all__")
+            continue
+        problems += [f"{path.stem}.{n} is listed but undefined" for n in listed if not hasattr(module, n)]
+        for name in listed:
+            owners.setdefault(name, []).append(path.stem)
+    for name in surfcert.__all__:
+        if name == "__version__":
+            continue
+        if not hasattr(surfcert, name):
+            problems.append(f"surfcert.{name} is listed but undefined")
+        if len(owners.get(name, [])) != 1:
+            problems.append(f"surfcert.{name} is owned by {owners.get(name, [])}")
+    assert problems == []
 
 
 def test_imports_only_the_standard_library_and_numpy():

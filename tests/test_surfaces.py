@@ -13,20 +13,21 @@ import numpy as np
 import pytest
 
 from surfcert import (
+    Ball,
     InputInconsistentError,
     InvalidParameterError,
     SurfaceModel,
     UnsupportedOperationError,
-    area_in_ball,
     boundary_distance,
     boundary_polyline,
     build_scene,
     catalog_names,
+    clip_areas_total,
     curve_length,
-    density,
     density_estimate,
     euler_characteristic,
     extrinsic_diameter,
+    face_reach,
     genus,
     lp_norm,
     mean_curvature_field,
@@ -71,33 +72,34 @@ class TestAreas:
         )
 
     def test_area_in_ball_on_disk(self, disk):
-        got = area_in_ball(disk.surface, (0.0, 0.0, 0.0), 0.5)
+        got = clip_areas_total(disk.surface.face_triangles(), Ball((0.0, 0.0, 0.0), 0.5))
         assert got == pytest.approx(math.pi * 0.25, rel=MESH_REL)
 
     def test_area_in_ball_radius_monotone(self, disk):
-        vals = [area_in_ball(disk.surface, (0.0, 0.0, 0.0), r) for r in (0.2, 0.4, 0.8)]
+        tris = disk.surface.face_triangles()
+        vals = [clip_areas_total(tris, Ball((0.0, 0.0, 0.0), r)) for r in (0.2, 0.4, 0.8)]
         assert vals[0] < vals[1] < vals[2]
 
 
 class TestCurvature:
     def test_cap_mean_curvature_is_two_over_R(self, cap):
-        f, _vec = mean_curvature_field(cap.surface)
+        f = mean_curvature_field(cap.surface)
         assert lp_norm(f, cap.surface, math.inf) == pytest.approx(0.2, rel=1e-9)
 
     def test_hemisphere_mean_curvature(self, hemisphere):
-        f, _vec = mean_curvature_field(hemisphere.surface)
+        f = mean_curvature_field(hemisphere.surface)
         assert lp_norm(f, hemisphere.surface, math.inf) == pytest.approx(2.0, rel=1e-9)
 
     def test_catenoid_is_minimal(self):
         cat = build_scene("catenoid")
-        f, _vec = mean_curvature_field(cat.surface)
+        f = mean_curvature_field(cat.surface)
         assert lp_norm(f, cat.surface, math.inf) <= 1e-10
 
     def test_lp_norm_factorizes_for_constant_fields(self, cap):
         # |H| is constant on the sphere, so ||H||_p = |H| * area^(1/p); the
         # norm drops the area share of excluded samples (one vertex here),
         # hence the 5e-4 slack
-        f, _vec = mean_curvature_field(cap.surface)
+        f = mean_curvature_field(cap.surface)
         area = float(cap.surface.face_areas.sum())
         for p in (3.0, 4.0, 8.0):
             assert lp_norm(f, cap.surface, p) == pytest.approx(
@@ -105,7 +107,7 @@ class TestCurvature:
             )
 
     def test_lp_norm_rejects_small_exponents(self, cap):
-        f, _vec = mean_curvature_field(cap.surface)
+        f = mean_curvature_field(cap.surface)
         with pytest.raises(InvalidParameterError):
             lp_norm(f, cap.surface, 2.0)
 
@@ -124,7 +126,7 @@ class TestCurvature:
         # strip the patch: the cotangent estimate should land near 2/R on
         # interior vertices
         bare = SurfaceModel.build(cap.surface.vertices, cap.surface.faces)
-        f, _vec = mean_curvature_field(bare)
+        f = mean_curvature_field(bare)
         good = ~f.unreliable
         assert good.sum() > 100
         mid = np.median(f.values[good])
@@ -158,10 +160,6 @@ class TestDensity:
     def test_forced_pl_exact_off_vertex_rejected(self, disk):
         with pytest.raises(InvalidParameterError):
             density_estimate(disk.surface, (0.013, 0.007, 0.0), mode="pl_exact")
-
-    def test_density_shortcut_matches_estimate(self, disk):
-        x0 = (0.0, 0.0, 0.0)
-        assert density(disk.surface, x0) == density_estimate(disk.surface, x0).value
 
 
 class TestTopology:
@@ -276,7 +274,7 @@ class TestMeshValidation:
         # zero-length edge, so two of its corners have no angle
         v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0]], dtype=float)
         s = SurfaceModel.build(v, [[0, 1, 2], [1, 3, 2]])
-        assert s.degenerate_face_count == 1
+        assert face_reach(s.face_triangles(), v[0]).live.tolist() == [True, False]
         with pytest.raises(InvalidParameterError):
             s.angle_sums
         with pytest.raises(InvalidParameterError):
@@ -318,10 +316,9 @@ class TestDerivedData:
             assert extrinsic_diameter(s) is s.diameter
             assert s.angle_sums is s.angle_sums
             assert s.mean_curvature is s.mean_curvature
-            scalar, vec = mean_curvature_field(s)
-            assert vec is s.mean_curvature
-            assert scalar is mean_curvature_field(s)[0]
-            arrays = [s.angle_sums, vec.values, vec.unreliable, scalar.values]
+            field = mean_curvature_field(s)
+            assert field is s.mean_curvature
+            arrays = [s.angle_sums, field.values, field.unreliable]
             for a in arrays + [s.boundary_face_corners]:
                 assert not a.flags.writeable
 
