@@ -18,7 +18,7 @@ from .errors import (
     InvalidParameterError,
     ProjectionSingularError,
 )
-from .geometry import PointN, as_point, stable_sum, _angles_batch
+from .geometry import PointN, as_point, stable_sum, _angles_batch, _box_pairs
 
 __all__ = [
     "CornerFlag",
@@ -116,6 +116,35 @@ class PolylineCurve:
         return self._scale_of(self.vertices)
 
     def _check_simple(self, v: np.ndarray, scale: float) -> None:
+        """Reject a curve that backtracks at a vertex or whose non-adjacent
+        segments come within tol = COINCIDENCE_REL_TOL * scale, as computed
+        by `_segment_pair_dist2`.
+
+        Only the segment pairs whose boxes, inflated by tol + slack, overlap
+        (`_box_pairs`) are measured. The slack makes that set contain every
+        pair whose computed d2 is at most tol^2, so the verdict is the one a
+        check over all pairs gives, however far the curve lies from the
+        origin. Per coordinate, with unit roundoff u and L <= scale the
+        largest extent of a segment:
+
+        - a computed closest point fl(a + fl(s fl(b - a))), s in [0, 1], is
+          within 2 u L + 2^-1075 of the segment's box [min(a, b), max(a, b)]
+          before the last rounding, and within three times that after it,
+          since a and b are floats and rounding is monotone; no term grows
+          with |a|;
+        - a rounded sum of nonnegative terms is at least each term, so for a
+          flagged pair each squared coordinate difference of the two computed
+          points is at most d2 <= tol^2, and each difference is at most
+          tol (1 + 3 u) + 2^-536, the last term for squares that underflow;
+        - so the two boxes are at most tol (1 + 3 u) + 12 u L + 2^-535 apart
+          on every axis.
+
+        `_box_pairs` compares the rounded lo - pad and hi + pad, with
+        pad = fl(tol + slack); rounding is monotone, so it keeps every pair
+        whose boxes are at most 2 pad apart. That covers the gap above once
+        slack >= 6 u L + 2^-536 to first order, whatever tol is. The slack is
+        twice that, which also covers every second-order term.
+        """
         k = v.shape[0]
         # backtracking at a vertex means the two incident segments overlap
         d_in = v - np.roll(v, 1, axis=0)
@@ -127,10 +156,14 @@ class PolylineCurve:
             return
         a = v
         b = np.roll(v, -1, axis=0)
-        ii, jj = np.triu_indices(k, 1)
-        adjacent = (jj - ii == 1) | ((ii == 0) & (jj == k - 1))
-        ii, jj = ii[~adjacent], jj[~adjacent]
-        tol2 = (COINCIDENCE_REL_TOL * scale) ** 2
+        tol = COINCIDENCE_REL_TOL * scale
+        u = np.finfo(np.float64).eps / 2.0
+        slack = 12.0 * u * scale + 2.0**-535
+        pairs = _box_pairs(np.minimum(a, b), np.maximum(a, b), tol + slack)
+        ii, jj = pairs[:, 0], pairs[:, 1]
+        apart = (jj - ii != 1) & ((ii != 0) | (jj != k - 1))
+        ii, jj = ii[apart], jj[apart]
+        tol2 = tol**2
         for lo in range(0, ii.size, 2_000_000):
             hi = min(lo + 2_000_000, ii.size)
             d2 = _segment_pair_dist2(a[ii[lo:hi]], b[ii[lo:hi]], a[jj[lo:hi]], b[jj[lo:hi]])

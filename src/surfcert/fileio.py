@@ -470,11 +470,12 @@ def _validate_certificate(payload: dict) -> None:
     for h in payload["hypotheses"]:
         if not isinstance(h, dict) or not {"name", "required", "measured", "ok"} <= set(h):
             raise InputInconsistentError(f"bad hypothesis entry {h!r}")
-    if not isinstance(payload["conclusion"], dict) or "satisfied" not in payload["conclusion"]:
-        raise InputInconsistentError("certificate conclusion needs a 'satisfied' flag")
-    status = certificate_status(
-        (h["ok"] for h in payload["hypotheses"]), payload["conclusion"]["satisfied"]
-    )
+        if not isinstance(h["ok"], bool):
+            raise InputInconsistentError(f"hypothesis 'ok' must be a JSON boolean, not {h['ok']!r}")
+    conclusion = payload["conclusion"]
+    if not isinstance(conclusion, dict) or not isinstance(conclusion.get("satisfied"), bool):
+        raise InputInconsistentError("certificate conclusion needs a boolean 'satisfied' flag")
+    status = certificate_status((h["ok"] for h in payload["hypotheses"]), conclusion["satisfied"])
     if payload["status"] != status:
         raise InputInconsistentError(f"certificate status {payload['status']!r}, not {status!r}")
 

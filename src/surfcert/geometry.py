@@ -1,4 +1,5 @@
-"""Dimension-agnostic primitives: points, balls, triangle stacks, sphere clipping.
+"""Dimension-agnostic primitives: points, balls, triangle stacks, sphere clipping,
+overlapping box pairs.
 
 Everything here works in ambient dimension n >= 3. A point is a 1-D float64
 array; batches of triangles are (K, 3, n) arrays. Accumulations that feed
@@ -469,3 +470,91 @@ def vertex_total_angle(star, apex: PointN | None = None) -> float:
         w = t[(i + 2) % 3] - apex
         angles.append(angle_between(u, w))
     return stable_sum(angles)
+
+
+def _cell_index(x: np.ndarray, cell: float) -> np.ndarray:
+    """floor(x / cell) as int64, clipped to +-2^61 so that it and any span of
+    two such indices fit in int64; monotone in x, as _box_pairs needs."""
+    return np.floor(x / cell).clip(-(2.0**61), 2.0**61).astype(np.int64)
+
+
+def _box_pairs(lo: np.ndarray, hi: np.ndarray, pad: float) -> np.ndarray:
+    """Every pair (i, j), i < j, of the closed boxes [lo_i - pad, hi_i + pad]
+    that overlap, as a (K, 2) int64 array in lexicographic order; lo and hi
+    are (N, n) with lo <= hi, and pad > 0.
+
+    A uniform grid only prunes. Its cell is the median box diagonal, or
+    2 sqrt(n) pad, the least diagonal any padded box has, if that is larger,
+    so the cell is positive at every scale with no absolute floor. A
+    coordinate x lies in cell floor(x / cell) (`_cell_index`), a monotone map
+    of x, so if two boxes share a point p, on each axis the cell of p lies
+    in both boxes' cell ranges: the two ranges meet, on axis d in the cells
+    from max(l_a, l_b) to min(h_a, h_b), where l and h are a box's lowest and
+    highest cells on that axis.
+
+    Each box is entered in every cell it covers, with a bitmask whose bit d
+    is set where that cell is the box's lowest on axis d, and pairs are
+    formed within each cell. A pair is owned by the one cell c with
+    c_d = max(l_a, l_b) on every axis, the lowest cell both ranges share.
+    In any cell c the two boxes share, l_a <= c_d and l_b <= c_d, so
+    c_d = max(l_a, l_b) exactly when c_d equals l_a or l_b, that is, when
+    bit d is set in mask_a | mask_b. A pair is therefore owned where
+    mask_a | mask_b == 2^n - 1, which two uint8 gathers test before any
+    float work; each pair whose ranges meet is kept once, and the exact box
+    test then drops the owned pairs whose boxes do not overlap.
+
+    A box that covers more cells than there are boxes is not entered: it is
+    box-tested against every box directly, at O(N) cost, less than hashing
+    it would take. Cells are grouped by `np.lexsort` over the per-axis
+    indices, which cannot overflow whatever the coordinates; a single linear
+    cell key could.
+    """
+    lo = lo - pad
+    hi = hi + pad
+    nb, n = lo.shape
+    cell = max(float(np.median(np.linalg.norm(hi - lo, axis=1))), 2.0 * math.sqrt(n) * pad)
+    lo_i = _cell_index(lo, cell)
+    spans = _cell_index(hi, cell) - lo_i + 1
+    big = spans.astype(np.float64).prod(axis=1) > nb
+
+    # one entry per (box, covered cell), expanded axis by axis; boxes ascend,
+    # so with the stable sort below they ascend within every cell as well
+    box = np.flatnonzero(~big)
+    cells = np.empty((0, box.size), dtype=np.int64)
+    mask = np.zeros(box.size, dtype=np.uint8)
+    for d in range(n):
+        span = spans[box, d]
+        rep = np.repeat(np.arange(box.size), span)
+        off = np.arange(rep.size) - (np.cumsum(span) - span)[rep]
+        box, mask = box[rep], mask[rep] | ((off == 0).astype(np.uint8) << d)
+        cells = np.concatenate([cells[:, rep], (lo_i[box, d] + off)[None]])
+    order = np.lexsort(cells)
+    cells, box, mask = cells[:, order], box[order], mask[order]
+    new_cell = np.ones(box.size, dtype=bool)
+    new_cell[1:] = (cells[:, 1:] != cells[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(new_cell)
+    sizes = np.diff(np.append(starts, box.size))
+    # entry e pairs with the `after[e]` entries that follow it in its cell
+    after = np.repeat(starts + sizes, sizes) - np.arange(box.size) - 1
+    first = np.repeat(np.arange(box.size), after)
+    step = np.arange(1, box.size + 1) - (np.cumsum(after) - after)
+    second = np.arange(first.size) + np.repeat(step, after)
+    owned = (mask[first] | mask[second]) == (1 << n) - 1
+    first, second = first[owned], second[owned]
+    # the exact test, on per-entry bounds: one contiguous array per axis
+    elo, ehi = lo.T.take(box, axis=1), hi.T.take(box, axis=1)
+    keep = np.ones(first.size, dtype=bool)
+    for d in range(n):
+        lo_d, hi_d = elo[d], ehi[d]
+        keep &= (lo_d.take(first) <= hi_d.take(second)) & (lo_d.take(second) <= hi_d.take(first))
+    a, b = box[first[keep]], box[second[keep]]
+
+    keys = [a * nb + b]
+    ids = np.arange(nb)
+    for i in np.flatnonzero(big):
+        # a pair of two oversized boxes is found from its first box only
+        hit = (lo[i] <= hi).all(axis=1) & (lo <= hi[i]).all(axis=1) & (~big | (ids > i))
+        j = np.flatnonzero(hit)
+        keys.append(np.minimum(i, j) * nb + np.maximum(i, j))
+    key = np.sort(np.concatenate(keys))
+    return np.stack([key // nb, key % nb], axis=1)

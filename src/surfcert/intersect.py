@@ -8,8 +8,13 @@ Interpenetrating faces have distance zero, so "distance <= tol" doubles as an
 intersection predicate without any dimension-specific branch logic.
 
 The candidate pairs are exactly the face pairs that share no vertex and whose
-bounding boxes, inflated by tol, overlap. A spatial hash enumerates them as
-array operations; it only prunes, and changes no member of that set.
+bounding boxes, inflated by tol, overlap. `geometry._box_pairs`, the broad
+phase the boundary curves' simplicity check also uses, enumerates the
+overlapping boxes as array operations: a uniform grid forms pairs within each
+cell, a per-entry bitmask keeps each pair only in the one cell that owns it
+before any float work, and the exact box test runs on the owned pairs. A face
+whose box covers more cells than there are faces is tested against every box
+directly. The grid only prunes, and changes no member of that set.
 
 Before the exact distance, a separating-axis test (`_separated`; Ericson,
 *Real-Time Collision Detection*, 2005, ch. 4-5) drops every candidate that
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import _segment_pair_dist2
-from .geometry import point_triangle_dist2
+from .geometry import _box_pairs, point_triangle_dist2
 from .surfaces import SurfaceModel
 
 __all__ = ["IntersectionReport", "triangle_pair_dist2", "self_intersections", "SWEEP_REL_TOL"]
@@ -134,61 +139,17 @@ def _candidate_pairs(surface: SurfaceModel, margin: float) -> np.ndarray:
     """Broad phase: the face pairs (i, j), i < j, that share no vertex and
     whose closed boxes, inflated by margin, overlap; sorted lexicographically.
 
-    Each face is hashed into every cell of a uniform grid (cell size: the
-    median box diagonal) that its box covers, and pairs are formed within each
-    cell. The hash only prunes: if two boxes overlap, a common point p lies
-    in the cell floor(p / cell), and since floor of a quotient by a positive
-    cell is monotone, that cell is covered by both boxes. A pair is kept
-    only in the lowest cell its two cell ranges share, so it appears once,
-    and the exact box test removes the pairs whose cell ranges meet but
-    whose boxes do not.
+    `geometry._box_pairs` gives the overlapping box pairs exactly, in that
+    order; the pairs sharing a vertex are then dropped.
     """
     tris = surface.face_triangles()
-    nf = tris.shape[0]
-    lo = tris.min(axis=1) - margin
-    hi = tris.max(axis=1) + margin
-    diag = np.linalg.norm(hi - lo, axis=1)
-    cell = max(float(np.median(diag)), 1e-30)
-    lo_i = np.floor(lo / cell).astype(np.int64)
-    hi_i = np.floor(hi / cell).astype(np.int64)
-    spans = hi_i - lo_i + 1
-    counts = spans.prod(axis=1)
-
-    # one entry per (face, covered cell): decode a mixed-radix offset over the
-    # face's spans into cell coordinates
-    face = np.repeat(np.arange(nf, dtype=np.int64), counts)
-    rest = np.arange(face.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    cells = np.empty((tris.shape[2], face.size), dtype=np.int64)  # one row per axis
-    for d in range(tris.shape[2] - 1, -1, -1):
-        span = spans[face, d]
-        cells[d] = lo_i[face, d] + rest % span
-        rest //= span
-    # group by cell; lexsort is stable, so faces ascend within each cell
-    order = np.lexsort(cells)
-    cells, face = cells[:, order], face[order]
-    new_cell = np.ones(face.size, dtype=bool)
-    new_cell[1:] = (cells[:, 1:] != cells[:, :-1]).any(axis=0)
-    starts = np.flatnonzero(new_cell)
-    sizes = np.diff(np.append(starts, face.size))
-    # entry k, at position a in a cell of size g, pairs with the g - 1 - a
-    # entries after it
-    after = np.repeat(starts + sizes, sizes) - np.arange(face.size) - 1
-    first = np.repeat(np.arange(face.size), after)
-    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(after) - after, after)
-    fa, fb = face[first], face[second]
-    # per axis: the exact box test, and ownership by the lowest cell the two
-    # cell ranges share, which keeps each pair once
-    for d in range(tris.shape[2]):
-        keep = (
-            (lo[fa, d] <= hi[fb, d])
-            & (lo[fb, d] <= hi[fa, d])
-            & (cells[d, first] == np.maximum(lo_i[fa, d], lo_i[fb, d]))
-        )
-        fa, fb, first = fa[keep], fb[keep], first[keep]
-    faces = surface.faces
-    apart = ~(faces[fa][:, :, None] == faces[fb][:, None, :]).any(axis=(1, 2))
-    key = np.sort(fa[apart] * nf + fb[apart])
-    return np.stack([key // nf, key % nf], axis=1)
+    pairs = _box_pairs(tris.min(axis=1), tris.max(axis=1), margin)
+    corners = surface.faces.T
+    fa, fb = corners.take(pairs[:, 0], axis=1), corners.take(pairs[:, 1], axis=1)
+    shared = np.zeros(pairs.shape[0], dtype=bool)
+    for v in fa:
+        shared |= (v == fb[0]) | (v == fb[1]) | (v == fb[2])
+    return pairs[~shared]
 
 
 def _unit_axes(a: np.ndarray) -> np.ndarray:
@@ -275,7 +236,7 @@ def self_intersections(surface: SurfaceModel) -> IntersectionReport:
     them, in lexicographic order, are listed. `candidates` counts the
     broad-phase pairs, before the reject.
     """
-    tol = SWEEP_REL_TOL * max(surface.scale, 1e-30)
+    tol = SWEEP_REL_TOL * surface.scale
     pairs = _candidate_pairs(surface, margin=tol)
     tris = surface.face_triangles()
     chunk = 16384

@@ -221,7 +221,7 @@ def _match_boundary(s: SurfaceModel, curves: list) -> None:
     Matching is up to cyclic shift and orientation, within 1e-9 of the
     surface scale per vertex.
     """
-    tol = 1e-9 * max(s.scale, 1e-30)
+    tol = 1e-9 * s.scale
     loops = list(s.boundary_loops)
     if len(curves) != len(loops):
         raise InputInconsistentError(

@@ -2,13 +2,16 @@
 
 Oracles: regular polygons (TC exactly 2*pi), hand-computed subtended
 angles for the unit square, and the spherical-circle limit for a planar
-circle seen from an off-plane apex.
+circle seen from an off-plane apex. The simplicity check is compared with
+a check of every pair of non-adjacent segments.
 """
 
 import math
 
 import numpy as np
 import pytest
+
+import surfcert.curves as curves_module
 
 from surfcert import (
     CornerFlag,
@@ -25,6 +28,7 @@ from surfcert import (
     total_curvature,
     turning_angles,
 )
+from surfcert.curves import COINCIDENCE_REL_TOL, _segment_pair_dist2
 
 
 def regular_polygon(k: int, radius: float = 1.0, z: float = 0.0) -> PolylineCurve:
@@ -206,6 +210,104 @@ class TestCurveValidation:
     def test_two_dimensional_points_rejected(self):
         with pytest.raises(InvalidParameterError):
             PolylineCurve(np.array([[0, 0], [1, 0], [0, 1]], dtype=float))
+
+
+def all_pairs_simple(v: np.ndarray) -> bool:
+    """The check over every pair of non-adjacent segments."""
+    k = v.shape[0]
+    a, b = v, np.roll(v, -1, axis=0)
+    ii, jj = np.triu_indices(k, 1)
+    adjacent = (jj - ii == 1) | ((ii == 0) & (jj == k - 1))
+    ii, jj = ii[~adjacent], jj[~adjacent]
+    tol2 = (COINCIDENCE_REL_TOL * PolylineCurve._scale_of(v)) ** 2
+    return not np.any(_segment_pair_dist2(a[ii], b[ii], a[jj], b[jj]) <= tol2)
+
+
+def is_simple(v: np.ndarray) -> bool:
+    try:
+        PolylineCurve(v)
+    except InputInconsistentError:
+        return False
+    return True
+
+
+def figure_eight(theta: np.ndarray, gap: float) -> np.ndarray:
+    """Lemniscate of Gerono samples, the strand through theta = pi/2 lifted
+    gap/2 and the one through 3 pi/2 lowered gap/2 where they cross."""
+    return np.stack([np.cos(theta), np.sin(theta) * np.cos(theta), 0.5 * gap * np.sin(theta)], 1)
+
+
+class TestSimplicityCheck:
+    """The curve check measures only segment pairs whose inflated boxes
+    overlap, and gives the verdict of the check over all pairs."""
+
+    @staticmethod
+    def bridge(gap: float) -> np.ndarray:
+        # the segment (1, 1, gap) -> (1, -1, gap) passes gap above the
+        # segment (0, 0, 0) -> (2, 0, 0); no other non-adjacent pair is close
+        return np.array(
+            [[0, 0, 0], [2, 0, 0], [2, 1, 0], [1, 1, gap], [1, -1, gap], [0, -1, 0]], dtype=float
+        )
+
+    def test_figure_eight_rejected(self):
+        theta = 2.0 * math.pi * (np.arange(40) + 0.3) / 40
+        with pytest.raises(InputInconsistentError, match="not simple"):
+            PolylineCurve(figure_eight(theta, 0.0))
+
+    @pytest.mark.parametrize("factor", [0.0, 0.5, 0.99])
+    def test_segments_within_tol_rejected(self, factor):
+        tol = COINCIDENCE_REL_TOL * PolylineCurve._scale_of(self.bridge(0.0))
+        with pytest.raises(InputInconsistentError, match="not simple"):
+            PolylineCurve(self.bridge(factor * tol))
+
+    @pytest.mark.parametrize("reach", ["tol", "tol + slack", "2 (tol + slack)"])
+    def test_near_miss_accepted(self, reach):
+        # just beyond tol + slack the boxes, each inflated by that much,
+        # still overlap and the pair is measured; beyond twice that it is not
+        scale = PolylineCurve._scale_of(self.bridge(0.0))
+        tol = COINCIDENCE_REL_TOL * scale
+        slack = 6.0 * np.finfo(float).eps * scale + 2.0**-535
+        gap = {"tol": tol, "tol + slack": tol + slack, "2 (tol + slack)": 2.0 * (tol + slack)}
+        PolylineCurve(self.bridge(gap[reach] * (1.0 + 1e-6)))
+
+    def test_matches_all_pairs_far_from_the_origin(self):
+        # figure eights whose strands pass within about tol of each other,
+        # rotated and moved 1e4 scales away: the rounding of the coordinates
+        # is then about tol, and both verdicts occur
+        rng = np.random.default_rng(11)
+        verdicts = []
+        for _ in range(200):
+            k = int(rng.integers(12, 60))
+            theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=k))
+            gap = COINCIDENCE_REL_TOL * math.sqrt(5.0) * 10.0 ** rng.uniform(-0.5, 0.5)
+            q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+            shift = 1e4 * math.sqrt(5.0) * rng.normal(size=3) / math.sqrt(3.0)
+            v = figure_eight(theta, gap) @ (q * np.sign(np.diag(r))).T + shift
+            verdicts.append(is_simple(v))
+            assert verdicts[-1] == all_pairs_simple(v)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("gap, simple", [(1e-3, False), (0.1, True)])
+    def test_matches_all_pairs_where_squares_underflow(self, gap, simple):
+        # two lobes whose vertices kiss across gap * 1e-160, far beyond tol;
+        # at 1e-163 the squared distance underflows to 0 <= tol^2 = 0, so the
+        # pair counts as touching, and the slack's 2^-535 keeps it measured
+        lobes = [[gap, 0, 0], [1, 1, 0], [0, 2, 0], [-1, 1, 0], [0, 0, 0], [-1, -1, 0], [0, -2, 0]]
+        v = 1e-160 * np.array(lobes + [[1, -1, 0]])
+        assert is_simple(v) == all_pairs_simple(v) == simple
+
+    def test_long_circle_measures_few_pairs(self, monkeypatch):
+        # 5,000 vertices: the check over all pairs measures 12.5M pairs
+        rows = []
+
+        def counting(a1, b1, a2, b2):
+            rows.append(a1.shape[0])
+            return _segment_pair_dist2(a1, b1, a2, b2)
+
+        monkeypatch.setattr(curves_module, "_segment_pair_dist2", counting)
+        c = regular_polygon(5000)
+        assert c.k == 5000
+        assert sum(rows) <= 4 * 5000
 
 
 class TestCone:

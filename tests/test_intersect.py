@@ -20,6 +20,7 @@ from surfcert import (
     self_intersections,
     triangle_pair_dist2,
 )
+from surfcert.geometry import _box_pairs
 from surfcert.intersect import SWEEP_REL_TOL, _candidate_pairs, _separated
 
 
@@ -113,6 +114,23 @@ class TestSelfContactSweep:
             rep = self_intersections(SurfaceModel.build(np.vstack([va, vb]), f))
             assert rep.tolerance == pytest.approx(SWEEP_REL_TOL * scale, rel=1e-12)
             assert rep.count == count
+
+    @pytest.mark.parametrize("factor", [1.0, 1e-20, 1e-35])
+    def test_sweep_is_scale_invariant(self, factor):
+        # a strip crossing two parallel strips 1e-5 apart, which is far more
+        # than the tolerance at every scale: the same contacts and candidates
+        # however small the mesh, with no absolute floor on the tolerance
+        flat = sheet(3, 11, np.array([[1.0, 0, 0], [0, 0.2, 0]]), [0, 0, 0])
+        lifted = flat + [0.0, 0.0, 1e-5]
+        upright = sheet(3, 11, np.array([[1.0, 0, 0], [0, 0, 0.2]]), [0.05, 0.01, 0])
+        f = grid_faces(3, 11)
+        v = np.vstack([flat, lifted, upright]) * factor
+        s = SurfaceModel.build(v, np.vstack([f, f + 33, f + 66]))
+        rep = self_intersections(s)
+        assert rep.tolerance == SWEEP_REL_TOL * s.scale
+        unit = self_intersections(SurfaceModel.build(v / factor, s.faces))
+        assert (rep.pairs, rep.count, rep.candidates) == (unit.pairs, unit.count, unit.candidates)
+        assert 0 < rep.count < rep.candidates
 
     def test_max_reports_caps_the_listing_not_the_count(self):
         # two 20-cell strips crossing along the x axis: far more than 32
@@ -247,6 +265,57 @@ class TestBroadPhaseOracle:
     @pytest.mark.parametrize("name", ["branched_disk", "hemisphere", "torus_minus_disk"])
     def test_catalog_scenes(self, name):
         assert_sweep_matches_oracle(build_scene(name, res=16).surface)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_faces_many_times_larger_than_the_mesh(self, count):
+        # tilted triangles 32 disk diameters across, crossing the disk and
+        # each other: each box covers far more grid cells than there are
+        # faces, and is tested against every box instead of being hashed
+        s = build_scene("flat_disk", res=16).surface
+        big = 16.0 * np.array(
+            [[[-2.0, -2.0, -1.0], [2.0, -1.0, 1.5], [0.0, 2.0, -0.5]],
+             [[-2.0, 1.5, 1.0], [1.5, 2.0, -1.5], [0.5, -2.0, 0.5]]]
+        )[:count]
+        v = np.vstack([s.vertices, big.reshape(-1, 3)])
+        extra = s.n_vertices + np.arange(3 * count).reshape(count, 3)
+        pairs = assert_sweep_matches_oracle(SurfaceModel.build(v, np.vstack([s.faces, extra])))
+        assert (pairs[:, 1] >= s.n_faces).sum() > count
+
+    def test_sheets_far_apart(self):
+        # two small sheets 1e8 of their size apart on every axis: a single
+        # linear key over the grid's cells would overflow int64
+        a = sheet(5, 6, np.array([[1.0, 0.3, 0], [0, 0.5, 0.8]]), [0, 0, 0])
+        b = a + 1e8
+        f = grid_faces(5, 6)
+        assert_sweep_matches_oracle(SurfaceModel.build(np.vstack([a, b]), np.vstack([f, f + 30])))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        nb=st.integers(min_value=1, max_value=40),
+        dim=st.sampled_from([3, 4]),
+    )
+    def test_box_pairs_match_all_pairs(self, seed, nb, dim):
+        # boxes from points to many times the spread, some far off: every
+        # overlapping pair once, in lexicographic order
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-1.0, 1.0, size=(nb, dim)) * 10.0 ** rng.integers(0, 4, size=(nb, 1))
+        hi = lo + rng.uniform(0.0, 1.0, size=(nb, dim)) * 10.0 ** rng.uniform(-3, 2, size=(nb, 1))
+        pad = 10.0 ** rng.uniform(-12, -1)
+        i, j = np.triu_indices(nb, 1)
+        overlap = ~((lo[i] - pad > hi[j] + pad) | (lo[j] - pad > hi[i] + pad)).any(axis=1)
+        got = _box_pairs(lo, hi, pad)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.stack([i[overlap], j[overlap]], axis=1))
+
+    def test_box_pairs_where_rounding_swallows_the_pad(self):
+        # three point boxes at 1 lose the pad to rounding, so the median
+        # diagonal is 0; the cell is then 2 sqrt(n) pad, and the fourth box,
+        # whose lower corner rounds to exactly 0, still gets a cell index
+        pad = 1e-20
+        lo = np.array([[1.0] * 3] * 3 + [[pad] * 3])
+        hi = np.array([[1.0] * 3] * 3 + [[2.0] * 3])
+        assert _box_pairs(lo, hi, pad).tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
 
 def frame(rng, dim: int) -> np.ndarray:

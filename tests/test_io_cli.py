@@ -365,6 +365,18 @@ class TestReports:
         right = certificate_status([hypothesis_ok], satisfied)
         validate_report(report_envelope("certificate", dict(doc, status=right)))
 
+    @pytest.mark.parametrize("field", ["ok", "satisfied"])
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1])
+    def test_truth_values_must_be_json_booleans(self, field, value):
+        # read by truthiness, "false" and 1 would both count as true
+        doc = self.certificate("satisfied", True, True)
+        if field == "ok":
+            doc["hypotheses"][0]["ok"] = value
+        else:
+            doc["conclusion"]["satisfied"] = value
+        with pytest.raises(InputInconsistentError, match="boolean"):
+            validate_report(report_envelope("certificate", doc))
+
     def test_genus_payload_certificate_is_validated(self):
         for bad in ({"status": "bogus"}, self.certificate("satisfied", True, False), None):
             with pytest.raises(InputInconsistentError):
