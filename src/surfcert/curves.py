@@ -157,9 +157,7 @@ class PolylineCurve:
         a = v
         b = np.roll(v, -1, axis=0)
         tol = COINCIDENCE_REL_TOL * scale
-        u = np.finfo(np.float64).eps / 2.0
-        slack = 12.0 * u * scale + 2.0**-535
-        pairs = _box_pairs(np.minimum(a, b), np.maximum(a, b), tol + slack)
+        pairs = _box_pairs(np.minimum(a, b), np.maximum(a, b), tol + _simplicity_slack(scale))
         ii, jj = pairs[:, 0], pairs[:, 1]
         apart = (jj - ii != 1) & ((ii != 0) | (jj != k - 1))
         ii, jj = ii[apart], jj[apart]
@@ -169,6 +167,12 @@ class PolylineCurve:
             d2 = _segment_pair_dist2(a[ii[lo:hi]], b[ii[lo:hi]], a[jj[lo:hi]], b[jj[lo:hi]])
             if np.any(d2 <= tol2):
                 raise InputInconsistentError("curve is not simple: segments intersect")
+
+
+def _simplicity_slack(scale: float) -> float:
+    """The rounding slack `PolylineCurve._check_simple` adds to tol when it
+    inflates segment boxes: 12 u scale + 2^-535, derived there."""
+    return 12.0 * (np.finfo(np.float64).eps / 2.0) * scale + 2.0**-535
 
 
 def _segment_pair_dist2(a1, b1, a2, b2) -> np.ndarray:

@@ -499,9 +499,11 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray, pad: float) -> np.ndarray:
     In any cell c the two boxes share, l_a <= c_d and l_b <= c_d, so
     c_d = max(l_a, l_b) exactly when c_d equals l_a or l_b, that is, when
     bit d is set in mask_a | mask_b. A pair is therefore owned where
-    mask_a | mask_b == 2^n - 1, which two uint8 gathers test before any
-    float work; each pair whose ranges meet is kept once, and the exact box
-    test then drops the owned pairs whose boxes do not overlap.
+    mask_a | mask_b has all n bits set. The mask is stored eight axes to a
+    uint8 word, so any n works, and for n <= 8 two uint8 gathers test this
+    before any float work. Each pair whose ranges meet is kept once, and
+    the exact box test then drops the owned pairs whose boxes do not
+    overlap.
 
     A box that covers more cells than there are boxes is not entered: it is
     box-tested against every box directly, at O(N) cost, less than hashing
@@ -521,15 +523,16 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray, pad: float) -> np.ndarray:
     # so with the stable sort below they ascend within every cell as well
     box = np.flatnonzero(~big)
     cells = np.empty((0, box.size), dtype=np.int64)
-    mask = np.zeros(box.size, dtype=np.uint8)
+    mask = np.zeros((-(-n // 8), box.size), dtype=np.uint8)
     for d in range(n):
         span = spans[box, d]
         rep = np.repeat(np.arange(box.size), span)
         off = np.arange(rep.size) - (np.cumsum(span) - span)[rep]
-        box, mask = box[rep], mask[rep] | ((off == 0).astype(np.uint8) << d)
+        box, mask = box[rep], mask[:, rep]
+        mask[d // 8] |= (off == 0).astype(np.uint8) << (d % 8)
         cells = np.concatenate([cells[:, rep], (lo_i[box, d] + off)[None]])
     order = np.lexsort(cells)
-    cells, box, mask = cells[:, order], box[order], mask[order]
+    cells, box, mask = cells[:, order], box[order], mask[:, order]
     new_cell = np.ones(box.size, dtype=bool)
     new_cell[1:] = (cells[:, 1:] != cells[:, :-1]).any(axis=0)
     starts = np.flatnonzero(new_cell)
@@ -539,7 +542,9 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray, pad: float) -> np.ndarray:
     first = np.repeat(np.arange(box.size), after)
     step = np.arange(1, box.size + 1) - (np.cumsum(after) - after)
     second = np.arange(first.size) + np.repeat(step, after)
-    owned = (mask[first] | mask[second]) == (1 << n) - 1
+    owned = np.ones(first.size, dtype=bool)
+    for w, word in enumerate(mask):
+        owned &= (word.take(first) | word.take(second)) == (1 << min(8, n - 8 * w)) - 1
     first, second = first[owned], second[owned]
     # the exact test, on per-entry bounds: one contiguous array per axis
     elo, ehi = lo.T.take(box, axis=1), hi.T.take(box, axis=1)

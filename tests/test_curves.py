@@ -28,7 +28,7 @@ from surfcert import (
     total_curvature,
     turning_angles,
 )
-from surfcert.curves import COINCIDENCE_REL_TOL, _segment_pair_dist2
+from surfcert.curves import COINCIDENCE_REL_TOL, _segment_pair_dist2, _simplicity_slack
 
 
 def regular_polygon(k: int, radius: float = 1.0, z: float = 0.0) -> PolylineCurve:
@@ -249,10 +249,13 @@ class TestSimplicityCheck:
             [[0, 0, 0], [2, 0, 0], [2, 1, 0], [1, 1, gap], [1, -1, gap], [0, -1, 0]], dtype=float
         )
 
-    def test_figure_eight_rejected(self):
+    @pytest.mark.parametrize("dim", [3, 9])
+    def test_figure_eight_rejected(self, dim):
+        # in R^9 the box broad phase needs an ownership bit for every axis
         theta = 2.0 * math.pi * (np.arange(40) + 0.3) / 40
+        v = figure_eight(theta, 0.0) @ np.eye(dim)[:3] + np.linspace(0.0, 1.0, dim)
         with pytest.raises(InputInconsistentError, match="not simple"):
-            PolylineCurve(figure_eight(theta, 0.0))
+            PolylineCurve(v)
 
     @pytest.mark.parametrize("factor", [0.0, 0.5, 0.99])
     def test_segments_within_tol_rejected(self, factor):
@@ -266,7 +269,7 @@ class TestSimplicityCheck:
         # still overlap and the pair is measured; beyond twice that it is not
         scale = PolylineCurve._scale_of(self.bridge(0.0))
         tol = COINCIDENCE_REL_TOL * scale
-        slack = 6.0 * np.finfo(float).eps * scale + 2.0**-535
+        slack = _simplicity_slack(scale)
         gap = {"tol": tol, "tol + slack": tol + slack, "2 (tol + slack)": 2.0 * (tol + slack)}
         PolylineCurve(self.bridge(gap[reach] * (1.0 + 1e-6)))
 

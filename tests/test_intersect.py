@@ -238,6 +238,20 @@ class TestBroadPhaseOracle:
         assert_sweep_matches_oracle(s)
         assert not self_intersections(s).clean
 
+    @pytest.mark.parametrize("dim", [9, 10])
+    def test_crossing_sheets_beyond_eight_dimensions(self, dim):
+        # the crossing sheets above, embedded in the first three of dim axes
+        # and moved off the origin on the rest: ownership needs a bit per axis
+        flat = sheet(9, 11, np.eye(dim)[:2], np.zeros(dim))
+        tilted = sheet(7, 8, np.array([[0.6, 0.2, 0.5], [0.0, 0.5, -0.7]]) @ np.eye(dim)[:3], np.zeros(dim))
+        shift = np.linspace(0.3, 2.0, dim - 3)
+        v = np.vstack([flat, tilted])
+        v[:, 3:] += shift
+        f = grid_faces(9, 11)
+        s = SurfaceModel.build(v, np.vstack([f, grid_faces(7, 8) + 99]))
+        assert assert_sweep_matches_oracle(s).shape[0] > 0
+        assert not self_intersections(s).clean
+
     @pytest.mark.parametrize("cells", [5, 20, 60])
     def test_faces_pulled_many_cells_out_of_plane(self, cells):
         s = build_scene("flat_disk", res=16).surface
@@ -293,7 +307,7 @@ class TestBroadPhaseOracle:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         nb=st.integers(min_value=1, max_value=40),
-        dim=st.sampled_from([3, 4]),
+        dim=st.sampled_from([3, 4, 9, 10]),
     )
     def test_box_pairs_match_all_pairs(self, seed, nb, dim):
         # boxes from points to many times the spread, some far off: every
