@@ -85,7 +85,8 @@ from .monotonicity import (
     property_p_constants,
     default_radius_grid,
     m_profile,
-    identity_defect,
+    FirstVariation,
+    first_variation,
     check_property_p,
     check_weighted_monotonicity,
     check_large_radius_bound,
@@ -172,7 +173,8 @@ __all__ = [
     "property_p_constants",
     "default_radius_grid",
     "m_profile",
-    "identity_defect",
+    "FirstVariation",
+    "first_variation",
     "check_property_p",
     "check_weighted_monotonicity",
     "check_large_radius_bound",

@@ -355,20 +355,25 @@ def projection_bound_report(c: PolylineCurve, x0: PointN) -> BoundReport:
     curve vertex the bound is TC - pi - theta, where theta is the corner's
     exterior angle: the actual turning angle for a raw polygon, the flagged
     intended angle (0 if unflagged) for a sampled curve.
+
+    The tolerance bounds the slack's rounding: each subtended or turning
+    angle (`_angles_batch`, theta included) is off by at most
+    (2 sqrt(2) (n + 4) + 2 pi) u, as `monotonicity._clip_rounding_bounds`
+    derives, and the exact sums, math.pi and the subtractions add less than
+    4u (proj + TC + pi + theta).
     """
-    x0 = as_point(x0, dim=c.dim)
+    keep, angles = _subtended_angles(c, x0)  # locates x0 on the curve
+    proj = stable_sum(angles.tolist())
     tc = total_curvature(c)
-    proj = radial_projection_length(c, x0)
-    center_idx = _locate_center(c, x0)
-    tol = 1e-9
-    if center_idx is None:
-        bound = tc
-        theta = 0.0
-        mode = "interior"
+    count = angles.size + c.k
+    if keep.all():
+        bound, theta, mode = tc, 0.0, "interior"
     else:
         mode = "boundary"
+        center_idx = int(np.flatnonzero(~keep & ~np.roll(keep, 1))[0])
         if c.corner_flags is None:
             theta = float(turning_angles(c)[center_idx])
+            count += 1
         else:
             theta = 0.0
             for f in c.corner_flags:
@@ -377,6 +382,9 @@ def projection_bound_report(c: PolylineCurve, x0: PointN) -> BoundReport:
                     break
         bound = tc - math.pi - theta
     slack = bound - proj
+    u = np.finfo(np.float64).eps / 2.0
+    e = (2.0 * math.sqrt(2.0) * (c.dim + 4) + 2.0 * math.pi) * u
+    tol = e * count + 4.0 * u * (proj + tc + math.pi + theta)
     return BoundReport(
         mode=mode,
         projection_length=proj,

@@ -1,11 +1,14 @@
 """Pairwise triangle proximity sweep used to cross-check embeddedness.
 
-Works in any ambient dimension by computing exact squared distances between
+Works in any ambient dimension by computing squared distances between
 candidate face pairs: the minimum over a convex quadratic is attained either
 at an interior critical point of a face-pair subproblem (triangle x triangle,
 edge x triangle) or on a lower feature (segment pairs, vertex vs triangle).
 Interpenetrating faces have distance zero, so "distance <= tol" doubles as an
-intersection predicate without any dimension-specific branch logic.
+intersection predicate without any dimension-specific branch logic. The
+distance is not exact: the ridge (`_RIDGE`) of the interior solves moves the
+critical point off a crossing at a small dihedral angle, and two faces
+crossing at 1e-4 compute to 2.7e-8 apart, above the tolerance 1.4e-9.
 
 The candidate pairs are exactly the face pairs that share no vertex and whose
 bounding boxes, inflated by tol, overlap. `geometry._box_pairs`, the broad
@@ -16,7 +19,7 @@ before any float work, and the exact box test runs on the owned pairs. A face
 whose box covers more cells than there are faces is tested against every box
 directly. The grid only prunes, and changes no member of that set.
 
-Before the exact distance, a separating-axis test (`_separated`; Ericson,
+Before the distance, a separating-axis test (`_separated`; Ericson,
 *Real-Time Collision Detection*, 2005, ch. 4-5) drops every candidate that
 some axis separates by more than tol plus a rounding slack: the in-plane edge
 normals of both faces, in any dimension, and in R^3 the two face normals. A
@@ -108,7 +111,9 @@ def _interior_edge_tri(a: np.ndarray, b: np.ndarray, tri: np.ndarray) -> np.ndar
 
 
 def triangle_pair_dist2(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Exact squared distance between triangle pairs; (K, 3, n) stacks."""
+    """Squared distance between triangle pairs; (K, 3, n) stacks. Not exact:
+    at a small dihedral angle theta the interior solves' Gram matrix has
+    condition about 1 / theta^2, and their ridge keeps a crossing above 0."""
     t1 = np.asarray(t1, dtype=np.float64)
     t2 = np.asarray(t2, dtype=np.float64)
     best = np.full(t1.shape[0], np.inf)
@@ -193,8 +198,7 @@ def _separated(t1: np.ndarray, t2: np.ndarray, tol: float) -> np.ndarray:
     The first-order total is 3 sqrt(n) (n + 4) u rho + n 2^-1074; the slack is
     twice that, and the other half covers the rounding of the slack itself and
     every second-order term. Thus a rejected pair's exact distance exceeds
-    tol; it differs from the computed `triangle_pair_dist2` only by that
-    routine's own rounding.
+    tol, whatever `triangle_pair_dist2`, which is not exact, would compute.
     """
     n = t1.shape[2]
     # component-major (n, 6, K), relative to o: each operation below runs over K
@@ -231,7 +235,8 @@ def self_intersections(surface: SurfaceModel) -> IntersectionReport:
     tol is missed except those sharing a vertex. The separating-axis reject
     (`_separated`) then drops every candidate that is farther apart than tol
     in exact arithmetic, by a margin above the rounding slack derived there,
-    and only the rest go to the exact distance `triangle_pair_dist2`. Every
+    and only the rest go to the distance `triangle_pair_dist2`, which can
+    miss a crossing at a small dihedral angle. Every
     candidate at computed distance <= tol counts; the first _MAX_REPORTS of
     them, in lexicographic order, are listed. `candidates` counts the
     broad-phase pairs, before the reject.

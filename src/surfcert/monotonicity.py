@@ -1,12 +1,12 @@
-"""Area-ratio profiles m(r), the integrated boundary monotonicity identity,
-and the mean-curvature smallness constants.
+"""Area-ratio profiles m(r), the first variation of the mesh, and the
+mean-curvature smallness constants.
 
 m(r) = area((M u E) n B(r)) / r^2, where E is the exterior cone over the
 boundary with vertex x0, measured in closed form: over a segment [a, b] it
-is the plane wedge from x0 less the triangle (x0, a, b). The identity defect
-integrates the derivative identity for A(r)/r^2 between two radii and
-reports LHS minus RHS; it needs an analytic source because the curvature
-term cannot be trusted on raw meshes.
+is the plane wedge from x0 less the triangle (x0, a, b). `first_variation`
+evaluates the divergence theorem on the PL surface in each ball,
+2A = E + B + S, in closed form on the mesh alone: E is the moment of the
+edges' mean-curvature measure, the term the monotonicity argument bounds.
 """
 from __future__ import annotations
 
@@ -16,11 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PolylineCurve, _subtended_angles
-from .errors import (
-    InputInconsistentError,
-    InvalidParameterError,
-    UnsupportedOperationError,
-)
+from .errors import InputInconsistentError, InvalidParameterError
 from .geometry import (
     Ball,
     PointN,
@@ -52,35 +48,13 @@ __all__ = [
     "curvature_prefactor",
     "property_p_constants",
     "m_profile",
-    "identity_defect",
+    "FirstVariation",
+    "first_variation",
     "check_property_p",
     "check_weighted_monotonicity",
     "check_large_radius_bound",
     "default_radius_grid",
 ]
-
-# quadrature pieces per face = 4**REFINE; boundary sub-edges per edge = 2**(REFINE + 2)
-REFINE = 1
-
-# degree-5 rule on the reference triangle: barycentric abscissae and weights
-_Q7_A1 = (6.0 - math.sqrt(15.0)) / 21.0
-_Q7_A2 = (6.0 + math.sqrt(15.0)) / 21.0
-_Q7_BARY = np.array(
-    [
-        [1 / 3, 1 / 3, 1 / 3],
-        [1 - 2 * _Q7_A1, _Q7_A1, _Q7_A1],
-        [_Q7_A1, 1 - 2 * _Q7_A1, _Q7_A1],
-        [_Q7_A1, _Q7_A1, 1 - 2 * _Q7_A1],
-        [1 - 2 * _Q7_A2, _Q7_A2, _Q7_A2],
-        [_Q7_A2, 1 - 2 * _Q7_A2, _Q7_A2],
-        [_Q7_A2, _Q7_A2, 1 - 2 * _Q7_A2],
-    ]
-)
-_Q7_W = np.array(
-    [9 / 40]
-    + [(155.0 - math.sqrt(15.0)) / 1200.0] * 3
-    + [(155.0 + math.sqrt(15.0)) / 1200.0] * 3
-)
 
 
 @dataclass(frozen=True)
@@ -165,6 +139,26 @@ class LargeRadiusReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+@dataclass(frozen=True)
+class FirstVariation:
+    """2 A(r) = E(r) + B(r) + S(r) at each radius, from `first_variation`."""
+
+    radii: tuple
+    areas: tuple  # A
+    interior: tuple  # E
+    boundary: tuple  # B
+    sphere: tuple  # S
+    errors: tuple  # bound on the sum of the rounding errors of 2A, E, B and S
+
+    @property
+    def residuals(self) -> tuple:
+        """2A - E - B - S, correctly rounded."""
+        return tuple(
+            stable_sum([2.0 * a, -e, -b, -s])
+            for a, e, b, s in zip(self.areas, self.interior, self.boundary, self.sphere)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -429,165 +423,141 @@ def _clip_rounding_bounds(
 
 
 # ---------------------------------------------------------------------------
-# quadrature pieces over an analytic surface
+# the first variation on the mesh
 
 
-def _analytic_pieces(s: SurfaceModel):
-    """Subdivide faces in parameter space and lift through the patch.
+def first_variation(s: SurfaceModel, x0, radii) -> FirstVariation:
+    """The terms of 2 A(r) = E(r) + B(r) + S(r), the first variation of the
+    PL surface in each ball B(x0, r), with a bound on their rounding error.
 
-    Returns (param pieces (K,3,2), coordinate pieces (K,3,n), areas (K,),
-    coordinate centroids (K,n), parameter centroids (K,2)).
+    X = x - x0 has tangential divergence 2 on a flat face, so twice the
+    face's area in the ball is the flux of X out through its sides, with
+    outward in-plane conormal nu, on which X.nu is constant, and through the
+    arc, of angle phi, of the circle of radius rho where its plane cuts the
+    sphere, on which X.nu = rho. So E sums |e n B(r)| (a_e - x0).(nu_1 +
+    nu_2), the moment of the PL mean-curvature measure, over the interior
+    edges, B the same with one nu over the boundary edges and S rho^2 phi
+    over the faces; A is `clip_areas_total`, and faces it counts as
+    degenerate add to no term. An edge a + t d is in the ball for t in
+    [t0 - tau, t0 + tau] n [0, 1], t0 the foot of x0 on its line,
+    tau = sqrt(q) / |d| and q = r^2 less the squared distance from x0 to the
+    line. That one solve gives the edge's length in the ball and the sector
+    ends of `geometry._edge_fan_areas`, whose angles add up to phi over a
+    face's sides: from the foot of x0 on the plane a side starts at
+    (-t0 |d|, eta) in its own coordinates, eta = (a - x0).nu, and
+    rho^2 = q + eta^2. S is never 2A - E - B, so the identity checks E and B
+    against the clip.
+
+    `errors` bounds, to first order in the unit roundoff u and dimension n,
+    the sum of the errors of 2A, E, B and S, hence |2A - E - B - S| and each
+    term's error. 2A is charged twice `_clip_rounding_bounds`. On a face of
+    area A_f, longest edge L_f, v = (d.w) d - |d|^2 w (sides d, w) has norm
+    2 A_f |d| and is off by (2n + 10) u |d|^2 |w|, so nu by
+    eps_f = (2n + 10) u L_f^2 / A_f + (n/2 + 2) u. On an edge from a, of
+    length l, with s = max(r, |a - x0|) + l: the moment m is off by
+    dm = |a - x0| (eps_1 + eps_2 + (2n + 4) u), q by dq = (5n + 18) u s^2,
+    sqrt(q) by min(sqrt(dq), dq / sqrt(q)), which grows near tangency, and a
+    crossing t l by dp = that + (3n + 8) u s. A crossing over dp off [0, l],
+    or on an edge with q + dq <= 0, is exact; moving one by dp moves the edge
+    term by |m| dp and each side's sector term by |eta| dp <= r dp. The
+    length L in the ball is off by (n/2 + 4) u L, and the product and the
+    exact sum add 2u. So an edge is charged L dm + (|m| + dm) (n/2 + 6) u L
+    + (|m| + dm + 2r) dp per inexact crossing. A side of a face the ball
+    meets, unless its crossings pin it whole inside (then its sectors are
+    exact zeros): eta is off by s (eps_f + (n + 1) u), rho^2 by
+    dq + 2 s^2 (eps_f + (n + 2) u) times sectors of at most pi; the four
+    sector ends, rho or more from the foot, move by (2n + 5) u s plus eta's
+    error, which after the factor rho^2 adds r times that; atan2 and its
+    arguments add (12 + 4 pi) u s^2, the product and the exact sum
+    2 pi u s^2: (11 eps_f + (34 n + 126) u) s^2 a side. As in
+    `_clip_rounding_bounds`, the gates on computed distances count as exact.
     """
-    if s.patch is None:
-        raise UnsupportedOperationError(
-            "this operation needs an analytic source; the mesh alone cannot "
-            "supply curvature and exact boundary data"
-        )
-    pp = subdivide4(s.face_param_triangles(), levels=REFINE)
-    flat = pp.reshape(-1, 2)
-    coords = s.patch.u(flat).reshape(pp.shape[0], 3, -1)
-    areas = triangle_areas(coords)
-    ccent = coords.mean(axis=1)
-    pcent = pp.mean(axis=1)
-    return pp, coords, areas, ccent, pcent
-
-
-def _boundary_elements(s: SurfaceModel):
-    """Subdivided boundary sub-edges with midpoints, lengths and outward
-    conormals, all from the analytic tangent plane.
-
-    Returns (midpoints (B,n), lengths (B,), conormals (B,n)).
-    """
-    patch = s.patch
-    fp = s.face_param_triangles()
-    mids, lens, conos = [], [], []
-    splits = 2 ** (REFINE + 2)
-    t0s = np.arange(splits) / splits
-    t1s = t0s + 1.0 / splits
-    for fi, la in s.boundary_face_corners.tolist():
-        pa = fp[fi, la]
-        pb = fp[fi, (la + 1) % 3]
-        pc = fp[fi].mean(axis=0)
-        # parameter points along the edge
-        p0 = pa[None, :] + t0s[:, None] * (pb - pa)[None, :]
-        p1 = pa[None, :] + t1s[:, None] * (pb - pa)[None, :]
-        pm = 0.5 * (p0 + p1)
-        x0p = patch.u(p0)
-        x1p = patch.u(p1)
-        xm = patch.u(pm)
-        E = patch.du(pm)  # (S, n, 2)
-        tang = np.einsum("snj,j->sn", E, pb - pa)
-        tn = tang / np.maximum(np.linalg.norm(tang, axis=1, keepdims=True), 1e-300)
-        out_par = pm - pc[None, :]
-        v = np.einsum("snj,sj->sn", E, out_par)
-        v = v - np.einsum("sn,sn->s", v, tn)[:, None] * tn
-        nv = np.linalg.norm(v, axis=1, keepdims=True)
-        v = v / np.maximum(nv, 1e-300)
-        # outward means away from the face centroid in coordinates
-        xc = patch.u(fp[fi].mean(axis=0)[None, :])[0]
-        sign = np.sign(np.einsum("sn,sn->s", v, xm - xc[None, :]))
-        sign[sign == 0] = 1.0
-        conos.append(v * sign[:, None])
-        mids.append(xm)
-        lens.append(np.linalg.norm(x1p - x0p, axis=1))
-    return np.concatenate(mids), np.concatenate(lens), np.concatenate(conos)
-
-
-def _step_moment_integral(rho: np.ndarray, moment: np.ndarray, sigma: float, r: float) -> float:
-    """Exact integral over t in [sigma, r] of M(t) / t^3, where M(t) sums the
-    moments m_i with rho_i <= t: each m_i with rho_i < r contributes
-    m_i (1 / max(rho_i, sigma)^2 - 1 / r^2) / 2."""
-    near = rho < r
-    lo = np.maximum(rho[near], sigma)
-    return 0.5 * math.fsum((moment[near] * (1.0 / lo**2 - 1.0 / r**2)).tolist())
-
-
-def identity_defect(s: SurfaceModel, x0, sigma: float, r: float) -> float:
-    """LHS minus RHS of the integrated area-ratio identity between two radii.
-
-    LHS = A(r)/r^2 - A(sigma)/sigma^2 with A the area inside the ball.
-    RHS = (annulus integral of the squared normal component of the radial
-    field over distance^4) + (radial integral of the curvature moment)
-    - (radial integral of the boundary conormal moment). Each piece and
-    boundary element sits at one distance rho_i from x0, so both radial
-    integrands are step functions M(t)/t^3 and integrate in closed form; the
-    areas use piece-level ball clipping. Needs an analytic source.
-    """
-    if not (0.0 < sigma < r):
-        raise InvalidParameterError(f"need 0 < sigma < r, got {sigma}, {r}")
     x0 = as_point(x0, dim=s.dim)
-    pp, coords, areas, ccent, pcent = _analytic_pieces(s)
-    x0a = np.asarray(x0)
+    balls = [Ball(center=x0, radius=r) for r in radii]
+    n = s.dim
+    u = np.finfo(np.float64).eps / 2.0
+    tris = s.face_triangles()
+    reach = face_reach(tris, x0, s.face_areas)
+    live = reach.live
 
-    # LHS from exact piece-level clipping
-    reach = face_reach(coords, x0, areas)
-    in_r = clip_areas(coords, Ball(center=x0, radius=r), reach)
-    in_sigma = clip_areas(coords, Ball(center=x0, radius=sigma), reach)
-    lhs = stable_sum(in_r.tolist()) / r**2 - stable_sum(in_sigma.tolist()) / sigma**2
+    # side 3f + c runs from corner c of face f to corner c + 1: its outward
+    # conormal nu, nu's error eps and eta
+    d = np.roll(tris, -1, axis=1) - tris
+    w = np.roll(tris, -2, axis=1) - tris
+    v = (d * w).sum(-1)[..., None] * d - (d * d).sum(-1)[..., None] * w
+    norm = np.linalg.norm(v, axis=2, keepdims=True)
+    nu = np.where(live[:, None, None], v / np.where(norm > 0.0, norm, 1.0), 0.0).reshape(-1, n)
+    longest2 = (d * d).sum(-1).max(axis=1)
+    eps = (2 * n + 10) * u * longest2 / np.where(live, reach.areas, 1.0) + (n / 2 + 2) * u
+    eps = np.repeat(np.where(live, eps, 0.0), 3)
+    eta = ((tris - x0).reshape(-1, n) * nu).sum(-1)
 
-    # shell term: 7-point rule in parameter space on interior pieces; a band
-    # piece weighs its centroid value by its exact area inside the annulus
-    curv = s.patch.curvature_at(pcent)
-    hvec = curv["mean_curvature_vec"]
-    good = ~curv["unreliable"]
+    # the edges, from the start a of their first side: side h lies on edge
+    # `edge[h]`, reversed where `back[h]`; an edge of two sides is interior,
+    # and one with no live face is dead
+    start, end = s.faces.ravel(), np.roll(s.faces, -1, axis=1).ravel()
+    key = np.minimum(start, end) * s.n_vertices + np.maximum(start, end)
+    _, rep, edge, sides = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    back = start != start[rep][edge]
+    nu_sum = np.zeros((rep.size, n))
+    np.add.at(nu_sum, edge, nu)
+    eps_sum = np.bincount(edge, eps)
+    dead = eps_sum == 0.0
+    xa = s.vertices[start[rep]] - x0
+    de = s.vertices[end[rep]] - s.vertices[start[rep]]
+    moment = (xa * nu_sum).sum(-1)
+    xa_len = np.linalg.norm(xa, axis=1)
+    dm = np.where(dead, 0.0, xa_len * (eps_sum + (2 * n + 4) * u))
+    length = np.where(dead, 1.0, np.linalg.norm(de, axis=1))
+    t0 = -(xa * de).sum(-1) / (length * length)
+    perp2 = ((xa + t0[:, None] * de) ** 2).sum(-1)
+    side_t0 = np.where(back, 1.0 - t0[edge], t0[edge])
 
-    def shell_integrand(par_pts: np.ndarray, metric_J: bool = True):
-        x = s.patch.u(par_pts)
-        E = s.patch.du(par_pts)
-        d = x - x0a[None, :]
-        G = np.einsum("knj,knl->kjl", E, E)
-        rhs = np.einsum("knj,kn->kj", E, d)
-        det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-        safe = np.maximum(det, 1e-300)
-        inv00, inv11 = G[:, 1, 1] / safe, G[:, 0, 0] / safe
-        inv01 = -G[:, 0, 1] / safe
-        c0 = inv00 * rhs[:, 0] + inv01 * rhs[:, 1]
-        c1 = inv01 * rhs[:, 0] + inv11 * rhs[:, 1]
-        tang = np.einsum("knj,kj->kn", E, np.stack([c0, c1], axis=1))
-        perp = d - tang
-        rho2 = (d**2).sum(-1)
-        val = (perp**2).sum(-1) / np.maximum(rho2, 1e-300) ** 2
-        if metric_J:
-            val = val * np.sqrt(safe)
-        return val
-
-    vr = np.linalg.norm(coords - x0a[None, None, :], axis=2)
-    inside_r = np.all(vr <= r, axis=1)
-    outside_sigma = reach.near2 >= sigma * sigma
-    interior = inside_r & outside_sigma
-    band = ~interior & ~(reach.near2 >= r * r) & ~np.all(vr <= sigma, axis=1)
-
-    shell = 0.0
-    if np.any(interior):
-        tri_par = pp[interior]
-        par_area = 0.5 * np.abs(
-            (tri_par[:, 1, 0] - tri_par[:, 0, 0]) * (tri_par[:, 2, 1] - tri_par[:, 0, 1])
-            - (tri_par[:, 2, 0] - tri_par[:, 0, 0]) * (tri_par[:, 1, 1] - tri_par[:, 0, 1])
+    clip_err = _clip_rounding_bounds(tris, reach.near2, reach.far2, [b.radius for b in balls])
+    areas, e_terms, b_terms, s_terms, errors = [], [], [], [], []
+    for ball, cerr in zip(balls, clip_err):
+        r = ball.radius
+        r2 = r * r
+        areas.append(clip_areas_total(tris, ball, reach))
+        # each edge's crossings, how many are inexact, and its charge
+        se = np.maximum(r, xa_len) + length
+        dq = (5 * n + 18) * u * se * se
+        q = r2 - perp2
+        root = np.sqrt(np.maximum(q, 0.0))
+        dp = dq / np.maximum(root, np.sqrt(dq)) + (3 * n + 8) * u * se
+        lo, hi = t0 - root / length, t0 + root / length
+        t1, t2 = np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
+        inside = (t2 - t1) * length
+        loose = sum(
+            ~dead & (q + dq > 0.0) & (t * length > -dp) & (t * length < length + dp)
+            for t in (lo, hi)
         )
-        acc = np.zeros(tri_par.shape[0])
-        for q in range(_Q7_BARY.shape[0]):
-            lam = _Q7_BARY[q]
-            pts = lam[0] * tri_par[:, 0] + lam[1] * tri_par[:, 1] + lam[2] * tri_par[:, 2]
-            acc += _Q7_W[q] * shell_integrand(pts)
-        shell += float((acc * par_area).sum())
-    if np.any(band):
-        ring = in_r[band] - in_sigma[band]
-        vals = shell_integrand(pcent[band], metric_J=False)
-        shell += float((vals * ring).sum())
+        mm = np.abs(moment) + dm
+        charge = inside * dm + mm * (n / 2 + 6) * u * inside + (mm + 2.0 * r) * dp * loose
+        e_terms.append(stable_sum((inside * moment)[sides == 2].tolist()))
+        b_terms.append(stable_sum((inside * moment)[sides == 1].tolist()))
 
-    # radial integrals
-    vmom = np.einsum("kn,kn->k", ccent - x0a[None, :], hvec)
-    vmom = np.where(good, vmom, 0.0)
-    rho_c = np.linalg.norm(ccent - x0a[None, :], axis=1)
-    curv_term = _step_moment_integral(rho_c, vmom * areas, sigma, r)
-
-    mids, lens, conos = _boundary_elements(s)
-    bmom = np.einsum("bn,bn->b", mids - x0a[None, :], conos) * lens
-    brho = np.linalg.norm(mids - x0a[None, :], axis=1)
-    bdry_term = _step_moment_integral(brho, bmom, sigma, r)
-
-    rhs = shell + curv_term - bdry_term
-    return float(lhs - rhs)
+        # the sides of the live faces the ball meets, bar those pinned whole
+        touched = ((inside > 0.0) | (loose > 0))[edge].reshape(-1, 3).any(axis=1)
+        near = live & ((reach.near2 <= r2) | touched)
+        on = np.repeat(near, 3) & ~((t1 == 0.0) & (t2 == 1.0) & (loose == 0))[edge]
+        k, rev, et, l, a0 = edge[on], back[on], eta[on], length[edge[on]], side_t0[on]
+        a1 = np.where(rev, 1.0 - t2[k], t1[k])
+        a2 = np.where(rev, 1.0 - t1[k], t2[k])
+        angle = np.arctan2(a1 * l * et, a0 * (a0 - a1) * l * l + et * et) + np.arctan2(
+            (1.0 - a2) * l * et, (a2 - a0) * (1.0 - a0) * l * l + et * et
+        )
+        s_terms.append(stable_sum((np.maximum(q[k] + et * et, 0.0) * angle).tolist()))
+        side_charge = (11.0 * eps[on] + (34 * n + 126) * u) * se[k] ** 2
+        errors.append(2.0 * float(cerr) + float(charge.sum()) + float(side_charge.sum()))
+    return FirstVariation(
+        radii=tuple(b.radius for b in balls),
+        areas=tuple(areas),
+        interior=tuple(e_terms),
+        boundary=tuple(b_terms),
+        sphere=tuple(s_terms),
+        errors=tuple(errors),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +584,10 @@ def check_property_p(
         prof = m_profile(s, curves, x0, radii=radii, constants=k)
 
     if s.patch is not None and s.params is not None:
-        _pp, coords, areas, _cc, pcent = _analytic_pieces(s)
-        curv = s.patch.curvature_at(pcent)
+        pp = subdivide4(s.face_param_triangles())
+        coords = s.patch.u(pp.reshape(-1, 2)).reshape(pp.shape[0], 3, -1)
+        areas = triangle_areas(coords)
+        curv = s.patch.curvature_at(pp.mean(axis=1))
         hmag = np.where(curv["unreliable"], 0.0, curv["mean_curvature_norm"])
     else:
         scalar = mean_curvature_field(s)

@@ -255,7 +255,11 @@ class SurfaceModel:
         ids = leaving[np.concatenate(loops)] if loops else leaving[:0]
         corners = np.stack([ids % f.shape[0], ids // f.shape[0]], axis=1)
 
-        areas = triangle_areas(v[f])
+        # beyond about 1e77 the wedge product overflows, from 1e154 with a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            areas = triangle_areas(v[f])
+        if not np.all(np.isfinite(areas)):
+            raise InvalidParameterError("face areas overflow: coordinates are too large")
         pva = np.zeros(nv)
         np.add.at(pva, f[:, 0], areas / 3.0)
         np.add.at(pva, f[:, 1], areas / 3.0)

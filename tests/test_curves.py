@@ -159,6 +159,30 @@ class TestProjectionBound:
         assert abs(rep.slack) <= 1e-9
         assert rep.ok
 
+    @pytest.mark.parametrize("k", [3, 7, 40, 360])
+    def test_equality_case_within_the_derived_tolerance(self, k):
+        # from a vertex of a convex plane polygon the projection is the
+        # interior angle pi - theta, which is the bound TC - pi - theta with
+        # TC = 2 pi: the slack is zero up to rounding
+        c = regular_polygon(k)
+        for i in range(k):
+            rep = projection_bound_report(c, c.vertices[i])
+            assert rep.ok and abs(rep.slack) <= rep.tolerance
+            assert rep.tolerance < 1e-9  # the hand-set tolerance it replaces
+
+    def test_centre_is_located_once(self, monkeypatch):
+        calls = []
+        real = curves_module._locate_center
+
+        def counted(c, x0):
+            calls.append(x0)
+            return real(c, x0)
+
+        monkeypatch.setattr(curves_module, "_locate_center", counted)
+        projection_bound_report(unit_square(), (0.0, 0.0, 0.0))
+        projection_bound_report(unit_square(), (0.3, 0.2, 0.1))
+        assert len(calls) == 2
+
     def test_sampled_curve_uses_flagged_theta(self):
         # same square, but flagged as a sampled curve with one true corner
         flags = (CornerFlag(index=0, theta=math.pi / 2.0),)

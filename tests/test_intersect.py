@@ -8,6 +8,7 @@ separating-axis reject against the exact distance of pairs built just inside
 and just outside the tolerance.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -161,6 +162,42 @@ class TestSelfContactSweep:
         f = np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6], [4, 6, 7]])
         rep = self_intersections(SurfaceModel.build(v, f))
         assert rep.clean
+
+
+def crossing_at_angle(theta: float) -> SurfaceModel:
+    """T1 in the plane z = 0 and T2 through the line y = 0.3 at dihedral
+    angle theta to it: they cross along the segment x in [0.225, 0.675] of
+    that line, of length 0.45, so their distance is exactly 0."""
+    c, s = math.cos(theta), math.sin(theta)
+    v = np.array(
+        [
+            [0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.3 - 0.3 * c, -0.3 * s],
+            [0.45, 0.3 + 0.3 * c, 0.3 * s],
+            [0.9, 0.3 - 0.3 * c, -0.3 * s],
+        ]
+    )
+    return SurfaceModel.build(v, [[0, 1, 2], [3, 4, 5]])
+
+
+class TestSmallDihedralAngle:
+    """The narrow phase's blind spot (ROADMAP item 2), pinned until the
+    exact narrow phase lands."""
+
+    def test_crossing_at_a_moderate_angle_is_found(self):
+        assert self_intersections(crossing_at_angle(1e-2)).count == 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the ridge in triangle_pair_dist2's normal equations moves the critical "
+        "point off the crossing: the pair computes to 2.7e-8 apart at 1e-4 and 1.0e-7 "
+        "at 1e-6, against the sweep tolerance 1.4e-9",
+    )
+    @pytest.mark.parametrize("theta", [1e-4, 1e-6])
+    def test_crossing_at_a_small_angle_is_found(self, theta):
+        assert self_intersections(crossing_at_angle(theta)).count == 1
 
 
 def grid_faces(rows: int, cols: int) -> np.ndarray:

@@ -3,10 +3,10 @@
 The flat disk is the exact reference: the disk plus the exterior cone
 over its rim tile the whole plane, so m(r) = pi at every radius from the
 center, and from a rim vertex m(r) is the polygon sector value
-(pi - 2*pi/k) / 2, both to the profile's own rounding bound. The integrated
-identity has defect zero on flat input for every radius pair, including
-pairs that straddle the rim, which exercises the boundary moment with
-weight (1/2)(max(sigma,rho)^-2 - r^-2).
+(pi - 2*pi/k) / 2, both to the profile's own rounding bound. The first
+variation 2A = E + B + S holds on every catalog mesh, with or without its
+analytic patch, to its derived rounding bound, and on the flat disk the
+interior-edge term E is zero to that bound.
 """
 
 import json
@@ -23,7 +23,6 @@ from surfcert import (
     PolylineCurve,
     ProjectionSingularError,
     RadiusTooLargeError,
-    UnsupportedOperationError,
     SurfaceModel,
     as_point,
     build_scene,
@@ -36,7 +35,7 @@ from surfcert import (
     density_estimate,
     extrinsic_diameter,
     face_reach,
-    identity_defect,
+    first_variation,
     lp_norm,
     m_profile,
     mean_curvature_field,
@@ -220,30 +219,6 @@ class TestWeightedMonotonicity:
         prof = m_profile(disk.surface, disk.boundaries, (0.0, 0.0, 0.0), radii=(0.3, 0.6))
         with pytest.raises(InvalidParameterError):
             check_large_radius_bound(prof)
-
-
-class TestIntegratedIdentity:
-    @pytest.mark.parametrize(
-        "sigma,r,tol",
-        [
-            (0.2, 0.5, 1e-6),  # both radii inside the disk
-            (0.5, 2.0, 1e-4),  # straddles the rim: boundary moment active
-            (1.5, 3.0, 1e-12),  # both radii beyond the rim: radial terms exact
-        ],
-    )
-    def test_flat_disk_defect_vanishes(self, disk, sigma, r, tol):
-        assert abs(identity_defect(disk.surface, (0.0, 0.0, 0.0), sigma, r)) < tol
-
-    def test_radius_order_enforced(self, disk):
-        with pytest.raises(InvalidParameterError):
-            identity_defect(disk.surface, (0.0, 0.0, 0.0), 0.5, 0.5)
-        with pytest.raises(InvalidParameterError):
-            identity_defect(disk.surface, (0.0, 0.0, 0.0), 2.0, 0.5)
-
-    def test_needs_analytic_source(self, disk):
-        bare = SurfaceModel.build(disk.surface.vertices, disk.surface.faces)
-        with pytest.raises(UnsupportedOperationError):
-            identity_defect(bare, (0.0, 0.0, 0.0), 0.2, 0.5)
 
 
 class TestSmallnessConstants:
@@ -489,3 +464,126 @@ class TestDensityReadsOnlyNearbyFaces:
         dropped = face_reach(np.delete(s.face_triangles(), kept, axis=0), x0)
         assert np.all(dropped.near2 > r1 * r1)  # point_triangle_dist2
         assert np.all(dropped.far2 > r1 * r1)
+
+
+def _scene_radii(s: SurfaceModel) -> tuple:
+    """Radii from 0.1 to 4 times the surface's scale, so that the sphere
+    crosses the interior, then the boundary, then holds the whole surface."""
+    return tuple(s.scale * f for f in (0.1, 0.2, 0.35, 0.5, 0.7, 1.0, 1.5, 2.5, 4.0))
+
+
+def _holds(fv) -> bool:
+    return all(abs(res) <= err for res, err in zip(fv.residuals, fv.errors))
+
+
+class TestFirstVariation:
+    """2A = E + B + S holds on the mesh itself, to its derived rounding bound."""
+
+    @pytest.mark.parametrize("res", [16, 32, 64])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_identity_on_every_scene(self, name, res):
+        scene = build_scene(name, res=res)
+        s = scene.surface
+        raw = SurfaceModel.build(s.vertices, s.faces)
+        assert raw.patch is None
+        radii = _scene_radii(s)
+        for x0 in [scene.default_x0, *_centres(s, scene.default_x0)]:
+            fv = first_variation(s, x0, radii)
+            assert _holds(fv), (fv.residuals, fv.errors)
+            assert any(b != 0.0 for b in fv.boundary)
+            # the mesh alone is enough: the patch changes nothing
+            bare = first_variation(raw, x0, radii)
+            assert (bare.interior, bare.boundary, bare.sphere, bare.errors) == (
+                fv.interior, fv.boundary, fv.sphere, fv.errors
+            )
+
+    def test_flat_disk_has_no_interior_term(self, disk):
+        # nu_1 + nu_2 = 0 on a plane; inside the rim (radius 1) the boundary
+        # is out of reach and the arcs make up the whole circle, beyond it
+        # no face is cut
+        fv = first_variation(disk.surface, (0.0, 0.0, 0.0), (0.2, 0.5, 0.9, 1.5, 3.0))
+        assert _holds(fv)
+        for r, e, b, s, err in zip(fv.radii, fv.interior, fv.boundary, fv.sphere, fv.errors):
+            assert abs(e) <= err
+            if r < 0.99:
+                assert b == 0.0
+                assert abs(s - 2.0 * math.pi * r * r) <= err + 2.0 * U * s
+            else:
+                assert s == 0.0
+
+    def test_degenerate_faces_add_nothing(self):
+        s = _sliver_mesh()
+        reach = face_reach(s.face_triangles(), np.zeros(3), s.face_areas)
+        assert not reach.live.all()
+        for x0 in s.vertices[::7]:
+            fv = first_variation(s, x0, (0.05, 0.2, 0.6, 2.0))
+            assert _holds(fv), (fv.residuals, fv.errors)
+
+    def test_minimal_catenoid_interior_term_vanishes(self):
+        values = []
+        for res in (8, 16, 32):
+            scene = build_scene("catenoid", res=res)
+            r = 0.45 * scene.surface.scale
+            fv = first_variation(scene.surface, scene.default_x0, (r,))
+            assert _holds(fv)
+            values.append(abs(fv.interior[0]))
+        assert values[0] >= 2.0 * values[1] and values[1] >= 2.0 * values[2], values
+
+    @pytest.mark.parametrize("ulps", [-3, -1, 0, 1, 3])
+    def test_bound_holds_at_a_tangent_edge(self, ulps):
+        # a sphere tangent to a rim edge cuts it in a chord of length about
+        # sqrt(u) r, whose error only the sqrt(dq) part of the bound covers
+        s = build_scene("flat_disk", res=8).surface
+        a, b = s.vertices[s.boundary_loops[0][:2]]
+        foot = a + (a @ (a - b)) / ((b - a) @ (b - a)) * (b - a)
+        r = float(np.linalg.norm(foot)) * (1.0 + ulps * 2.0 * U)
+        q, _ = np.linalg.qr(np.random.default_rng(ulps + 3).normal(size=(3, 3)))
+        shift = np.array([0.3, -1.2, 2.0])
+        here = first_variation(s, np.zeros(3), (r,))
+        moved = first_variation(SurfaceModel.build(s.vertices @ q.T + shift, s.faces), shift, (r,))
+        for fv in (here, moved):
+            assert _holds(fv)
+        for field in ("interior", "boundary", "sphere"):
+            diff = abs(getattr(here, field)[0] - getattr(moved, field)[0])
+            assert diff <= here.errors[0] + moved.errors[0], field
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+    def test_nonpositive_radius_rejected(self, disk, r):
+        with pytest.raises(InvalidParameterError):
+            first_variation(disk.surface, (0.0, 0.0, 0.0), (0.5, r))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(catalog_names()),
+        res=st.sampled_from([8, 12]),
+        face=st.integers(min_value=0, max_value=10**6),
+        weights=st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 3),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_terms_survive_motion_and_relabeling(self, name, res, face, weights, seed):
+        s = build_scene(name, res=res).surface
+        w = np.asarray(weights) + 1e-3
+        x0 = w @ s.vertices[s.faces[face % s.n_faces]] / w.sum()
+        radii = _scene_radii(s)[:6]
+        base = first_variation(s, x0, radii)
+        rng = np.random.default_rng(seed)
+        # a rigid motion of the surface and the centre
+        q, _ = np.linalg.qr(rng.normal(size=(s.dim, s.dim)))
+        shift = rng.normal(size=s.dim) * s.scale
+        moved = first_variation(
+            SurfaceModel.build(s.vertices @ q.T + shift, s.faces), q @ x0 + shift, radii
+        )
+        # new vertex labels, faces in a new order, each turned cyclically
+        perm = rng.permutation(s.n_vertices)
+        inv = np.argsort(perm)
+        order = rng.permutation(s.n_faces)
+        turns = (rng.integers(0, 3, s.n_faces)[:, None] + np.arange(3)) % 3
+        faces = inv[s.faces][order][np.arange(s.n_faces)[:, None], turns[order]]
+        relabeled = first_variation(SurfaceModel.build(s.vertices[perm], faces), x0, radii)
+        for other in (moved, relabeled):
+            assert _holds(other)
+            for field in ("interior", "boundary", "sphere"):
+                for a, b, ea, eb in zip(
+                    getattr(base, field), getattr(other, field), base.errors, other.errors
+                ):
+                    assert abs(a - b) <= ea + eb, (field, a, b)

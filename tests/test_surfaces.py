@@ -33,6 +33,7 @@ from surfcert import (
     mean_curvature_field,
     nearest_vertex,
     second_form_sup,
+    triangle_areas,
     vertex_total_angle,
 )
 from surfcert.curves import build_cone
@@ -268,6 +269,21 @@ class TestMeshValidation:
         v[0, 0] = math.nan
         with pytest.raises(InvalidParameterError):
             SurfaceModel.build(v, f)
+
+    @pytest.mark.parametrize("extent", [1e80, 1e100, 1e150, 1e160, 1e200, 1e308])
+    def test_overflowing_areas_are_a_typed_error(self, extent):
+        # the wedge-product areas overflow silently from about 1e77 and with
+        # a numpy warning from about 1e154; the suite turns warnings into
+        # errors, so only the typed error may come out
+        v, f = self.tetra()
+        with pytest.raises(InvalidParameterError):
+            SurfaceModel.build(v * extent, f)
+
+    def test_large_finite_areas_build_unchanged(self):
+        v, f = self.tetra()
+        s = SurfaceModel.build(v * 1e60, f)
+        assert s.face_areas.tobytes() == triangle_areas((v * 1e60)[f]).tobytes()
+        assert np.all(np.isfinite(s.face_areas))
 
     def test_coincident_vertices_make_angles_a_typed_error(self):
         # vertices 2 and 3 sit at the same point: face (1, 3, 2) has a
