@@ -476,6 +476,25 @@ def _holds(fv) -> bool:
     return all(abs(res) <= err for res, err in zip(fv.residuals, fv.errors))
 
 
+class TestIntegratedIdentity:
+    @pytest.mark.parametrize(
+        "sigma,r,tol",
+        [
+            (0.2, 0.5, 1e-6),  # both radii inside the disk
+            (0.5, 2.0, 1e-4),  # straddles the rim: boundary term active
+            (1.5, 3.0, 1e-12),  # both radii beyond the rim
+        ],
+    )
+    def test_flat_disk_defect_vanishes(self, disk, sigma, r, tol):
+        # at both ends of [sigma, r] the identity closes and the plane has
+        # no interior term, to the derived bound and to the fixed tolerance
+        fv = first_variation(disk.surface, (0.0, 0.0, 0.0), (sigma, r))
+        assert _holds(fv), (fv.residuals, fv.errors)
+        for res, e in zip(fv.residuals, fv.interior):
+            assert abs(res) < tol
+            assert abs(e) < tol
+
+
 class TestFirstVariation:
     """2A = E + B + S holds on the mesh itself, to its derived rounding bound."""
 
