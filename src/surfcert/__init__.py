@@ -10,7 +10,8 @@ The package splits into layers that build on one another:
     validated triangle-mesh model with cached derived data, the ring-strip
     triangulation, area densities, mean curvature.
 ``intersect``
-    triangle-pair distances and the self-contact sweep.
+    embeddedness by projection, triangle-pair distances and the self-contact
+    sweep.
 ``monotonicity``
     area-ratio profiles, weighted monotonicity and large-radius checks.
 ``certificates``
@@ -91,7 +92,12 @@ from .monotonicity import (
     check_weighted_monotonicity,
     check_large_radius_bound,
 )
-from .intersect import IntersectionReport, triangle_pair_dist2, self_intersections
+from .intersect import (
+    IntersectionReport,
+    triangle_pair_dist2,
+    self_intersections,
+    projected_embedding,
+)
 from .certificates import (
     DeltaSolution,
     Hypothesis,
@@ -181,6 +187,7 @@ __all__ = [
     "IntersectionReport",
     "triangle_pair_dist2",
     "self_intersections",
+    "projected_embedding",
     "DeltaSolution",
     "Hypothesis",
     "Certificate",

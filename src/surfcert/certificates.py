@@ -1,6 +1,7 @@
 """Checkable certificates: density lower bounds, embeddedness via small mean
-curvature plus boundary turning, corner density dichotomy, and the genus
-bound from total curvature.
+curvature plus boundary turning (with the mesh's own embeddedness shown by
+projection or, where that refuses, by the pair sweep), corner density
+dichotomy, and the genus bound from total curvature.
 
 A certificate records each hypothesis with its measured value, the conclusion
 with slacks, and a digest of the inputs. Failed hypotheses make the whole
@@ -24,7 +25,7 @@ from .curves import (
 from .errors import InfeasibleError, InvalidParameterError
 from .geometry import as_point
 from .geometry import clip_areas_total  # noqa: F401 (a binding the benchmark's tracer wraps)
-from .intersect import self_intersections
+from .intersect import projected_embedding, self_intersections
 from .monotonicity import (
     _as_curves,
     curvature_prefactor,
@@ -363,9 +364,21 @@ def embeddedness_certificate(
     The conclusion takes the exact PL density at every vertex (its angle sum
     over 2*pi): the maximum over interior vertices, and with which="full"
     over boundary vertices, against 2 and 3/2 less DENSITY_MARGIN. The
-    branch points of an analytic patch count as interior points. It also
-    runs the global face-pair sweep and reports its hit count (the listed
-    pairs stop at 32), its candidate count and its tolerance.
+    branch points of an analytic patch count as interior points.
+
+    It also needs the mesh free of self-contact, and names the method that
+    decided it (`embedding_method`). "projection": `projected_embedding`
+    found a linear map to a plane (`projection_map`) that is injective on
+    the surface, so `intersection_free` is true and means the mesh is
+    exactly embedded; the sweep does not run, so its hit count is 0, its
+    pair list empty, and its candidates and tolerance null. "pair-sweep":
+    the projection refused (more or fewer than one boundary loop, a face it
+    cannot show turning the same way as the others, or a boundary image it
+    cannot show simple), and the global face-pair sweep ran instead;
+    `intersection_free` then means that no two faces sharing no vertex come
+    within the sweep's tolerance, as `triangle_pair_dist2` computes it, and
+    the report gives the hit count (the listed pairs stop at 32), the
+    candidate count and the tolerance.
     """
     if which not in ("interior", "full"):
         raise InvalidParameterError(f"which must be 'interior' or 'full', got {which!r}")
@@ -406,8 +419,10 @@ def embeddedness_certificate(
         worst_boundary, boundary_vertex = _max_over(densities, s.boundary_vertex_mask)
         dens_ok = dens_ok and worst_boundary <= 1.5 - DENSITY_MARGIN
 
-    sweep = self_intersections(s)
-    ok = dens_ok and sweep.clean
+    plane = projected_embedding(s)
+    sweep = self_intersections(s) if plane is None else None
+    free = sweep is None or sweep.clean
+    ok = dens_ok and free
     conclusion = {
         "name": "certified embedded",
         "scope": which,
@@ -418,11 +433,13 @@ def embeddedness_certificate(
         "max_boundary_vertex": boundary_vertex,
         "interior_threshold": 2.0 - DENSITY_MARGIN,
         "boundary_threshold": 1.5 - DENSITY_MARGIN if which == "full" else None,
-        "intersection_free": sweep.clean,
-        "intersection_count": sweep.count,
-        "intersection_pairs": list(sweep.pairs),
-        "sweep_candidates": sweep.candidates,
-        "sweep_tolerance": sweep.tolerance,
+        "embedding_method": "pair-sweep" if sweep is not None else "projection",
+        "projection_map": None if plane is None else plane.tolist(),
+        "intersection_free": free,
+        "intersection_count": 0 if sweep is None else sweep.count,
+        "intersection_pairs": [] if sweep is None else list(sweep.pairs),
+        "sweep_candidates": None if sweep is None else sweep.candidates,
+        "sweep_tolerance": None if sweep is None else sweep.tolerance,
         "satisfied": bool(ok),
     }
     return Certificate(

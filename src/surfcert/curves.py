@@ -145,28 +145,35 @@ class PolylineCurve:
         slack >= 6 u L + 2^-536 to first order, whatever tol is. The slack is
         twice that, which also covers every second-order term.
         """
-        k = v.shape[0]
         # backtracking at a vertex means the two incident segments overlap
         d_in = v - np.roll(v, 1, axis=0)
         d_out = np.roll(v, -1, axis=0) - v
         turns = _angles_batch(d_in, d_out)
         if np.any(turns >= math.pi - 1e-12):
             raise InputInconsistentError("curve backtracks onto itself at a vertex")
-        if k < 4:
+        if v.shape[0] < 4:
             return
         a = v
         b = np.roll(v, -1, axis=0)
         tol = COINCIDENCE_REL_TOL * scale
-        pairs = _box_pairs(np.minimum(a, b), np.maximum(a, b), tol + _simplicity_slack(scale))
-        ii, jj = pairs[:, 0], pairs[:, 1]
-        apart = (jj - ii != 1) & ((ii != 0) | (jj != k - 1))
-        ii, jj = ii[apart], jj[apart]
+        ii, jj = _nonadjacent_box_pairs(a, b, tol + _simplicity_slack(scale))
         tol2 = tol**2
         for lo in range(0, ii.size, 2_000_000):
             hi = min(lo + 2_000_000, ii.size)
             d2 = _segment_pair_dist2(a[ii[lo:hi]], b[ii[lo:hi]], a[jj[lo:hi]], b[jj[lo:hi]])
             if np.any(d2 <= tol2):
                 raise InputInconsistentError("curve is not simple: segments intersect")
+
+
+def _nonadjacent_box_pairs(a: np.ndarray, b: np.ndarray, pad: float) -> tuple:
+    """(ii, jj), ii < jj: the pairs of segments [a_i, b_i] of a closed
+    polyline (b_i = a_(i+1), cyclically) that share no vertex and whose
+    boxes, inflated by pad, overlap (`_box_pairs`), in lexicographic order."""
+    k = a.shape[0]
+    pairs = _box_pairs(np.minimum(a, b), np.maximum(a, b), pad)
+    ii, jj = pairs[:, 0], pairs[:, 1]
+    apart = (jj - ii != 1) & ((ii != 0) | (jj != k - 1))
+    return ii[apart], jj[apart]
 
 
 def _simplicity_slack(scale: float) -> float:
@@ -397,10 +404,18 @@ def projection_bound_report(c: PolylineCurve, x0: PointN) -> BoundReport:
     )
 
 
-def best_fit_plane_deviation(points: np.ndarray) -> float:
-    """Max distance from the points to their best-fit affine 2-plane."""
+def _best_fit_plane(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(centered, basis): the points less their mean, and the (2, n) rows
+    spanning the directions of their best-fit affine 2-plane (the two
+    leading right singular vectors of the centered points)."""
     x = np.asarray(points, dtype=np.float64)
     centered = x - x.mean(axis=0, keepdims=True)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    residual = centered - centered @ vt[:2].T @ vt[:2]
+    return centered, vt[:2]
+
+
+def best_fit_plane_deviation(points: np.ndarray) -> float:
+    """Max distance from the points to their best-fit affine 2-plane."""
+    centered, basis = _best_fit_plane(points)
+    residual = centered - centered @ basis.T @ basis
     return float(np.linalg.norm(residual, axis=1).max(initial=0.0))

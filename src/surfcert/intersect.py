@@ -1,14 +1,22 @@
-"""Pairwise triangle proximity sweep used to cross-check embeddedness.
+"""Embeddedness of a mesh: an exact certificate by projection, and a
+pairwise triangle proximity sweep where the projection cannot decide.
 
-Works in any ambient dimension by computing squared distances between
-candidate face pairs: the minimum over a convex quadratic is attained either
-at an interior critical point of a face-pair subproblem (triangle x triangle,
-edge x triangle) or on a lower feature (segment pairs, vertex vs triangle).
-Interpenetrating faces have distance zero, so "distance <= tol" doubles as an
-intersection predicate without any dimension-specific branch logic. The
-distance is not exact: the ridge (`_RIDGE`) of the interior solves moves the
-critical point off a crossing at a small dihedral angle, and two faces
-crossing at 1e-4 compute to 2.7e-8 apart, above the tolerance 1.4e-9.
+`projected_embedding` certifies a mesh with one boundary loop in O(F): a
+linear map to a plane that keeps one strict orientation on every face and
+maps the boundary loop to a simple polygon is injective (Meisters and Olech,
+Duke Math. J. 1963), so the surface is embedded. Every sign it reads is
+decided in floats under a static error bound (in the manner of Shewchuk, DCG
+1997), and whatever the bound leaves undecided is refused, never guessed.
+
+The sweep works in any ambient dimension by computing squared distances
+between candidate face pairs: the minimum over a convex quadratic is attained
+either at an interior critical point of a face-pair subproblem (triangle x
+triangle, edge x triangle) or on a lower feature (segment pairs, vertex vs
+triangle). Interpenetrating faces have distance zero, so "distance <= tol"
+doubles as an intersection predicate without any dimension-specific branch
+logic. The distance is not exact: the ridge (`_RIDGE`) of the interior solves
+moves the critical point off a crossing at a small dihedral angle, and two
+faces crossing at 1e-4 compute to 2.7e-8 apart, above the tolerance 1.4e-9.
 
 The candidate pairs are exactly the face pairs that share no vertex and whose
 bounding boxes, inflated by tol, overlap. `geometry._box_pairs`, the broad
@@ -33,11 +41,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _segment_pair_dist2
+from .curves import _best_fit_plane, _nonadjacent_box_pairs, _segment_pair_dist2
 from .geometry import _box_pairs, point_triangle_dist2
 from .surfaces import SurfaceModel
 
-__all__ = ["IntersectionReport", "triangle_pair_dist2", "self_intersections", "SWEEP_REL_TOL"]
+__all__ = [
+    "IntersectionReport",
+    "triangle_pair_dist2",
+    "self_intersections",
+    "projected_embedding",
+    "SWEEP_REL_TOL",
+]
 
 # candidate interior solves are ridge-regularized by this times the Gram trace
 _RIDGE = 1e-12
@@ -260,3 +274,141 @@ def self_intersections(surface: SurfaceModel) -> IntersectionReport:
         candidates=int(pairs.shape[0]),
         tolerance=tol,
     )
+
+
+def _projected(P: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """(x, d): x = P (b - a) rowwise for (K, n) stacks a and b (a may be one
+    row), as computed from their float difference, and d, the first-order
+    bound (n + 1) u pi1 |b - a|_inf + n 2^-1074 on each coordinate's rounding
+    error, pi1 being P's largest row 1-norm (see `projected_embedding`)."""
+    e = b - a
+    n = e.shape[1]
+    pe = (n + 1) * (np.finfo(np.float64).eps / 2.0) * float(np.abs(P).sum(axis=1).max())
+    return e @ P.T, pe * np.abs(e).max(axis=1) + n * 2.0**-1074
+
+
+def _decide(value, t, x, y, dx, dy) -> np.ndarray:
+    """The sign (-1, 0 or 1) of the exact value of a computed 2 x 2 form,
+    fl(x1 y2) -+ fl(x2 y1) or fl(x1 y1) + fl(x2 y2), of the computed vectors
+    x and y from `_projected`; t is the sum of the two products' moduli and
+    0 means rounding leaves the sign undecided (see `projected_embedding`)."""
+    u = np.finfo(np.float64).eps / 2.0
+    sx, sy = np.abs(x).sum(axis=1), np.abs(y).sum(axis=1)
+    bound = 2.0 * (dy * sx + dx * sy + 2.0 * dx * dy + 2.0 * u * t) + 2.0**-1071
+    return np.sign(value) * (np.abs(value) > bound)
+
+
+def _orientations(P: np.ndarray, a, b, c) -> np.ndarray:
+    """Decided signs of det[P (b - a), P (c - a)], rowwise."""
+    (x, dx), (y, dy) = _projected(P, a, b), _projected(P, a, c)
+    xy, yx = x[:, 0] * y[:, 1], x[:, 1] * y[:, 0]
+    return _decide(xy - yx, np.abs(xy) + np.abs(yx), x, y, dx, dy)
+
+
+def projected_embedding(surface: SurfaceModel) -> np.ndarray | None:
+    """The (2, n) linear map P that shows the surface embedded, or None.
+
+    P is the basis of the vertices' best-fit plane (`curves._best_fit_plane`).
+    Every test below is about the exact linear map with P's float entries,
+    and any matrix is a linear map, so the SVD's rounding only picks a worse
+    or better map and costs no soundness. P certifies the surface when
+
+    (a) the mesh has exactly one boundary loop;
+    (b) every face's signed area det[P (b - a), P (c - a)] is decided
+        nonzero, with one sign s for all faces;
+    (c) P maps the boundary loop to a simple closed polygon.
+
+    Lemma (a PL form of Meisters and Olech, Duke Math. J. 1963). On any mesh
+    that `SurfaceModel.build` accepts, (a)-(c) make P injective on the
+    surface, so the surface is embedded. Build leaves each edge in one or two
+    faces, and two faces that share an edge run it in opposite directions.
+    So in the sum of the faces' oriented boundaries the interior edges
+    cancel, and the boundary loop is what remains. For y in the plane off
+    the image of every edge, let N(y) be the number of faces whose image
+    contains y. A face's image winds about y s times if it contains y and
+    0 times if not, so s N(y) is the winding number of the loop's image
+    about y, which is 0 or +-1 by (c): N(y) <= 1. Now let x != x' be points
+    of the mesh with P x = P x' (two vertices at one position are two
+    points). No face contains both, since P is injective on each face. If
+    both lie on the boundary loop, (c) fails. Otherwise say x does not.
+    Then the faces containing x cover a
+    neighbourhood of P x: one face if x is inside it; the two faces of an
+    interior edge, which lie on opposite sides of its image because they
+    run it in opposite directions with one sign; or, at an interior vertex,
+    whose edges are all interior, closed fans of triangles that all turn the
+    same way about P x, and each fan sweeps a positive multiple of 2 pi. A
+    face containing x' maps to a nondegenerate triangle through P x, which
+    meets that neighbourhood in an open set, so some y off every edge image
+    has N(y) >= 2, a contradiction. The argument needs no connectivity,
+    Euler characteristic or vertex link test: a closed component, a pinched
+    interior vertex or a branch point would cover some y twice, so (b) and
+    (c) cannot hold on such a mesh.
+
+    Rounding (unit roundoff u, dimension n, pi1 the largest row 1-norm of
+    P, eta = 2^-1075 the error of a product that underflows; a sum of floats
+    that underflows is exact). Every signed area comes from the differences
+    e = fl(b - a) and f = fl(c - a) of its own three vertices, so no term of
+    its bound grows with their distance from the origin:
+
+    - a coordinate of x = fl(P e) is within u pi1 |e|_inf of P (b - a) by the
+      difference, and within gamma_n pi1 |e|_inf + n eta of P e by the dot
+      product in any summation order, with or without fused multiply-adds:
+      d_x = (n + 1) u pi1 |e|_inf + n eta to first order (`_projected`);
+    - with |x_i - X_i| <= d_x and |y_i - Y_i| <= d_y for the exact X and Y,
+      x1 y2 - X1 Y2 = x1 (y2 - Y2) + Y2 (x1 - X1) and |Y2| <= |y2| + d_y, so
+      the exact det[x, y] is within d_y s_x + d_x s_y + 2 d_x d_y of
+      det[X, Y], where s = |v1| + |v2|; the two products and the difference
+      add (2 u + u^2) t + (2 + 2 u) eta, where t = |fl(x1 y2)| + |fl(x2 y1)|.
+      The dot product x . y has the same bound with t = |fl(x1 y1)| +
+      |fl(x2 y2)|;
+    - `_decide` takes twice the terms in d, s and t, and the other half covers
+      the rounding of the bound itself and every second-order term (gamma_n
+      against n u, pi1, s and t as computed). It adds 2^-1071 = 16 eta for the
+      (2 + 2 u) eta above and the four products of the bound's own
+      evaluation that may underflow. A value beyond the bound has the exact
+      sign.
+
+    The loop is projected relative to its own first vertex w0: a coordinate
+    of q_i = fl(P fl(w_i - w0)) is within D = (n + 1) u pi1 M + n eta, to
+    first order, of P (w_i - w0), where M is the largest |fl(w_i - w0)|_inf.
+    The exact images of two segments that meet have computed boxes at most
+    2 D apart, so `_box_pairs`, padded by twice `_projected`'s bound on D,
+    lists every such pair; rounding is monotone, so its padded comparisons
+    keep them. Each listed pair that shares no vertex must be shown apart:
+    one segment strictly on one side of the other's line, by the decided
+    signs of two signed areas of ambient triples as above. Two
+    disjoint segments that are not collinear always have such a side: if
+    each straddled the other's line, they would meet. At each loop vertex
+    the two segments must meet only there: their signed area is decided
+    nonzero, or their dot product decided positive, so no vertex folds back.
+    `_segment_pair_dist2`, which the curves' own simplicity check reads, does
+    not fit here: the distance between its two computed points bounds the
+    segments' distance only from above.
+
+    Anything the bound leaves undecided returns None, and so does a mesh
+    that fails (a), (b) or (c); no exact arithmetic runs. The cost is a few
+    array operations per face, plus the broad phase on the loop.
+    """
+    if len(surface.boundary_loops) != 1:
+        return None
+    v, f = surface.vertices, surface.faces
+    P = _best_fit_plane(v)[1]
+    signs = _orientations(P, v[f[:, 0]], v[f[:, 1]], v[f[:, 2]])
+    if not (np.all(signs == 1) or np.all(signs == -1)):
+        return None
+
+    w = v[surface.boundary_loops[0]]
+    prev, nxt = np.roll(w, 1, axis=0), np.roll(w, -1, axis=0)
+    (x, dx), (y, dy) = _projected(P, prev, w), _projected(P, w, nxt)
+    xx, yy = x[:, 0] * y[:, 0], x[:, 1] * y[:, 1]
+    ahead = _decide(xx + yy, np.abs(xx) + np.abs(yy), x, y, dx, dy) == 1
+    if not np.all(ahead | (_orientations(P, prev, w, nxt) != 0)):
+        return None
+    q, dq = _projected(P, w[:1], w)
+    ii, jj = _nonadjacent_box_pairs(q, np.roll(q, -1, axis=0), 2.0 * float(dq.max()))
+    a, b, c, d = w[ii], nxt[ii], w[jj], nxt[jj]
+    one_side = _orientations(P, a, b, c) * _orientations(P, a, b, d) == 1
+    other_side = _orientations(P, c, d, a) * _orientations(P, c, d, b) == 1
+    if not np.all(one_side | other_side):
+        return None
+    return P

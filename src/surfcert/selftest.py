@@ -336,7 +336,9 @@ def _check_embeddedness_cross():
             )
             branch_detail = f"branch density {dens[0]:.4f}" if dens else "no branch sample"
         if cert.status == "satisfied":
-            certified.append(name)
+            certified.append(f"{name} by {cert.conclusion['embedding_method']}")
+            # the sweep cross-checks every certified scene, whichever method
+            # certified it
             if not self_intersections(scene.surface).clean:
                 sweep_failures.append(name)
     ok = branch_ok and not sweep_failures and len(certified) >= 2

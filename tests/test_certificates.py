@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surfcert import (
     Certificate,
@@ -23,6 +24,7 @@ from surfcert import (
     SurfaceModel,
     boundary_polyline,
     build_scene,
+    catalog_names,
     corner_density_certificate,
     curvature_prefactor,
     delta_for_epsilon,
@@ -35,6 +37,7 @@ from surfcert import (
     lp_norm,
     m_profile,
     mean_curvature_field,
+    projected_embedding,
     property_p_constants,
     self_intersections,
 )
@@ -291,10 +294,67 @@ class TestEmbeddednessCertificate:
         assert concl["sweep_candidates"] == sweep.candidates >= sweep.count
         assert concl["sweep_tolerance"] == sweep.tolerance == 1e-9 * s.scale
         assert concl["intersection_free"] is False
+        assert concl["embedding_method"] == "pair-sweep" and concl["projection_map"] is None
+
+    def test_projection_replaces_the_sweep_on_a_disk(self, cap32):
+        concl = embeddedness_certificate(
+            cap32.surface, cap32.boundaries, math.inf, which="full"
+        ).conclusion
+        assert concl["embedding_method"] == "projection"
+        assert concl["projection_map"] == projected_embedding(cap32.surface).tolist()
+        assert np.asarray(concl["projection_map"]).shape == (2, 3)
+        assert concl["intersection_free"] is True
+        assert (concl["intersection_count"], concl["intersection_pairs"]) == (0, [])
+        assert concl["sweep_candidates"] is None and concl["sweep_tolerance"] is None
 
     def test_which_validated(self, disk):
         with pytest.raises(InvalidParameterError):
             embeddedness_certificate(disk.surface, disk.boundaries, math.inf, which="x")
+
+
+def embeddedness_verdict(s: SurfaceModel, curves, move=None) -> tuple:
+    """status, method and intersection_free of the full certificate on the
+    bare mesh, with its vertices and the curves' moved by move."""
+    if move is not None:
+        s = SurfaceModel.build(move(s.vertices), s.faces)
+        curves = [PolylineCurve(move(c.vertices), corner_flags=c.corner_flags) for c in curves]
+    cert = embeddedness_certificate(s, curves, math.inf, "full")
+    return cert.status, cert.conclusion["embedding_method"], cert.conclusion["intersection_free"]
+
+
+class TestEmbeddednessInvariance:
+    """The verdict and the method survive rigid motions, far translations,
+    extreme scales, vertex relabelings and face reorderings; both methods
+    are covered (the projection on the disk-type scenes, the sweep on the
+    others)."""
+
+    @pytest.fixture(scope="class", params=catalog_names())
+    def scene(self, request):
+        sc = build_scene(request.param, res=16)
+        bare = SurfaceModel.build(sc.surface.vertices, sc.surface.faces)
+        return bare, list(sc.boundaries), embeddedness_verdict(bare, list(sc.boundaries))
+
+    @pytest.mark.parametrize(
+        "move",
+        [lambda v: v + 1e3, lambda v: v + 1e6, lambda v: v * 1e-35, lambda v: v * 1e20],
+        ids=["shift-1e3", "shift-1e6", "scale-1e-35", "scale-1e20"],
+    )
+    def test_translation_and_scale(self, scene, move):
+        s, curves, verdict = scene
+        assert embeddedness_verdict(s, curves, move) == verdict
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_rotation_relabeling_and_face_order(self, scene, seed):
+        s, curves, verdict = scene
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.normal(size=(s.dim, s.dim)))
+        assert embeddedness_verdict(s, curves, lambda v: v @ (q * np.sign(np.diag(r)))) == verdict
+        perm = rng.permutation(s.n_vertices)
+        relabeled = SurfaceModel.build(s.vertices[perm], np.argsort(perm)[s.faces])
+        assert embeddedness_verdict(relabeled, curves) == verdict
+        reordered = SurfaceModel.build(s.vertices, s.faces[rng.permutation(s.n_faces)])
+        assert embeddedness_verdict(reordered, curves) == verdict
 
 
 class TestCornerCertificate:

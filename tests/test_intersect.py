@@ -5,9 +5,12 @@ parallel offset planes (the offset), nearest-vertex and nearest-edge
 cases, and a pure fourth-coordinate offset in R^4. The broad phase is
 checked against an O(F^2) enumeration of every face pair, and the
 separating-axis reject against the exact distance of pairs built just inside
-and just outside the tolerance.
+and just outside the tolerance. The projection certificate's signs are
+checked against the same forms in rationals, and its refusals against meshes
+it must not certify.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,12 +20,22 @@ from hypothesis import given, settings, strategies as st
 
 from surfcert import (
     SurfaceModel,
+    boundary_polyline,
     build_scene,
+    embeddedness_certificate,
+    projected_embedding,
     self_intersections,
     triangle_pair_dist2,
 )
 from surfcert.geometry import _box_pairs
-from surfcert.intersect import SWEEP_REL_TOL, _candidate_pairs, _separated
+from surfcert.intersect import (
+    SWEEP_REL_TOL,
+    _candidate_pairs,
+    _decide,
+    _orientations,
+    _projected,
+    _separated,
+)
 
 
 def pair(t1, t2):
@@ -198,6 +211,42 @@ class TestSmallDihedralAngle:
     @pytest.mark.parametrize("theta", [1e-4, 1e-6])
     def test_crossing_at_a_small_angle_is_found(self, theta):
         assert self_intersections(crossing_at_angle(theta)).count == 1
+
+
+def fan(rim) -> SurfaceModel:
+    """A closed fan of triangles from a hub at the origin over the rim."""
+    k = len(rim)
+    faces = [[0, 1 + i, 1 + (i + 1) % k] for i in range(k)]
+    return SurfaceModel.build(np.vstack([np.zeros(3), np.asarray(rim, float)]), faces)
+
+
+# the shared-vertex witness of ROADMAP item 2: faces 0 and 2 cross along a
+# segment that starts at the hub, which the sweep never pairs
+HUB_RIM = [(2.5, -1.0, 0.0), (1.0, 0.0, -1.0), (3.0, 0.0, 1.0), (2.5, 1.0, 0.0)]
+
+
+class TestSharedVertexBlindSpot:
+    """The sweep never pairs faces that share a vertex (ROADMAP item 2), and
+    the projection refuses the hub fan, so the crossing at its hub goes
+    unseen; pinned until the sweep tests such pairs."""
+
+    def fan_certificate(self):
+        s = fan(HUB_RIM)
+        return s, embeddedness_certificate(s, [boundary_polyline(s, 0)], math.inf, "full")
+
+    def test_sweep_sees_no_candidate(self):
+        s, cert = self.fan_certificate()
+        assert self_intersections(s).candidates == 0
+        assert cert.conclusion["embedding_method"] == "pair-sweep"
+        assert cert.conclusion["max_interior_density"] == pytest.approx(0.512, abs=1e-3)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="faces 0 and 2 cross along a segment from the shared hub, and the sweep "
+        "drops every pair that shares a vertex",
+    )
+    def test_crossing_at_the_hub_is_found(self):
+        assert self.fan_certificate()[1].conclusion["intersection_free"] is False
 
 
 def grid_faces(rows: int, cols: int) -> np.ndarray:
@@ -498,3 +547,164 @@ class TestSeparatingAxisReject:
         assert _separated(tris[pairs[:, 0]], tris[pairs[:, 1]], tol).all()
         rep = self_intersections(s)
         assert rep.clean and rep.candidates == pairs.shape[0] > 0
+
+
+def annulus_strip(angles, radii, lift=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices (angle-major) and faces of the strip over angles x radii,
+    raised by lift per radian."""
+    t, r = np.meshgrid(angles, radii, indexing="ij")
+    v = np.stack([r * np.cos(t), r * np.sin(t), lift * t], axis=-1).reshape(-1, 3)
+    w = len(radii)
+    faces = []
+    for i in range(len(angles) - 1):
+        for j in range(w - 1):
+            a, b = i * w + j, (i + 1) * w + j
+            faces += [[a, b, b + 1], [a, b + 1, a + 1]]
+    return v, np.array(faces)
+
+
+def flat_c(gap: float, m: int = 24) -> SurfaceModel:
+    """A flat annulus in z = 0 cut open at angle 0 into a "C": its two end
+    caps are the segments y = +-gap/2, 1 <= x <= 2, gap apart."""
+    v, f = annulus_strip(2.0 * math.pi * np.arange(m + 1) / m, [1.0, 1.5, 2.0])
+    v[:3] = [[1.0, gap / 2, 0.0], [1.5, gap / 2, 0.0], [2.0, gap / 2, 0.0]]
+    v[-3:] = [[1.0, -gap / 2, 0.0], [1.5, -gap / 2, 0.0], [2.0, -gap / 2, 0.0]]
+    return SurfaceModel.build(v, f)
+
+
+def exact_forms(P, a, b, c) -> tuple:
+    """det and dot of P (b - a) and P (c - a), in rationals from the floats."""
+    rows = [[Fraction(x) for x in row] for row in P]
+    e = [Fraction(y) - Fraction(x) for x, y in zip(a, b)]
+    f = [Fraction(y) - Fraction(x) for x, y in zip(a, c)]
+    x = [sum(p * q for p, q in zip(row, e)) for row in rows]
+    y = [sum(p * q for p, q in zip(row, f)) for row in rows]
+    return x[0] * y[1] - x[1] * y[0], x[0] * y[0] + x[1] * y[1]
+
+
+def near_perpendicular_faces(rng, dim, count, log_edge, log_offset, log_scale):
+    """count faces whose edges lie within a tilt t (10^-20 to 1, per face) of
+    the directions a, n: a in P's plane, n orthogonal to it, so each face's
+    image has signed area about t |e| |f|. Returns P and the corner stacks."""
+    basis = frame(rng, dim)
+    P = basis[:2]
+    shape = (count, 3)
+    tilt = 10.0 ** rng.uniform(-20.0, 0.0, size=(count, 1))
+    corners = []
+    for _ in range(2):
+        k = rng.normal(size=shape)
+        length = 10.0 ** rng.uniform(log_edge, 0.0, size=(count, 1))
+        corners.append(length * (k[:, :1] * basis[0] + k[:, 1:2] * basis[-1] + tilt * k[:, 2:] * basis[1]))
+    scale = 10.0**log_scale
+    a = rng.normal(size=(count, dim)) * 10.0**log_offset * scale
+    return P, a, a + corners[0] * scale, a + corners[1] * scale
+
+
+class TestProjectedEmbedding:
+    """The projection certificate is exact: a decided sign is the sign of
+    the exact rational form, and whatever it cannot show embedded, it
+    refuses."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        dim=st.sampled_from([3, 4]),
+        log_edge=st.floats(min_value=-8.0, max_value=0.0),
+        log_offset=st.floats(min_value=-2.0, max_value=6.0),
+        log_scale=st.floats(min_value=-30.0, max_value=0.0),
+    )
+    def test_decided_signs_are_exact(self, seed, dim, log_edge, log_offset, log_scale):
+        rng = np.random.default_rng(seed)
+        P, a, b, c = near_perpendicular_faces(rng, dim, 24, log_edge, log_offset, log_scale)
+        det_sign = _orientations(P, a, b, c)
+        (x, dx), (y, dy) = _projected(P, a, b), _projected(P, a, c)
+        xx, yy = x[:, 0] * y[:, 0], x[:, 1] * y[:, 1]
+        dot_sign = _decide(xx + yy, np.abs(xx) + np.abs(yy), x, y, dx, dy)
+        for i in range(a.shape[0]):
+            det, dot = exact_forms(P, a[i], b[i], c[i])
+            if det_sign[i] != 0:
+                assert det_sign[i] == (det > 0) - (det < 0)
+            if dot_sign[i] != 0:
+                assert dot_sign[i] == (dot > 0) - (dot < 0)
+
+    @pytest.mark.parametrize("log_scale", [-30.0, 0.0, 20.0])
+    def test_clear_signs_are_decided(self, log_scale):
+        # a tilt of 1e-6 leaves an area far above the rounding bound, at any
+        # scale and a million face sizes from the origin
+        rng = np.random.default_rng(1)
+        P, a, b, c = near_perpendicular_faces(rng, 3, 200, -8.0, 6.0, log_scale)
+        e, f = (b - a) @ P.T, (c - a) @ P.T
+        area = np.abs(e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0])
+        clear = area > 1e-6 * np.abs(b - a).max(axis=1) * np.abs(c - a).max(axis=1)
+        assert clear.sum() > 100
+        assert np.all(_orientations(P, a, b, c)[clear] != 0)
+
+    @pytest.mark.parametrize("name", ["flat_disk", "flat_sector", "graph_disk", "cap", "hemisphere", "enneper"])
+    def test_disk_scenes_certify(self, name):
+        s = build_scene(name, res=16).surface
+        P = projected_embedding(s)
+        assert P.shape == (2, 3)
+        assert np.allclose(P @ P.T, np.eye(2))
+
+    @pytest.mark.parametrize("name", ["branched_disk", "catenoid", "torus_minus_disk"])
+    def test_other_scenes_are_refused(self, name):
+        # a boundary winding twice, two boundary loops, and genus 1
+        assert projected_embedding(build_scene(name, res=16).surface) is None
+
+    @pytest.mark.parametrize("order", list(itertools.permutations([1, 2, 3])))
+    def test_hub_fan_is_refused_in_every_rim_order(self, order):
+        rim = [HUB_RIM[0]] + [HUB_RIM[i] for i in order]
+        assert projected_embedding(fan(rim)) is None
+
+    def test_vertex_dragged_past_its_ring_is_refused(self):
+        disk = build_scene("flat_disk", res=16).surface
+        v, f = disk.vertices.copy(), disk.faces
+        i = 40
+        ring = np.unique(f[(f == i).any(axis=1)])
+        far = v[ring][np.argmax(np.linalg.norm(v[ring] - v[i], axis=1))]
+        v[i] += 1.5 * (far - v[i])
+        s = SurfaceModel.build(v, f)
+        assert not self_intersections(s).clean
+        assert projected_embedding(s) is None
+
+    def test_closed_component_is_refused(self):
+        # a disk plus a separate octahedron above it: one boundary loop, and
+        # the two components are disjoint, but a closed surface cannot keep
+        # one orientation on every face
+        disk = build_scene("flat_disk", res=16).surface
+        octa = 0.3 * np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], float)
+        octa_faces = []
+        for a, b in [(0, 2), (2, 1), (1, 3), (3, 0)]:
+            octa_faces += [[4, a, b], [5, b, a]]
+        s = SurfaceModel.build(
+            np.vstack([disk.vertices, octa + [0.0, 0.0, 3.0]]),
+            np.vstack([disk.faces, np.array(octa_faces) + disk.n_vertices]),
+        )
+        assert len(s.boundary_loops) == 1 and self_intersections(s).clean
+        assert projected_embedding(s) is None
+
+    def test_embedded_strip_with_overlapping_image_is_refused(self):
+        # a ramp winding 1.5 times about the z axis: embedded, but its image
+        # in the best-fit plane covers part of the annulus twice
+        v, f = annulus_strip(np.linspace(0.0, 3.0 * math.pi, 61), [1.0, 1.5, 2.0], lift=0.15)
+        s = SurfaceModel.build(v, f)
+        assert len(s.boundary_loops) == 1 and self_intersections(s).clean
+        assert projected_embedding(s) is None
+        concl = embeddedness_certificate(s, [boundary_polyline(s, 0)], math.inf, "full").conclusion
+        assert concl["embedding_method"] == "pair-sweep" and concl["projection_map"] is None
+        assert concl["intersection_free"] is True
+
+    def test_c_with_close_tips_is_embedded_but_within_sweep_tolerance(self):
+        # the tips are half the sweep's tolerance apart: the projection shows
+        # the surface exactly embedded, while the sweep counts the contact
+        s = flat_c(0.5 * SWEEP_REL_TOL * float(np.hypot(4.0, 4.0)))
+        assert s.scale == pytest.approx(np.hypot(4.0, 4.0))
+        assert projected_embedding(s) is not None
+        assert self_intersections(s).count > 0
+        concl = embeddedness_certificate(s, [boundary_polyline(s, 0)], math.inf, "full").conclusion
+        assert concl["embedding_method"] == "projection"
+        assert concl["intersection_free"] is True and concl["intersection_count"] == 0
+
+    def test_touching_tips_are_refused(self):
+        s = flat_c(0.0)
+        assert projected_embedding(s) is None

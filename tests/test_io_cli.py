@@ -592,3 +592,42 @@ class TestCommandLine:
         assert code == 1
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err
+
+
+class TestCertifyEmbeddednessFromFile:
+    """`certify --kind embeddedness` end to end from a mesh file: a disk
+    certifies by projection, crossing sheets fall back to the pair sweep."""
+
+    def certify(self, tmp_path, surface, ext) -> tuple:
+        mesh, out = str(tmp_path / f"mesh{ext}"), str(tmp_path / "report.json")
+        save_mesh(mesh, surface)
+        code = main(["certify", "--mesh", mesh, "--kind", "embeddedness", "--which", "full", "--out", out])
+        with open(out) as fh:
+            doc = json.load(fh)
+        validate_report(doc)
+        return code, doc["payload"]
+
+    @pytest.mark.parametrize("ext", [".obj", ".off"])
+    def test_moved_cap_certifies_by_projection(self, tmp_path, ext):
+        s = build_scene("cap", res=24).surface
+        rot = np.array([[0.36, 0.48, -0.8], [-0.8, 0.6, 0.0], [0.48, 0.64, 0.6]])
+        moved = SurfaceModel.build(s.vertices @ rot.T + [3.0, -1.5, 2.0], s.faces)
+        code, payload = self.certify(tmp_path, moved, ext)
+        assert code == 0 and payload["status"] == "satisfied"
+        concl = payload["conclusion"]
+        assert concl["embedding_method"] == "projection"
+        assert concl["intersection_free"] is True and concl["sweep_candidates"] is None
+
+    def test_crossing_sheets_fall_back_to_the_sweep(self, tmp_path):
+        g = np.linspace(-1.0, 1.0, 7)
+        u, w = (a.ravel() for a in np.meshgrid(g, g))
+        flat = np.stack([u, w, np.zeros_like(u)], axis=1)
+        upright = np.stack([u, np.zeros_like(u), w], axis=1)
+        corner = (np.arange(6)[:, None] * 7 + np.arange(6)).ravel()
+        a, b, c, d = corner, corner + 1, corner + 8, corner + 7
+        f = np.concatenate([np.stack([a, b, c], axis=1), np.stack([a, c, d], axis=1)])
+        sheets = SurfaceModel.build(np.vstack([flat, upright]), np.vstack([f, f + 49]))
+        _code, payload = self.certify(tmp_path, sheets, ".obj")
+        concl = payload["conclusion"]
+        assert concl["embedding_method"] == "pair-sweep" and concl["projection_map"] is None
+        assert concl["intersection_free"] is False and concl["intersection_pairs"]
