@@ -280,9 +280,14 @@ def _edge_fan_areas(ax, ay, bx, by, rho2):
     return 0.5 * ((t2 - t1) * cross + rho2 * (theta_in + theta_out))
 
 
-def _straddling_areas(rel: np.ndarray, r2: float) -> np.ndarray:
+def _straddling_areas(rel: np.ndarray, r2) -> np.ndarray:
     """Exact area of each triangle of a (K, 3, n) stack inside the ball of
     squared radius r2 centred at the origin; rows must be nondegenerate.
+
+    r2 is one float for every row or a (K,) array, one per row, so one call
+    clips a centre's faces at many radii. Every operation is rowwise, so a
+    row's area does not depend on the other rows: it is bit-identical
+    whether the row is clipped alone or in a stack.
 
     The triangle's plane meets the ball in a disk of squared radius
     rho2 = r2 - h^2, h the distance from the centre to the plane. In an
@@ -321,7 +326,8 @@ def _triangle_stack(verts, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FaceReach:
-    """How far each face of a (K, 3, n) stack reaches from one centre.
+    """How far each face of a (K, 3, n) stack reaches from one centre, and
+    the stack's clips at the radii it was built for.
 
     areas: the wedge-product areas (`triangle_areas`); live: the faces whose
     area is at least DEGENERATE_REL_TOL times the squared diameter; near2:
@@ -329,7 +335,10 @@ class FaceReach:
     (`point_triangle_dist2`); far2: the squared distance to its farthest
     vertex. A ball of squared radius r2 about the centre holds a live face
     whole when far2 <= r2 (the ball is convex) and misses it when
-    near2 > r2; only the faces in between need the closed form.
+    near2 > r2; only the faces in between need the closed form. clips maps
+    each radius r the reach was built with to (crossing, part): the indices
+    of the live faces the sphere of radius r crosses, ascending, and the
+    exact area of each inside the ball.
     """
 
     center: PointN
@@ -337,13 +346,21 @@ class FaceReach:
     live: np.ndarray
     near2: np.ndarray
     far2: np.ndarray
+    clips: dict
 
 
-def face_reach(verts: np.ndarray, center, areas: np.ndarray | None = None) -> FaceReach:
+def face_reach(
+    verts: np.ndarray, center, areas: np.ndarray | None = None, radii=()
+) -> FaceReach:
     """Classify a (K, 3, n) stack once about `center`, for clips at any radius.
 
     `areas` may pass the stack's `triangle_areas` when they are already known
-    (a surface's `face_areas`); they are computed otherwise.
+    (a surface's `face_areas`); they are computed otherwise. For the given
+    `radii` the faces each sphere crosses are clipped here, in one
+    `_straddling_areas` call over every (radius, crossing face) row with
+    that row's r^2, and `clip_areas` and `clip_areas_total` at one of those
+    radii read the result. A radius not given is clipped when it is asked
+    for, by the same routine; either way a clip is the same to the bit.
     """
     center = as_point(center)
     verts = _triangle_stack(verts, center.size)
@@ -354,20 +371,41 @@ def face_reach(verts: np.ndarray, center, areas: np.ndarray | None = None) -> Fa
         raise InputInconsistentError(
             f"areas of shape {areas.shape} for {verts.shape[0]} triangles"
         )
-    return FaceReach(
+    radii = tuple(float(r) for r in radii)
+    if not all(math.isfinite(r) and r > 0.0 for r in radii):
+        raise InvalidParameterError(f"clip radii must be finite and positive, got {radii}")
+    reach = FaceReach(
         center=center,
         areas=areas,
         live=(areas > 0.0) & (areas >= DEGENERATE_REL_TOL * _sq_diameters(verts)),
         near2=point_triangle_dist2(verts, center),
         far2=((verts - center) ** 2).sum(-1).max(axis=1),
+        clips={},
     )
+    if radii:
+        reach.clips.update(_clip_radii(verts, reach, radii))
+    return reach
+
+
+def _clip_radii(verts: np.ndarray, reach: FaceReach, radii: tuple) -> dict:
+    """{r: (crossing, part)} of `FaceReach.clips` for each radius, from one
+    closed-form call over the crossing faces of every radius, radius-major."""
+    r2 = np.array([r * r for r in radii])[:, None]
+    crosses = reach.live & ~(reach.far2 <= r2) & (reach.near2 <= r2)
+    row, face = np.nonzero(crosses)
+    part = np.clip(
+        _straddling_areas(verts[face] - reach.center, r2[row, 0]), 0.0, reach.areas[face]
+    )
+    cut = np.cumsum(crosses.sum(axis=1))[:-1]
+    return dict(zip(radii, zip(np.split(face, cut), np.split(part, cut))))
 
 
 def _clip_parts(verts, ball: Ball, reach: FaceReach | None):
     """(reach, inside, crossing, part) of a stack clipped by a ball: the
     stack's reach about the centre, the mask of the live faces wholly
     inside, the indices of the live faces the sphere crosses and the exact
-    area of each of those inside."""
+    area of each of those inside, read from the reach's clips when it holds
+    the radius."""
     verts = _triangle_stack(verts, ball.dim)
     if reach is None:
         reach = face_reach(verts, ball.center)
@@ -375,13 +413,11 @@ def _clip_parts(verts, ball: Ball, reach: FaceReach | None):
         reach.center, ball.center
     ):
         raise InputInconsistentError("the face reach was built for another stack or centre")
-    r2 = ball.radius * ball.radius
-    inside = reach.live & (reach.far2 <= r2)
-    crossing = np.flatnonzero(reach.live & ~inside & (reach.near2 <= r2))
-    part = np.clip(
-        _straddling_areas(verts[crossing] - ball.center, r2), 0.0, reach.areas[crossing]
-    )
-    return reach, inside, crossing, part
+    clip = reach.clips.get(ball.radius)
+    if clip is None:
+        clip = _clip_radii(verts, reach, (ball.radius,))[ball.radius]
+    crossing, part = clip
+    return reach, reach.live & (reach.far2 <= ball.radius * ball.radius), crossing, part
 
 
 def clip_areas(verts: np.ndarray, ball: Ball, reach: FaceReach | None = None) -> np.ndarray:

@@ -315,9 +315,9 @@ def m_profile(
 
     # a segment's cone adds nothing until r passes the segment's distance
     tris = s.face_triangles()
-    reach = face_reach(tris, x0, s.face_areas)
+    reach = face_reach(tris, x0, s.face_areas, radii)
     fan, fan_near2, theta = _boundary_fan(curves, x0)
-    fan_reach = face_reach(fan, x0)
+    fan_reach = face_reach(fan, x0, radii=radii)
     m_vals = []
     for r in radii:
         ball = Ball(center=x0, radius=r)
@@ -477,7 +477,7 @@ def first_variation(s: SurfaceModel, x0, radii) -> FirstVariation:
     n = s.dim
     u = np.finfo(np.float64).eps / 2.0
     tris = s.face_triangles()
-    reach = face_reach(tris, x0, s.face_areas)
+    reach = face_reach(tris, x0, s.face_areas, [b.radius for b in balls])
     live = reach.live
 
     # side 3f + c runs from corner c of face f to corner c + 1: its outward
@@ -594,7 +594,7 @@ def check_property_p(
         vals = np.where(scalar.unreliable, 0.0, scalar.values)
         coords, areas = s.face_triangles(), s.face_areas
         hmag = vals[s.faces].mean(axis=1)
-    reach = face_reach(coords, x0, areas)
+    reach = face_reach(coords, x0, areas, prof.radii)
 
     integrals, bounds, slacks, violations = [], [], [], []
     for idx, r in enumerate(prof.radii):

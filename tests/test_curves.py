@@ -337,6 +337,35 @@ class TestSimplicityCheck:
         assert sum(rows) <= 4 * 5000
 
 
+def small_angle_quad(theta: float) -> np.ndarray:
+    """A 4-gon in the plane z = 0 whose sides 0 and 2 cross each other at
+    an angle of about 2 theta, so it is not simple for any theta > 0."""
+    return np.array(
+        [[-1.0, -0.6 * theta, 0.0], [1.0, 1.3 * theta, 0.0], [1.0, -0.7 * theta, 0.0],
+         [-1.0, 1.1 * theta, 0.0]]
+    )
+
+
+class TestSmallCrossingAngle:
+    """The curve check's blind spot, pinned until it decides crossings
+    exactly: `_segment_pair_dist2`'s clamped closest-point parameters are
+    off by about u / theta^2, as in the triangle narrow phase."""
+
+    def test_crossing_at_a_moderate_angle_rejected(self):
+        with pytest.raises(InputInconsistentError, match="not simple"):
+            PolylineCurve(small_angle_quad(1e-4))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="_segment_pair_dist2 computes the crossing sides 1.2e-11, 3.6e-11 and "
+        "6.2e-10 apart at 1e-5, 1e-6 and 1e-7, against the tolerance 2e-12",
+    )
+    @pytest.mark.parametrize("theta", [1e-5, 1e-6, 1e-7])
+    def test_crossing_at_a_small_angle_rejected(self, theta):
+        with pytest.raises(InputInconsistentError, match="not simple"):
+            PolylineCurve(small_angle_quad(theta))
+
+
 class TestCone:
     def test_unit_cone_area_over_circle(self):
         # cone over a radius-1 circle at height 1 from the origin: each mesh

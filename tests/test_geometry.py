@@ -10,9 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surfcert import (
     Ball,
+    FaceReach,
     InputInconsistentError,
     InvalidParameterError,
     angle_between,
@@ -24,7 +26,7 @@ from surfcert import (
     triangle_areas,
     vertex_total_angle,
 )
-from surfcert.geometry import DEGENERATE_REL_TOL, _edge_fan_areas
+from surfcert.geometry import DEGENERATE_REL_TOL, _edge_fan_areas, _straddling_areas, clip_areas
 
 # the clip is exact up to rounding: closed forms agree to this relative error
 REL = 1e-12
@@ -212,6 +214,110 @@ class TestClipClosedForms:
             assert clip(t, Ball((0.5, 0.0, 0.0), 2.0)) == area
         lifted = np.array([[p + (0.0,) for p in pts]])
         assert triangle_areas(lifted)[0] == area
+
+
+def assert_reach_reads_match(verts: np.ndarray, center, radii) -> FaceReach:
+    """Clips read from a reach built with `radii` are bit-identical to the
+    clips of a reach built without them, to those of no reach, and to the
+    closed form run at one radius with a scalar r^2, at each of `radii` and
+    at one radius outside them; returns the reach."""
+    reach = face_reach(verts, center, radii=radii)
+    plain = face_reach(verts, center)
+    assert sorted(reach.clips) == sorted(set(radii)) and plain.clips == {}
+    for r in [*radii, 1.5 * max(radii) + 1.0]:
+        ball = Ball(center, r)
+        got = clip_areas(verts, ball, reach)
+        assert got.tobytes() == clip_areas(verts, ball, plain).tobytes()
+        assert got.tobytes() == clip_areas(verts, ball).tobytes()
+        assert clip_areas_total(verts, ball, reach) == clip_areas_total(verts, ball)
+        r2 = r * r
+        inside = reach.live & (reach.far2 <= r2)
+        crossing = np.flatnonzero(reach.live & ~inside & (reach.near2 <= r2))
+        want = np.where(inside, reach.areas, 0.0)
+        want[crossing] = np.clip(
+            _straddling_areas(verts[crossing] - reach.center, r2), 0.0, reach.areas[crossing]
+        )
+        assert got.tobytes() == want.tobytes()
+    return reach
+
+
+# coordinates on a grid of eighths, so that squared distances are often exact
+EIGHTHS = st.integers(-16, 16).map(lambda k: k / 8.0)
+
+
+@st.composite
+def stacks_with_dead_faces(draw):
+    """(verts, centre): up to six faces in R^3 or R^4, then a face with a
+    repeated vertex and a collinear one, both dead."""
+    dim = draw(st.sampled_from([3, 4]))
+    k = draw(st.integers(0, 6))
+    pts = np.array(draw(st.lists(EIGHTHS, min_size=3 * k * dim + 3 * dim, max_size=3 * k * dim + 3 * dim)))
+    faces = pts[: 3 * k * dim].reshape(k, 3, dim)
+    p, q, c = pts[3 * k * dim :].reshape(3, dim)
+    dead = np.array([[p, p, q], [p, 0.5 * (p + q), q]])
+    return np.concatenate([faces, dead]), c
+
+
+class TestReachAtManyRadii:
+    """`face_reach(..., radii)` clips every radius in one closed-form call;
+    reading a clip from it changes no bit of the result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack=stacks_with_dead_faces(), data=st.data())
+    def test_clips_read_from_the_reach_are_the_clips_at_one_radius(self, stack, data):
+        verts, center = stack
+        reach = face_reach(verts, center)
+        assert not reach.live[-2:].any()
+        # spheres through a vertex (r^2 = far2) or touching a face
+        # (r^2 = near2), the same nudged by an ulp, and a few more
+        gates = np.concatenate([reach.far2, reach.near2])
+        gates = np.sqrt(gates[gates > 0.0])
+        pool = sorted({*gates, *np.nextafter(gates, 0.0), *np.nextafter(gates, np.inf), 0.3, 1.7})
+        radii = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+        # beyond every face the crossing set is empty
+        radii.append(2.0 * math.sqrt(reach.far2.max()) + 1.0)
+        assert_reach_reads_match(verts, center, radii)
+
+    def test_spheres_through_a_vertex_and_tangent_to_a_face(self):
+        # face 0 lies in the plane z = 1/2 over the centre; the nearest
+        # corner of face 1 and the farthest of face 2 are at squared distance
+        # 25/64 = 0.625^2; face 3 is dead. Every gate holds with equality:
+        # r^2 = near2 for faces 0 (r = 1/2) and 1, r^2 = far2 for face 2
+        verts = np.array(
+            [
+                [(-1.0, -1.0, 0.5), (1.0, -1.0, 0.5), (0.0, 1.0, 0.5)],
+                [(0.375, 0.5, 0.0), (1.0, 0.5, 0.0), (1.0, 1.5, 0.0)],
+                [(-0.375, -0.5, 0.0), (-0.375, 0.0, 0.0), (0.0, -0.5, 0.0)],
+                [(0.0, 0.0, 2.0), (0.0, 0.0, 2.0), (1.0, 1.0, 2.0)],
+            ]
+        )
+        reach = assert_reach_reads_match(verts, np.zeros(3), [0.25, 0.5, 0.625, 9.0])
+        assert reach.near2[0] == 0.25
+        assert reach.near2[1] == reach.far2[2] == 0.625**2 == 25 / 64
+        assert reach.live.tolist() == [True, True, True, False]
+        # a sphere touching a face at one point crosses it and clips no area
+        crossing, part = reach.clips[0.5]
+        assert crossing.tolist() == [0, 2] and part[0] == 0.0 < part[1]
+        crossing, part = reach.clips[0.625]
+        assert crossing.tolist() == [0, 1] and part[1] == 0.0
+        assert clip_areas(verts, Ball(np.zeros(3), 0.625), reach)[2] == 0.5 * 0.375 * 0.5
+        # below every face and beyond every face, nothing crosses
+        assert reach.clips[0.25][0].size == 0 and reach.clips[9.0][0].size == 0
+
+    def test_an_empty_stack_has_empty_clips(self):
+        reach = assert_reach_reads_match(np.zeros((0, 3, 4)), np.zeros(4), [1.0, 2.0])
+        assert reach.clips[1.0][0].size == 0
+
+    def test_a_reach_built_with_radii_still_checks_its_centre_and_stack(self):
+        tris = np.array([[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]] * 2)
+        reach = face_reach(tris, (0.0, 0.0, 0.0), radii=[0.5])
+        with pytest.raises(InputInconsistentError):
+            clip_areas(tris, Ball((0.1, 0.0, 0.0), 0.5), reach)
+        with pytest.raises(InputInconsistentError):
+            clip_areas_total(tris[1:], Ball((0.0, 0.0, 0.0), 0.5), reach)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                face_reach(tris, (0.0, 0.0, 0.0), radii=[0.5, bad])
 
 
 class TestSubdivide:

@@ -346,6 +346,49 @@ class TestFaceReach:
         assert 0 < kept.size < s.n_faces
 
 
+    @pytest.fixture
+    def clip_calls(self, monkeypatch):
+        """Counts of closed-form calls and of `clip_areas_total` calls made
+        through the bindings `monotonicity` and `surfaces` hold."""
+        from surfcert import monotonicity, surfaces
+
+        calls = {"closed_form": 0, "total": 0}
+        real_form, real_total = geometry._straddling_areas, geometry.clip_areas_total
+
+        def closed_form(rel, r2):
+            calls["closed_form"] += 1
+            return real_form(rel, r2)
+
+        def total(verts, ball, reach=None):
+            calls["total"] += 1
+            return real_total(verts, ball, reach)
+
+        monkeypatch.setattr(geometry, "_straddling_areas", closed_form)
+        for module in (monotonicity, surfaces):
+            monkeypatch.setattr(module, "clip_areas_total", total)
+        return calls
+
+    def test_profile_clips_every_radius_in_two_closed_form_calls(self, clip_calls):
+        # one call for the surface and one for the boundary fan, while the
+        # per-radius clip_areas_total calls stay for the benchmark's tracer
+        scene = build_scene("catenoid", res=16)
+        prof = m_profile(scene.surface, list(scene.boundaries), scene.default_x0)
+        assert len(prof.radii) > 1
+        assert clip_calls == {"closed_form": 2, "total": len(prof.radii)}
+
+    def test_first_variation_clips_every_radius_in_one_closed_form_call(self, clip_calls):
+        scene = build_scene("graph_disk", res=16)
+        fv = first_variation(scene.surface, scene.default_x0, (0.2, 0.5, 1.0))
+        assert clip_calls == {"closed_form": 1, "total": len(fv.radii)}
+
+    def test_density_clips_each_radius_on_demand(self, clip_calls):
+        scene = build_scene("graph_disk", res=16)
+        s = scene.surface
+        est = density_estimate(s, as_point(_centres(s, scene.default_x0)[1]))
+        assert est.mode == "extrapolated"
+        assert clip_calls == {"closed_form": 3, "total": 3}
+
+
 class TestClipRoundingBounds:
     @pytest.mark.parametrize("name", ["graph_disk", "catenoid"])
     def test_inside_faces_are_charged_their_own_bound(self, name, monkeypatch):
