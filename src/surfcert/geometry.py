@@ -396,8 +396,8 @@ def _clip_radii(verts: np.ndarray, reach: FaceReach, radii: tuple) -> dict:
     part = np.clip(
         _straddling_areas(verts[face] - reach.center, r2[row, 0]), 0.0, reach.areas[face]
     )
-    cut = np.cumsum(crosses.sum(axis=1))[:-1]
-    return dict(zip(radii, zip(np.split(face, cut), np.split(part, cut))))
+    ends = np.cumsum(crosses.sum(axis=1)).tolist()
+    return {r: (face[a:b], part[a:b]) for r, a, b in zip(radii, [0, *ends], ends)}
 
 
 def _clip_parts(verts, ball: Ball, reach: FaceReach | None):
