@@ -287,15 +287,18 @@ def m_profile(
 
     boundary: the surface's boundary as one curve or a sequence covering all
     mesh loops (verified vertex-for-vertex up to cyclic shift). m(r) r^2 is
-    one error-free sum: the surface's area in the ball plus, for each
-    boundary segment [a, b] closer to x0 than r, theta r^2 / 2 less the
-    area of the fan triangle (x0, a, b) in the ball, theta the angle [a, b]
-    subtends at x0. x0 inside a segment raises ProjectionSingularError.
+    the error-free sum of the surface's area A(r) in the ball, itself the
+    correctly rounded `clip_areas_total`, and, for each boundary segment
+    [a, b] closer to x0 than r, theta r^2 / 2 less the area of the fan
+    triangle (x0, a, b) in the ball, theta the angle [a, b] subtends at x0.
+    x0 inside a segment raises ProjectionSingularError.
 
     tol_disc bounds the rounding error of any weighted increment w_j - w_i,
     w = exp(lam r^alpha) m. With dm(r) = (`_clip_rounding_bounds` at r of
-    the surface and of the fan) / r^2 + 2u m(r), the last term for the
-    rounding of the exact sum and of the division, that error is at most
+    the surface and of the fan) / r^2 + 3u m(r), the last term for the
+    roundings of A(r), of the exact sum and of the division (u A(r) / r^2
+    <= u m(r), since every fan term is at least 0: the fan triangle in the
+    ball lies in the sector of angle theta), that error is at most
     w_j dm(r_j) + w_i dm(r_i); the third unit in tol_disc =
     3 max_r w(r) dm(r) covers the weights and the subtraction. m_errors
     holds dm(r) at each radius, for checks that weigh m differently.
@@ -332,7 +335,7 @@ def m_profile(
     clip_err = _clip_rounding_bounds(tris, reach.near2, reach.far2, radii)
     clip_err += _clip_rounding_bounds(fan, fan_near2, fan_reach.far2, radii, wedge=True)
     u = np.finfo(np.float64).eps / 2.0
-    m_err = [float(e) / r**2 + 2.0 * u * m for e, r, m in zip(clip_err, radii, m_vals)]
+    m_err = [float(e) / r**2 + 3.0 * u * m for e, r, m in zip(clip_err, radii, m_vals)]
     tol_disc = 3.0 * max(wi * dm for wi, dm in zip(w, m_err))
     defects = tuple(
         (i, j, w[j] - w[i]) for i in range(len(radii)) for j in range(i + 1, len(radii))

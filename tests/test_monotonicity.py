@@ -11,6 +11,7 @@ interior-edge term E is zero to that bound.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -420,6 +421,29 @@ class TestClipRoundingBounds:
         assert prof.m_values == loose.m_values
         assert all(a <= b for a, b in zip(prof.m_errors, loose.m_errors))
         assert prof.tol_disc < loose.tol_disc / 2.0
+
+    def test_rounding_term_covers_the_sum_of_the_rounded_parts(self):
+        # m(r) r^2 sums the correctly rounded surface total A(r) with the fan
+        # terms, so from the faces' clipped areas and the fan terms to m(r)
+        # three roundings add up: A(r)'s, the sum's and the division's, the
+        # 3u m(r) of m_errors. On this profile one m value lies 2.36 u m(r)
+        # from the exact ratio of those parts, more than the last two alone
+        # can cost
+        scene = build_scene("catenoid", res=32)
+        s, x0, curves = scene.surface, scene.default_x0, list(scene.boundaries)
+        prof = m_profile(s, curves, x0)
+        tris = s.face_triangles()
+        fan, near2, theta = _boundary_fan(curves, x0)
+        off = []
+        for r, m in zip(prof.radii, prof.m_values):
+            ball = Ball(x0, r)
+            crossed = near2 < r * r
+            parts = clip_areas(tris, ball).tolist() + (theta[crossed] * (0.5 * r * r)).tolist()
+            parts += (-clip_areas(fan, ball)[crossed]).tolist()
+            exact = sum(map(Fraction, parts)) / Fraction(r) ** 2
+            off.append(float(abs(Fraction(m) - exact) / Fraction(U * m)))
+        assert max(off) <= 3.0
+        assert max(off) > 2.0
 
     def test_inside_fan_triangles_keep_the_wedge_term(self, disk):
         # beyond the rim every fan triangle is inside, and its charge is its
