@@ -8,6 +8,7 @@ bit-stable across runs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -336,9 +337,10 @@ class FaceReach:
     vertex. A ball of squared radius r2 about the centre holds a live face
     whole when far2 <= r2 (the ball is convex) and misses it when
     near2 > r2; only the faces in between need the closed form. clips maps
-    each radius r the reach was built with to (crossing, part): the indices
-    of the live faces the sphere of radius r crosses, ascending, and the
-    exact area of each inside the ball.
+    each radius r the reach was built with to (inside, crossing, part): the
+    mask of the live faces the ball of radius r holds whole, the indices of
+    the live faces its sphere crosses, ascending, and the exact area of
+    each of those inside the ball.
     """
 
     center: PointN
@@ -388,16 +390,20 @@ def face_reach(
 
 
 def _clip_radii(verts: np.ndarray, reach: FaceReach, radii: tuple) -> dict:
-    """{r: (crossing, part)} of `FaceReach.clips` for each radius, from one
-    closed-form call over the crossing faces of every radius, radius-major."""
-    r2 = np.array([r * r for r in radii])[:, None]
-    crosses = reach.live & ~(reach.far2 <= r2) & (reach.near2 <= r2)
-    row, face = np.nonzero(crosses)
-    part = np.clip(
-        _straddling_areas(verts[face] - reach.center, r2[row, 0]), 0.0, reach.areas[face]
-    )
-    ends = np.cumsum(crosses.sum(axis=1)).tolist()
-    return {r: (face[a:b], part[a:b]) for r, a, b in zip(radii, [0, *ends], ends)}
+    """{r: (inside, crossing, part)} of `FaceReach.clips` for each radius,
+    from one closed-form call over the crossing faces of every radius."""
+    inside, crossing = [], []
+    for r in radii:
+        inside.append(reach.live & (reach.far2 <= r * r))
+        crossing.append(np.flatnonzero(reach.live & ~inside[-1] & (reach.near2 <= r * r)))
+    sizes = [c.size for c in crossing]
+    face = np.concatenate(crossing)
+    r2 = np.array([r * r for r in radii]).repeat(sizes)
+    part = np.clip(_straddling_areas(verts[face] - reach.center, r2), 0.0, reach.areas[face])
+    ends = list(itertools.accumulate(sizes))
+    return {
+        r: (i, c, part[a:b]) for r, i, c, a, b in zip(radii, inside, crossing, [0, *ends], ends)
+    }
 
 
 def _clip_parts(verts, ball: Ball, reach: FaceReach | None):
@@ -416,8 +422,7 @@ def _clip_parts(verts, ball: Ball, reach: FaceReach | None):
     clip = reach.clips.get(ball.radius)
     if clip is None:
         clip = _clip_radii(verts, reach, (ball.radius,))[ball.radius]
-    crossing, part = clip
-    return reach, reach.live & (reach.far2 <= ball.radius * ball.radius), crossing, part
+    return (reach, *clip)
 
 
 def clip_areas(verts: np.ndarray, ball: Ball, reach: FaceReach | None = None) -> np.ndarray:
@@ -429,7 +434,8 @@ def clip_areas(verts: np.ndarray, ball: Ball, reach: FaceReach | None = None) ->
     diameter) count zero. The rest go through the closed form of
     `_straddling_areas`, clamped to [0, area]. `reach`, from `face_reach`
     on the same stack and the ball's centre, saves classifying the faces
-    again at every radius; the result is the same.
+    again at every radius, and at a radius it was built with, running the
+    closed form again; the result is the same.
     """
     reach, inside, crossing, part = _clip_parts(verts, ball, reach)
     out = np.where(inside, reach.areas, 0.0)

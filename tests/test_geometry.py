@@ -296,17 +296,18 @@ class TestReachAtManyRadii:
         assert reach.near2[1] == reach.far2[2] == 0.625**2 == 25 / 64
         assert reach.live.tolist() == [True, True, True, False]
         # a sphere touching a face at one point crosses it and clips no area
-        crossing, part = reach.clips[0.5]
+        _inside, crossing, part = reach.clips[0.5]
         assert crossing.tolist() == [0, 2] and part[0] == 0.0 < part[1]
-        crossing, part = reach.clips[0.625]
+        inside, crossing, part = reach.clips[0.625]
+        assert inside.tolist() == [False, False, True, False]
         assert crossing.tolist() == [0, 1] and part[1] == 0.0
         assert clip_areas(verts, Ball(np.zeros(3), 0.625), reach)[2] == 0.5 * 0.375 * 0.5
         # below every face and beyond every face, nothing crosses
-        assert reach.clips[0.25][0].size == 0 and reach.clips[9.0][0].size == 0
+        assert reach.clips[0.25][1].size == 0 and reach.clips[9.0][1].size == 0
 
     def test_an_empty_stack_has_empty_clips(self):
         reach = assert_reach_reads_match(np.zeros((0, 3, 4)), np.zeros(4), [1.0, 2.0])
-        assert reach.clips[1.0][0].size == 0
+        assert reach.clips[1.0][1].size == 0
 
     def test_a_reach_built_with_radii_still_checks_its_centre_and_stack(self):
         tris = np.array([[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]] * 2)
