@@ -385,12 +385,12 @@ def face_reach(
         clips={},
     )
     if radii:
-        reach.clips.update(_clip_radii(verts, reach, radii))
+        reach.clips.update(zip(radii, _clip_radii(verts, reach, radii)))
     return reach
 
 
-def _clip_radii(verts: np.ndarray, reach: FaceReach, radii: tuple) -> dict:
-    """{r: (inside, crossing, part)} of `FaceReach.clips` for each radius,
+def _clip_radii(verts: np.ndarray, reach: FaceReach, radii: tuple) -> list:
+    """The (inside, crossing, part) of `FaceReach.clips` for each radius,
     from one closed-form call over the crossing faces of every radius."""
     inside, crossing = [], []
     for r in radii:
@@ -401,9 +401,7 @@ def _clip_radii(verts: np.ndarray, reach: FaceReach, radii: tuple) -> dict:
     r2 = np.array([r * r for r in radii]).repeat(sizes)
     part = np.clip(_straddling_areas(verts[face] - reach.center, r2), 0.0, reach.areas[face])
     ends = list(itertools.accumulate(sizes))
-    return {
-        r: (i, c, part[a:b]) for r, i, c, a, b in zip(radii, inside, crossing, [0, *ends], ends)
-    }
+    return [(i, c, part[a:b]) for i, c, a, b in zip(inside, crossing, [0, *ends], ends)]
 
 
 def _clip_parts(verts, ball: Ball, reach: FaceReach | None):
@@ -421,7 +419,7 @@ def _clip_parts(verts, ball: Ball, reach: FaceReach | None):
         raise InputInconsistentError("the face reach was built for another stack or centre")
     clip = reach.clips.get(ball.radius)
     if clip is None:
-        clip = _clip_radii(verts, reach, (ball.radius,))[ball.radius]
+        clip = _clip_radii(verts, reach, (ball.radius,))[0]
     return (reach, *clip)
 
 
