@@ -422,27 +422,32 @@ class TestClipRoundingBounds:
         assert all(a <= b for a, b in zip(prof.m_errors, loose.m_errors))
         assert prof.tol_disc < loose.tol_disc / 2.0
 
-    def test_rounding_term_covers_the_sum_of_the_rounded_parts(self):
+    def test_rounding_term_covers_the_sum_of_the_rounded_parts(self, monkeypatch):
         # m(r) r^2 sums the correctly rounded surface total A(r) with the fan
         # terms, so from the faces' clipped areas and the fan terms to m(r)
-        # three roundings add up: A(r)'s, the sum's and the division's, the
-        # 3u m(r) of m_errors. On this profile one m value lies 2.36 u m(r)
-        # from the exact ratio of those parts, more than the last two alone
-        # can cost
+        # three roundings add up: A(r)'s, the sum's and the division's. With
+        # the clip bounds set to 0, m_errors is that rounding term alone, and
+        # it must cover them; on this profile one m value lies 2.36 u m(r)
+        # from the exact ratio of those parts, more than two roundings cost
+        from surfcert import monotonicity
+
+        monkeypatch.setattr(
+            monotonicity, "_clip_rounding_bounds", lambda tris, *a, **k: np.zeros(len(a[2]))
+        )
         scene = build_scene("catenoid", res=32)
         s, x0, curves = scene.surface, scene.default_x0, list(scene.boundaries)
         prof = m_profile(s, curves, x0)
         tris = s.face_triangles()
         fan, near2, theta = _boundary_fan(curves, x0)
         off = []
-        for r, m in zip(prof.radii, prof.m_values):
+        for r, m, dm in zip(prof.radii, prof.m_values, prof.m_errors):
             ball = Ball(x0, r)
             crossed = near2 < r * r
             parts = clip_areas(tris, ball).tolist() + (theta[crossed] * (0.5 * r * r)).tolist()
             parts += (-clip_areas(fan, ball)[crossed]).tolist()
             exact = sum(map(Fraction, parts)) / Fraction(r) ** 2
+            assert abs(Fraction(m) - exact) <= Fraction(dm)
             off.append(float(abs(Fraction(m) - exact) / Fraction(U * m)))
-        assert max(off) <= 3.0
         assert max(off) > 2.0
 
     def test_inside_fan_triangles_keep_the_wedge_term(self, disk):
