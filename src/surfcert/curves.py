@@ -148,7 +148,7 @@ class PolylineCurve:
         # backtracking at a vertex means the two incident segments overlap
         d_in = v - np.roll(v, 1, axis=0)
         d_out = np.roll(v, -1, axis=0) - v
-        turns = _angles_batch(d_in, d_out)
+        turns = _angles_batch(d_in.T, d_out.T)
         if np.any(turns >= math.pi - 1e-12):
             raise InputInconsistentError("curve backtracks onto itself at a vertex")
         if v.shape[0] < 4:
@@ -213,7 +213,7 @@ def turning_angles(c: PolylineCurve) -> np.ndarray:
     v = c.vertices
     d_in = v - np.roll(v, 1, axis=0)
     d_out = np.roll(v, -1, axis=0) - v
-    return _angles_batch(d_in, d_out)
+    return _angles_batch(d_in.T, d_out.T)
 
 
 def total_curvature(c: PolylineCurve) -> float:
@@ -269,7 +269,7 @@ def _subtended_angles(c: PolylineCurve, x0: PointN) -> tuple[np.ndarray, np.ndar
         keep[(center_idx - 1) % k] = False
     u = v[keep] - x0[None, :]
     w = np.roll(v, -1, axis=0)[keep] - x0[None, :]
-    return keep, _angles_batch(u, w)
+    return keep, _angles_batch(u.T, w.T)
 
 
 def radial_projection_length(c: PolylineCurve, x0: PointN) -> float:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import secrets
 import stat
-from itertools import chain
 
 import numpy as np
 
@@ -122,39 +122,66 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _token_rows(text: str) -> tuple:
-    """The tokens of text's lines that are neither blank nor comments, as one
-    object array, with each such line's first token position and its count."""
-    rows = [r for r in map(str.split, text.split("\n")) if r and r[0][0] != "#"]
-    width = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    tokens = np.array(list(chain.from_iterable(rows)), dtype=object)
-    return tokens, np.cumsum(width) - width, width
+# OBJ and OFF numbers: ASCII decimal literals, and nan, inf or infinity in
+# any case, each with an optional sign. np.loadtxt converts exactly these;
+# float() and int() would also take 1_0 and non-ASCII digits.
+_FLOAT = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|nan|inf(?:inity)?)", re.A | re.I)
+_INT = re.compile(r"[+-]?\d+", re.A)
+# an OBJ line whose first token is v or f: (tag, the tokens after it)
+_OBJ_ROW = re.compile(r"^[^\S\n]*([vf])(?!\S)[^\S\n]*(.*)", re.M)
+# what follows the vertex index in an OBJ face reference (a/t/n, a//n)
+_REF_TAIL = re.compile(r"(?<=\S)/\S*")
+_COMMENT_LINE = re.compile(r"^[^\S\n]*#.*", re.M)
+
+
+def _float(token: str) -> float:
+    if not _FLOAT.fullmatch(token):
+        raise ValueError(f"not a number: {token!r}")
+    return float(token)
+
+
+def _int(token: str) -> int:
+    if not _INT.fullmatch(token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
+def _block(rows: list, dtype, usecols=None) -> np.ndarray:
+    """rows, each holding at least one token, as one np.loadtxt array; no
+    rows give a (0, 3) array, or one column per usecols entry."""
+    if not rows:
+        return np.empty((0, 3 if usecols is None else len(usecols)), dtype=dtype)
+    return np.loadtxt(rows, dtype=dtype, comments=None, usecols=usecols, ndmin=2)
 
 
 def _parse_obj(path: str) -> tuple:
     """Vertices and faces of an OBJ file as whole arrays.
 
-    The object arrays convert through float() and int(), the functions
-    `_scan_obj` applies line by line, so the two accept the same files; the
-    scan runs only after the array parse has failed, to name the line.
+    One regex pass picks out the v and f lines, and each block converts in
+    one np.loadtxt call. `_scan_obj` applies the same number grammar line by
+    line, so the two accept the same files; it runs only after the array
+    parse has failed, to name the line.
     """
     text = _read_text(path)
+    rows = _OBJ_ROW.findall(text)
+    is_v = np.array([tag == "v" for tag, _ in rows], dtype=bool)
+    rests = np.array([rest for _, rest in rows], dtype=object)
+    vrows, frows = rests[is_v].tolist(), rests[~is_v].tolist()
     try:
-        tokens, first, width = _token_rows(text)
-        tag = tokens[first]
-        is_v, is_f = tag == "v", tag == "f"
-        if (width[is_v] < 4).any() or (width[is_f] != 4).any():
-            raise ValueError("a vertex or face line has the wrong token count")
-        verts = tokens[first[is_v, None] + np.arange(1, 4)].astype(np.float64)
-        refs = tokens[first[is_f, None] + np.arange(1, 4)]
-        if "/" in text:  # drop texture/normal refs
-            refs = np.array([t.split("/")[0] for t in refs.ravel()], dtype=object)
-        idx = refs.reshape(-1, 3).astype(np.int64)
-        seen = np.cumsum(is_v)[is_f, None]  # vertices defined before each face
+        if "" in vrows or "" in frows:
+            raise ValueError("a vertex or face line has no tokens")
+        verts = _block(vrows, np.float64, usecols=(0, 1, 2))
+        fblock = "\n".join(frows)
+        if "/" in fblock:  # drop texture/normal refs
+            frows = _REF_TAIL.sub("", fblock).split("\n")
+        idx = _block(frows, np.int64)
+        if idx.shape[1] != 3:
+            raise ValueError("a face is not a triangle")
+        seen = np.cumsum(is_v)[~is_v, None]  # vertices defined before each face
         idx = np.where(idx < 0, seen + 1 + idx, idx)  # OBJ relative indexing
         if ((idx < 1) | (idx > seen)).any():
             raise ValueError("a face index is out of range")
-    except (ValueError, OverflowError):
+    except ValueError:
         _scan_obj(path, text)
         raise MeshParseError(path, 0, "malformed OBJ file")
     if not verts.size:
@@ -177,7 +204,7 @@ def _scan_obj(path: str, text: str) -> None:
             if len(parts) < 4:
                 raise MeshParseError(path, ln, "vertex needs three coordinates")
             try:
-                [float(t) for t in parts[1:4]]
+                [_float(t) for t in parts[1:4]]
             except ValueError:
                 raise MeshParseError(path, ln, f"bad vertex coordinate in {line!r}")
             nv += 1
@@ -188,7 +215,7 @@ def _scan_obj(path: str, text: str) -> None:
                 )
             for tok in parts[1:]:
                 try:
-                    i = int(tok.split("/")[0])
+                    i = _int(tok.split("/")[0])
                 except ValueError:
                     raise MeshParseError(path, ln, f"bad face index {tok!r}")
                 if i < 0:
@@ -216,29 +243,28 @@ def _obj_text(surface: SurfaceModel) -> str:
 def _parse_off(path: str) -> tuple:
     """Vertices and faces of an OFF file as whole arrays.
 
-    The count line, the vertex block and the face block each convert in one
-    call, through the int() and float() that `_scan_off` applies line by line
-    after a failure. Tokens past a face's three indices (colors) and lines
-    past the declared counts are ignored.
+    The vertex block and the face block each convert in one np.loadtxt call,
+    with the number grammar `_scan_off` applies line by line after a failure.
+    Tokens past a face's three indices (colors) and lines past the declared
+    counts are ignored.
     """
     text = _read_text(path)
+    kept = _COMMENT_LINE.sub("", text) if "#" in text else text
+    rows = list(filter(str.strip, kept.split("\n")))
     try:
-        tokens, first, width = _token_rows(text)
-        head = 1 if width.size and width[0] == 1 and tokens[0].upper() == "OFF" else 0
-        if head >= width.size or width[head] < 2:
+        head = 1 if rows and rows[0].strip().upper() == "OFF" else 0
+        counts = rows[head].split()[:2] if head < len(rows) else []
+        if len(counts) < 2:
             raise ValueError("no count line")
-        nv, nf = tokens[first[head] : first[head] + 2].astype(np.int64).tolist()
-        if nv < 0 or nf < 0 or width.size - head - 1 < nv + nf:
+        nv, nf = _int(counts[0]), _int(counts[1])
+        if nv < 0 or nf < 0 or len(rows) - head - 1 < nv + nf:
             raise ValueError("bad counts")
-        vrows = slice(head + 1, head + 1 + nv)
-        frows = slice(head + 1 + nv, head + 1 + nv + nf)
-        if (width[vrows] < 3).any() or (width[frows] < 4).any():
-            raise ValueError("a vertex or face line is short")
-        verts = tokens[first[vrows, None] + np.arange(3)].astype(np.float64)
-        faces = tokens[first[frows, None] + np.arange(4)].astype(np.int64)
+        v0 = head + 1
+        verts = _block(rows[v0 : v0 + nv], np.float64, usecols=(0, 1, 2))
+        faces = _block(rows[v0 + nv : v0 + nv + nf], np.int64, usecols=(0, 1, 2, 3))
         if (faces[:, 0] != 3).any() or ((faces[:, 1:] < 0) | (faces[:, 1:] >= nv)).any():
             raise ValueError("a face is not a triangle of declared vertices")
-    except (ValueError, OverflowError):
+    except ValueError:
         _scan_off(path, text)
         raise MeshParseError(path, 0, "malformed OFF file")
     if not nv:
@@ -265,7 +291,7 @@ def _scan_off(path: str, text: str) -> None:
         raise MeshParseError(path, rows[-1][0], "missing vertex/face counts")
     ln, header = rows[pos]
     try:
-        nv, nf = [int(t) for t in header.split()[:2]]
+        nv, nf = [_int(t) for t in header.split()[:2]]
     except (ValueError, IndexError):
         raise MeshParseError(path, ln, f"bad count line {header!r}")
     if nv < 0 or nf < 0:
@@ -278,14 +304,14 @@ def _scan_off(path: str, text: str) -> None:
         if len(parts) < 3:
             raise MeshParseError(path, ln, "vertex needs three coordinates")
         try:
-            [float(t) for t in parts[:3]]
+            [_float(t) for t in parts[:3]]
         except ValueError:
             raise MeshParseError(path, ln, f"bad vertex coordinate in {line!r}")
     for ln, line in rows[pos + nv : pos + nv + nf]:
         parts = line.split()
         try:
-            cnt = int(parts[0])
-            idx = [int(t) for t in parts[1 : 1 + cnt]]
+            cnt = _int(parts[0])
+            idx = [_int(t) for t in parts[1 : 1 + cnt]]
         except (ValueError, IndexError):
             raise MeshParseError(path, ln, f"bad face line {line!r}")
         if cnt != 3 or len(idx) != 3:
@@ -334,10 +360,18 @@ def _parse_scene(path: str) -> tuple:
         )
     if f.ndim != 2 or f.shape[1] != 3:
         raise MeshParseError(path, 1, f"faces must be shaped (F, 3), got {list(f.shape)}")
+    if not _json_numbers(doc["vertices"]):
+        raise MeshParseError(path, 1, "vertex coordinates must be JSON numbers")
     # the int64 conversion truncates 0.9 to 0 and reads true as 1
     if not all(type(i) is int for row in doc["faces"] for i in row):
         raise MeshParseError(path, 1, "face indices must be JSON integers")
     return v, f
+
+
+def _json_numbers(rows) -> bool:
+    """Whether every entry of rows is a JSON number; the float64 conversion
+    alone reads "0" and " 1e0" as numbers and true as 1."""
+    return all(type(x) in (int, float) for row in rows for x in row)
 
 
 def _scene_text(surface: SurfaceModel) -> str:
@@ -376,6 +410,8 @@ def load_curve(path: str) -> PolylineCurve:
     dim = doc.get("dimension", v.shape[1] if v.ndim == 2 else None)
     if v.ndim != 2 or v.shape[1] != dim:
         raise MeshParseError(path, 1, f"vertices must be shaped (k, {dim})")
+    if not _json_numbers(doc["vertices"]):
+        raise MeshParseError(path, 1, "vertex coordinates must be JSON numbers")
     # bool(), int() and float() would read "false" as true, 1.7 and true as
     # 1, and "0.5" as 0.5
     closed = doc.get("closed", True)

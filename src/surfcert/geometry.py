@@ -65,29 +65,20 @@ def stable_sum(values) -> float:
 
 def angle_between(u, v) -> float:
     """Angle in [0, pi] between nonzero vectors, stable near 0 and pi."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise InvalidParameterError("angle undefined for zero vector")
-    a = u / nu
-    b = v / nv
-    # half-angle form: atan2 of chord lengths, exact at both ends of [0, pi]
-    return 2.0 * math.atan2(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
+    return float(_angles_batch(np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)))
 
 
 def _angles_batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rowwise angle_between for (K, n) stacks; a zero row raises."""
-    nu = np.linalg.norm(u, axis=-1, keepdims=True)
-    nv = np.linalg.norm(v, axis=-1, keepdims=True)
+    """angle_between for (n, ...) stacks, axis 0 holding the coordinates; a
+    zero vector raises. Each norm sums its n squares in coordinate order."""
+    nu = np.linalg.norm(u, axis=0)
+    nv = np.linalg.norm(v, axis=0)
     if not (np.all(nu > 0.0) and np.all(nv > 0.0)):
         raise InvalidParameterError("angle undefined for zero vector")
     a = u / nu
     b = v / nv
-    return 2.0 * np.arctan2(
-        np.linalg.norm(a - b, axis=-1), np.linalg.norm(a + b, axis=-1)
-    )
+    # half-angle form: atan2 of chord lengths, exact at both ends of [0, pi]
+    return 2.0 * np.arctan2(np.linalg.norm(a - b, axis=0), np.linalg.norm(a + b, axis=0))
 
 
 @dataclass(frozen=True)

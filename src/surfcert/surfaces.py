@@ -423,14 +423,22 @@ class SurfaceModel:
         the vertex. A corner with a zero-length edge has no angle and raises
         InvalidParameterError.
         """
-        v, f = self.vertices, self.faces
-        sums = np.zeros(self.n_vertices)
-        for c in range(3):
-            apex = v[f[:, c]]
-            angles = _angles_batch(v[f[:, (c + 1) % 3]] - apex, v[f[:, (c + 2) % 3]] - apex)
-            np.add.at(sums, f[:, c], angles)
+        # corner-major order adds each vertex's angles as np.add.at would, one
+        # corner column after another
+        sums = np.bincount(
+            self.faces.T.ravel(),
+            weights=_angles_batch(*self._corner_edges()).ravel(),
+            minlength=self.n_vertices,
+        )
         sums.flags.writeable = False
         return sums
+
+    def _corner_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, w), each (n, 3, F): u[:, c, k] and w[:, c, k] run from corner c
+        of face k to its corners c + 1 and c + 2 (mod 3), one coordinate per
+        row."""
+        p = np.take(self.vertices.T, self.faces.T, axis=1)
+        return np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
 
     @cached_property
     def face_spans(self) -> np.ndarray:
@@ -470,35 +478,44 @@ class SurfaceModel:
         """
         if self.patch is not None:
             out = self.patch.curvature_at(self.params)
-            hvec, unreliable = out["mean_curvature_vec"], out["unreliable"]
+            unreliable = out["unreliable"]
+            values = np.linalg.norm(out["mean_curvature_vec"], axis=1)
         else:
             v, f = self.vertices, self.faces
-            acc = np.zeros_like(v)
+            u, w = self._corner_edges()
+            # einsum sums a contiguous row in an order of its own (coordinates
+            # 0 + 2 and 1 + 3 first); on (3F, n) rows it gives the dot
+            # products bit for bit as on the per-corner (F, n) rows
+            ur, wr = (np.ascontiguousarray(e.reshape(self.dim, -1).T) for e in (u, w))
+            dot, uu, ww = (
+                np.einsum("kn,kn->k", a, b).reshape(3, -1) for a, b in ((ur, wr), (ur, ur), (wr, wr))
+            )
             sq_ext = float(((v.max(0) - v.min(0)) ** 2).sum())
+            cross2 = np.maximum(uu * ww - dot * dot, 0.0)
+            bad = cross2 <= 1e-28 * max(sq_ext, 1e-300) ** 2
+            cot = np.where(bad, 0.0, dot / np.sqrt(np.where(bad, 1.0, cross2)))
             degen_vertex = np.zeros(self.n_vertices, dtype=bool)
-            for c, (i, j) in ((0, (1, 2)), (1, (2, 0)), (2, (0, 1))):
-                pc = v[f[:, c]]
-                pi = v[f[:, i]]
-                pj = v[f[:, j]]
-                u = pi - pc
-                w = pj - pc
-                dot = np.einsum("kn,kn->k", u, w)
-                uu = np.einsum("kn,kn->k", u, u)
-                ww = np.einsum("kn,kn->k", w, w)
-                cross2 = np.maximum(uu * ww - dot * dot, 0.0)
-                bad = cross2 <= 1e-28 * max(sq_ext, 1e-300) ** 2
-                cot = np.where(bad, 0.0, dot / np.sqrt(np.where(bad, 1.0, cross2)))
-                degen_vertex[f[bad].ravel()] = True
-                # cot at c weights the opposite edge (i, j)
-                contrib = 0.5 * cot[:, None] * (pj - pi)
-                np.add.at(acc, f[:, i], contrib)
-                np.add.at(acc, f[:, j], -contrib)
+            degen_vertex[f[bad.any(axis=0)].ravel()] = True
+            # cot at corner c weights the opposite edge u[:, c + 1], which runs
+            # from corner c + 1 to c + 2: +w lands on c + 1 and -w on c + 2,
+            # corner after corner, in the order np.add.at would add them
+            half_cot = 0.5 * cot
+            signed = np.empty((self.dim, 3, 2, f.shape[0]))
+            for c in range(3):
+                np.multiply(half_cot[c], u[:, (c + 1) % 3], out=signed[:, c, 0])
+            np.negative(signed[:, :, 0], out=signed[:, :, 1])
+            ends = f.T[[1, 2, 2, 0, 0, 1]].ravel()
+            acc = np.array(
+                [
+                    np.bincount(ends, weights=x, minlength=self.n_vertices)
+                    for x in signed.reshape(self.dim, -1)
+                ]
+            )
             area = self.per_vertex_area
             tiny = area <= 1e-14 * max(sq_ext, 1e-300)
             safe = np.where(tiny, 1.0, area)
             unreliable = self.boundary_vertex_mask | tiny | degen_vertex
-            hvec = np.where(unreliable[:, None], 0.0, -acc / safe[:, None])
-        values = np.linalg.norm(hvec, axis=1)
+            values = np.linalg.norm(np.where(unreliable, 0.0, -acc / safe), axis=0)
         values.flags.writeable = False
         unreliable.flags.writeable = False
         return ScalarField(values=values, unreliable=unreliable)
@@ -715,9 +732,14 @@ def lp_norm(field: ScalarField, surface: SurfaceModel, p: float) -> float:
     if not good.any():
         raise InputInconsistentError("field has no reliable samples")
     vals = np.abs(field.values[good])
-    if p == math.inf:
-        return float(vals.max())
-    return float(np.dot(vals**p, surface.per_vertex_area[good]) ** (1.0 / p))
+    top = float(vals.max())
+    if p == math.inf or top == 0.0:
+        return top
+    # vals**p under- or overflows at scales build accepts; dividing first by
+    # the power of two just above the largest value keeps every power in
+    # [0, 1] and rounds nothing but subnormal quotients
+    unit = math.ldexp(1.0, math.frexp(top)[1])
+    return unit * float(np.dot((vals / unit) ** p, surface.per_vertex_area[good]) ** (1.0 / p))
 
 
 def extrinsic_diameter(surface: SurfaceModel) -> float:

@@ -312,13 +312,14 @@ class TestEmbeddednessCertificate:
             embeddedness_certificate(disk.surface, disk.boundaries, math.inf, which="x")
 
 
-def embeddedness_verdict(s: SurfaceModel, curves, move=None) -> tuple:
-    """status, method and intersection_free of the full certificate on the
-    bare mesh, with its vertices and the curves' moved by move."""
+def embeddedness_verdict(s: SurfaceModel, curves, move=None, p=math.inf) -> tuple:
+    """status, method and intersection_free of the full certificate at
+    exponent p on the bare mesh, with its vertices and the curves' moved by
+    move."""
     if move is not None:
         s = SurfaceModel.build(move(s.vertices), s.faces)
         curves = [PolylineCurve(move(c.vertices), corner_flags=c.corner_flags) for c in curves]
-    cert = embeddedness_certificate(s, curves, math.inf, "full")
+    cert = embeddedness_certificate(s, curves, p, "full")
     return cert.status, cert.conclusion["embedding_method"], cert.conclusion["intersection_free"]
 
 
@@ -342,6 +343,14 @@ class TestEmbeddednessInvariance:
     def test_translation_and_scale(self, scene, move):
         s, curves, verdict = scene
         assert embeddedness_verdict(s, curves, move) == verdict
+
+    @pytest.mark.parametrize("k", [100, -100], ids=["scale-2^100", "scale-2^-100"])
+    def test_finite_p_at_extreme_scales(self, scene, k):
+        # ||H||_16 takes 16th powers of |H|, which scales as 2^-k
+        s, curves, _ = scene
+        verdict = embeddedness_verdict(s, curves, p=16.0)
+        move = lambda v: v * math.ldexp(1.0, k)  # noqa: E731
+        assert embeddedness_verdict(s, curves, move, p=16.0) == verdict
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

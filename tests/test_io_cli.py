@@ -10,12 +10,15 @@ certificate comes back not-applicable.
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from surfcert import (
     CornerFlag,
+    GeometryError,
     InputInconsistentError,
     InvalidParameterError,
     MeshParseError,
@@ -183,6 +186,11 @@ class TestMeshParsing:
         "text, line, message",
         [
             ("v 0 0\n", 1, "vertex needs three coordinates"),
+            ("v \n", 1, "vertex needs three coordinates"),
+            ("v 0 0 1_0\n", 1, "bad vertex coordinate in 'v 0 0 1_0'"),
+            ("v 0 0 \u0661\n", 1, "bad vertex coordinate in 'v 0 0 \u0661'"),
+            ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf\t\n", 4, "face has 0 vertices; only triangles are supported"),
+            ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 \uff13\n", 4, "bad face index '\uff13'"),
             ("# c\nv 0 0 x\n", 2, "bad vertex coordinate in 'v 0 0 x'"),
             ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3 4\n", 5,
              "face has 4 vertices; only triangles are supported"),
@@ -209,6 +217,9 @@ class TestMeshParsing:
             ("\nOFF\n", 2, "missing vertex/face counts"),
             ("OFF\n3\n" + TRI_V, 2, "bad count line '3'"),
             ("OFF\nthree 1 0\n" + TRI_V, 2, "bad count line 'three 1 0'"),
+            ("OFF\n3_0 1 0\n" + TRI_V, 2, "bad count line '3_0 1 0'"),
+            ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 1_0\n3 0 1 2\n", 5, "bad vertex coordinate in '0 1 1_0'"),
+            ("OFF\n3 1 0\n" + TRI_V + "3 0 1 \u0662\n", 6, "bad face line '3 0 1 \u0662'"),
             ("OFF\n-3 1 0\n" + TRI_V, 2, "bad count line '-3 1 0'"),
             ("OFF\n3 2 0\n" + TRI_V + "3 0 1 2\n", 6, "file ends before declared counts are met"),
             ("OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n", 4, "vertex needs three coordinates"),
@@ -235,6 +246,211 @@ class TestMeshParsing:
             load_mesh(write(tmp_path, "bad.json", text % faces))
         assert exc.value.line == 1
         assert str(exc.value).endswith("bad.json:1: face indices must be JSON integers")
+
+    @pytest.mark.parametrize("coord", ['"0"', '" 1e0"', "true"], ids=["string", "padded-string", "boolean"])
+    def test_json_coordinates_must_be_numbers(self, tmp_path, coord):
+        # the float64 conversion alone would read these as 0, 1 and 1
+        text = '{"dimension": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, %s]], "faces": [[0, 1, 2]]}'
+        with pytest.raises(MeshParseError) as exc:
+            load_mesh(write(tmp_path, "bad.json", text % coord))
+        assert exc.value.line == 1
+        assert str(exc.value).endswith("bad.json:1: vertex coordinates must be JSON numbers")
+
+
+# The number grammar of OBJ and OFF files: ASCII, no underscores, and then
+# what float() and int() read. They alone would also take these (with
+# Arabic-Indic and fullwidth digits).
+PYTHON_ONLY_NUMBERS = ["1_0", "2_5e1", "\u0661", "\u0663.5", "\uff11"]
+BAD_NUMBERS = ["x", "1,5", "0x10", "--1", "1e", ".", "+", "1.5.", "nan(1)", "3.0"]
+NONFINITE_NUMBERS = ["nan", "-Inf", "infinity", "1e999"]
+SPELLINGS = [repr, "{:.6e}".format, "{:+.4f}".format, "{:.3E}".format, "{:+09.3f}".format]
+SEPARATORS = [" ", "\t", "  ", " \t ", "\xa0"]
+BLANKS = ["", "   ", "# comment", "  #x 1 2 3"]
+OBJ_NOISE = BLANKS + ["vn 0 0 1", "vt 0.5 0.5", "g grp", "s off", "usemtl m", "v1 2 3 4", "f1 2 3"]
+
+
+def triangle_strip(n: int) -> list:
+    """A consistently oriented triangle strip over vertices 0..n-1."""
+    return [[i, i + 1, i + 2] if i % 2 == 0 else [i + 1, i, i + 2] for i in range(n - 2)]
+
+
+def number(token: str) -> float:
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return float(token)
+
+
+def integer(token: str) -> int:
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return int(token)
+
+
+def read_obj(text: str):
+    """(vertices, faces) of an OBJ text, line by line, or the line number of
+    the first bad line (0 for a file with no vertices or no faces)."""
+    verts, faces = [], []
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        try:
+            if parts[0] == "v":
+                assert len(parts) >= 4
+                verts.append([number(t) for t in parts[1:4]])
+            elif parts[0] == "f":
+                assert len(parts) == 4
+                refs = [integer(t.split("/")[0]) for t in parts[1:]]
+                refs = [r + len(verts) + 1 if r < 0 else r for r in refs]
+                assert all(1 <= r <= len(verts) for r in refs)
+                faces.append([r - 1 for r in refs])
+        except (ValueError, AssertionError):
+            return ln
+    return (verts, faces) if verts and faces else 0
+
+
+def read_off(text: str):
+    """read_obj for an OFF text."""
+    rows = [(ln, raw) for ln, raw in enumerate(text.split("\n"), start=1)
+            if raw.split() and raw.split()[0][0] != "#"]
+    if rows and rows[0][1].strip().upper() == "OFF":
+        rows = rows[1:]
+    if not rows:
+        return 0
+    try:
+        nv, nf = [integer(t) for t in rows[0][1].split()[:2]]
+        assert nv >= 0 and nf >= 0
+    except (ValueError, AssertionError):
+        return rows[0][0]
+    if len(rows) - 1 < nv + nf:
+        return rows[-1][0]
+    verts, faces = [], []
+    for ln, raw in rows[1 : 1 + nv + nf]:
+        parts = raw.split()
+        try:
+            if len(verts) < nv:
+                assert len(parts) >= 3
+                verts.append([number(t) for t in parts[:3]])
+            else:
+                assert integer(parts[0]) == 3 and len(parts) >= 4
+                faces.append([integer(t) for t in parts[1:4]])
+                assert all(0 <= i < nv for i in faces[-1])
+        except (ValueError, AssertionError):
+            return ln
+    return (verts, faces) if verts and faces else 0
+
+
+@st.composite
+def mesh_lines(draw):
+    """Vertex rows (three coordinate tokens) and strip faces (0-based)."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    coords = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+    spell = st.sampled_from(SPELLINGS)
+    verts = [[draw(spell)(draw(coords)) for _ in range(3)] for _ in range(n)]
+    return verts, triangle_strip(n)
+
+
+def mutate(draw, rows: list) -> None:
+    """Maybe replace one token of one row (a list of tokens) with a token
+    the grammar rejects, one it reads as non-finite, or an extra or
+    missing token."""
+    choice = draw(st.integers(min_value=0, max_value=7))
+    if choice > 3:
+        return
+    row = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+    at = draw(st.integers(min_value=0, max_value=len(row) - 1))
+    if choice == 0:
+        row[at] = draw(st.sampled_from(PYTHON_ONLY_NUMBERS + BAD_NUMBERS))
+    elif choice == 1:
+        row[at] = draw(st.sampled_from(NONFINITE_NUMBERS + ["0", "-1", "7", "-9", "+2"]))
+    elif choice == 2:
+        row.append(draw(st.sampled_from(["1", "x", "0.5"])))
+    elif len(row) > 1:
+        del row[at]
+
+
+def join(draw, lines: list, noise: list) -> str:
+    """lines (token lists) as text, with noise lines between them, varied
+    separators and indents, and one newline style."""
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    out = []
+    for tokens in lines:
+        if draw(st.booleans()):
+            out.append(draw(st.sampled_from(noise)))
+        sep = draw(st.sampled_from(SEPARATORS))
+        out.append(draw(st.sampled_from(["", " ", "\t"])) + sep.join(tokens))
+    return newline.join(out) + draw(st.sampled_from(["", newline]))
+
+
+@st.composite
+def obj_texts(draw):
+    verts, faces = draw(mesh_lines())
+
+    def face_row(f, seen):
+        # each reference absolute or relative to the seen vertices, with or
+        # without texture and normal references
+        refs = [str(i - seen) if draw(st.booleans()) else str(i + 1) for i in f]
+        return ["f"] + [r + draw(st.sampled_from(["", "/1", "/1/1", "//1"])) for r in refs]
+
+    interleave = draw(st.booleans())  # each face right after its last vertex
+    lines = []
+    for k, v in enumerate(verts):
+        lines.append(["v"] + v + draw(st.sampled_from([[], ["1.0"], ["0.5", "0.5", "0.5"]])))
+        if interleave:
+            lines += [face_row(f, k + 1) for f in faces if max(f) == k]
+    if not interleave:
+        lines += [face_row(f, len(verts)) for f in faces]
+    mutate(draw, lines)
+    return join(draw, lines, OBJ_NOISE)
+
+
+@st.composite
+def off_texts(draw):
+    verts, faces = draw(mesh_lines())
+    lines = [[t] for t in draw(st.sampled_from([[], ["OFF"], ["off"]]))]
+    lines.append([str(len(verts)), str(len(faces))] + draw(st.sampled_from([[], ["0"], ["9"]])))
+    lines += [v + draw(st.sampled_from([[], ["255", "0", "0"], ["junk"]])) for v in verts]
+    lines += [["3"] + [str(i) for i in f] + draw(st.sampled_from([[], ["1", "1", "1"]])) for f in faces]
+    lines += draw(st.sampled_from([[], [["trailing", "junk"]]]))
+    mutate(draw, lines)
+    return join(draw, lines, BLANKS)
+
+
+class TestParserProperties:
+    """load_mesh against a line-by-line reader: equal arrays byte for byte
+    (or build's error on them), or a MeshParseError at the reader's line."""
+
+    def check(self, path: str, text: str, read) -> None:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        with open(path) as fh:
+            want = read(fh.read())
+        if isinstance(want, int):
+            with pytest.raises(MeshParseError) as exc:
+                load_mesh(path)
+            assert exc.value.line == want
+            return
+        verts, faces = np.array(want[0], dtype=np.float64), np.array(want[1], dtype=np.int64)
+        try:
+            SurfaceModel.build(verts, faces)
+        except GeometryError as e:  # parsed, but not a mesh build accepts
+            with pytest.raises(type(e), match=re.escape(str(e))):
+                load_mesh(path)
+            return
+        s = load_mesh(path)
+        assert s.vertices.tobytes() == verts.tobytes()
+        assert s.faces.tobytes() == faces.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=obj_texts())
+    @example(text="v 0 0 0\nv 1 0 0\nv 0 1 0\n1 2 3/1\n")  # a slash, and no face line
+    def test_obj(self, tmp_path_factory, text):
+        self.check(str(tmp_path_factory.getbasetemp() / "prop.obj"), text, read_obj)
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=off_texts())
+    def test_off(self, tmp_path_factory, text):
+        self.check(str(tmp_path_factory.getbasetemp() / "prop.off"), text, read_off)
 
 
 class TestCurveRoundTrips:
@@ -286,6 +502,16 @@ class TestCurveRoundTrips:
         p.write_text(json.dumps({"vertices": self.SQUARE, "closed": "false"}))
         with pytest.raises(MeshParseError, match="'closed' must be a JSON boolean"):
             load_curve(str(p))
+
+    @pytest.mark.parametrize("coord", ["0", " 1e0", True], ids=["string", "padded-string", "boolean"])
+    def test_coordinates_must_be_json_numbers(self, tmp_path, coord):
+        # the float64 conversion alone would read these as 0, 1 and 1
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"vertices": [[0, 0, 0], [1, 0, 0], [1, 1, coord], [0, 1, 0]]}))
+        with pytest.raises(MeshParseError) as exc:
+            load_curve(str(p))
+        assert exc.value.line == 1
+        assert str(exc.value).endswith("c.json:1: vertex coordinates must be JSON numbers")
 
     @pytest.mark.parametrize(
         "corner",

@@ -18,6 +18,7 @@ from surfcert import (
     InvalidParameterError,
     SurfaceModel,
     UnsupportedOperationError,
+    angle_between,
     boundary_distance,
     boundary_polyline,
     build_scene,
@@ -309,6 +310,21 @@ class TestDerivedData:
             expected = vertex_total_angle(star, apex=s.vertices[vi])
             assert s.angle_sums[vi] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_corner_geometry_matches_a_per_corner_reference(self, name, dim):
+        s = bare_in(build_scene(name, res=16).surface, dim)
+        v, f = s.vertices, s.faces
+        sums = np.zeros(s.n_vertices)
+        for c in range(3):
+            u, w = v[f[:, (c + 1) % 3]] - v[f[:, c]], v[f[:, (c + 2) % 3]] - v[f[:, c]]
+            np.add.at(sums, f[:, c], [angle_between(a, b) for a, b in zip(u, w)])
+        assert s.angle_sums.tobytes() == sums.tobytes()
+        field = s.mean_curvature
+        values, unreliable = per_corner_mean_curvature(s)
+        assert field.values.tobytes() == values.tobytes()
+        assert field.unreliable.tobytes() == unreliable.tobytes()
+
     @pytest.mark.parametrize("name", catalog_names())
     def test_boundary_face_corners_match_a_dict_oracle(self, name):
         s = build_scene(name, res=16).surface
@@ -337,6 +353,39 @@ class TestDerivedData:
             arrays = [s.angle_sums, field.values, field.unreliable]
             for a in arrays + [s.boundary_face_corners]:
                 assert not a.flags.writeable
+
+
+def bare_in(s: SurfaceModel, dim: int) -> SurfaceModel:
+    """s without its patch, in R^dim: a fourth coordinate xy / 4 lifts an R^3
+    mesh, and dropping coordinates lowers an R^4 one."""
+    v = s.vertices
+    if v.shape[1] < dim:
+        v = np.concatenate([v, 0.25 * v[:, :1] * v[:, 1:2]], axis=1)
+    return SurfaceModel.build(v[:, :dim], s.faces)
+
+
+def per_corner_mean_curvature(s: SurfaceModel) -> tuple:
+    """The discrete |H| and its unreliable mask, one corner column at a time,
+    each cotangent weight scattered with np.add.at."""
+    v, f = s.vertices, s.faces
+    acc = np.zeros_like(v)
+    sq_ext = float(((v.max(0) - v.min(0)) ** 2).sum())
+    degenerate = np.zeros(s.n_vertices, dtype=bool)
+    for c, (i, j) in ((0, (1, 2)), (1, (2, 0)), (2, (0, 1))):
+        u, w = v[f[:, i]] - v[f[:, c]], v[f[:, j]] - v[f[:, c]]
+        dot, uu, ww = (np.einsum("kn,kn->k", a, b) for a, b in ((u, w), (u, u), (w, w)))
+        cross2 = np.maximum(uu * ww - dot * dot, 0.0)
+        bad = cross2 <= 1e-28 * max(sq_ext, 1e-300) ** 2
+        cot = np.where(bad, 0.0, dot / np.sqrt(np.where(bad, 1.0, cross2)))
+        degenerate[f[bad].ravel()] = True
+        contrib = 0.5 * cot[:, None] * (v[f[:, j]] - v[f[:, i]])
+        np.add.at(acc, f[:, i], contrib)
+        np.add.at(acc, f[:, j], -contrib)
+    area = s.per_vertex_area
+    tiny = area <= 1e-14 * max(sq_ext, 1e-300)
+    unreliable = s.boundary_vertex_mask | tiny | degenerate
+    hvec = np.where(unreliable[:, None], 0.0, -acc / np.where(tiny, 1.0, area)[:, None])
+    return np.linalg.norm(hvec, axis=1), unreliable
 
 
 def brute_diameter(v: np.ndarray) -> float:
