@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,12 +19,18 @@ from .errors import (
     InvalidParameterError,
     ProjectionSingularError,
 )
-from .geometry import PointN, as_point, stable_sum, _angles_batch, _box_pairs
+from .geometry import (
+    PointN,
+    as_point,
+    stable_sum,
+    _angles_batch,
+    _box_diagonal,
+    _disjoint_box_pairs,
+)
 
 __all__ = [
     "CornerFlag",
     "PolylineCurve",
-    "ConeSurface",
     "BoundReport",
     "total_curvature",
     "turning_angles",
@@ -76,13 +83,12 @@ class PolylineCurve:
             raise InvalidParameterError("a closed curve needs at least 3 vertices")
         if not self.closed and k < 2:
             raise InvalidParameterError("a curve needs at least 2 vertices")
-        scale = self._scale_of(v)
-        segs = np.roll(v, -1, axis=0) - v if self.closed else v[1:] - v[:-1]
-        seg_len = np.linalg.norm(segs, axis=1)
-        if np.any(seg_len <= COINCIDENCE_REL_TOL * scale):
-            raise InvalidParameterError("consecutive curve vertices must be distinct")
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
+        segs = np.roll(v, -1, axis=0) - v if self.closed else v[1:] - v[:-1]
+        seg_len = np.linalg.norm(segs, axis=1)
+        if np.any(seg_len <= COINCIDENCE_REL_TOL * self.scale):
+            raise InvalidParameterError("consecutive curve vertices must be distinct")
         if self.corner_flags is not None:
             flags = tuple(self.corner_flags)
             seen = set()
@@ -96,12 +102,7 @@ class PolylineCurve:
                 seen.add(f.index)
             object.__setattr__(self, "corner_flags", flags)
         if self.closed:
-            self._check_simple(v, scale)
-
-    @staticmethod
-    def _scale_of(v: np.ndarray) -> float:
-        ext = v.max(axis=0) - v.min(axis=0)
-        return max(float(np.linalg.norm(ext)), 1e-300)
+            self._check_simple()
 
     @property
     def k(self) -> int:
@@ -111,21 +112,22 @@ class PolylineCurve:
     def dim(self) -> int:
         return self.vertices.shape[1]
 
-    @property
+    @cached_property
     def scale(self) -> float:
-        return self._scale_of(self.vertices)
+        """Length of the bounding box's diagonal, at least 1e-300."""
+        return _box_diagonal(self.vertices)
 
-    def _check_simple(self, v: np.ndarray, scale: float) -> None:
+    def _check_simple(self) -> None:
         """Reject a curve that backtracks at a vertex or whose non-adjacent
         segments come within tol = COINCIDENCE_REL_TOL * scale, as computed
         by `_segment_pair_dist2`.
 
         Only the segment pairs whose boxes, inflated by tol + slack, overlap
-        (`_box_pairs`) are measured. The slack makes that set contain every
-        pair whose computed d2 is at most tol^2, so the verdict is the one a
-        check over all pairs gives, however far the curve lies from the
-        origin. Per coordinate, with unit roundoff u and L <= scale the
-        largest extent of a segment:
+        (`_disjoint_box_pairs`) are measured. The slack makes that set
+        contain every pair whose computed d2 is at most tol^2, so the verdict
+        is the one a check over all pairs gives, however far the curve lies
+        from the origin. Per coordinate, with unit roundoff u and L <= scale
+        the largest extent of a segment:
 
         - a computed closest point fl(a + fl(s fl(b - a))), s in [0, 1], is
           within 2 u L + 2^-1075 of the segment's box [min(a, b), max(a, b)]
@@ -145,6 +147,7 @@ class PolylineCurve:
         slack >= 6 u L + 2^-536 to first order, whatever tol is. The slack is
         twice that, which also covers every second-order term.
         """
+        v, scale = self.vertices, self.scale
         # backtracking at a vertex means the two incident segments overlap
         d_in = v - np.roll(v, 1, axis=0)
         d_out = np.roll(v, -1, axis=0) - v
@@ -156,24 +159,20 @@ class PolylineCurve:
         a = v
         b = np.roll(v, -1, axis=0)
         tol = COINCIDENCE_REL_TOL * scale
-        ii, jj = _nonadjacent_box_pairs(a, b, tol + _simplicity_slack(scale))
+        ids = np.arange(v.shape[0])
+        pairs = _disjoint_box_pairs(
+            np.minimum(a, b),
+            np.maximum(a, b),
+            tol + _simplicity_slack(scale),
+            np.stack([ids, np.roll(ids, -1)], axis=1),
+        )
+        ii, jj = pairs[:, 0], pairs[:, 1]
         tol2 = tol**2
         for lo in range(0, ii.size, 2_000_000):
             hi = min(lo + 2_000_000, ii.size)
             d2 = _segment_pair_dist2(a[ii[lo:hi]], b[ii[lo:hi]], a[jj[lo:hi]], b[jj[lo:hi]])
             if np.any(d2 <= tol2):
                 raise InputInconsistentError("curve is not simple: segments intersect")
-
-
-def _nonadjacent_box_pairs(a: np.ndarray, b: np.ndarray, pad: float) -> tuple:
-    """(ii, jj), ii < jj: the pairs of segments [a_i, b_i] of a closed
-    polyline (b_i = a_(i+1), cyclically) that share no vertex and whose
-    boxes, inflated by pad, overlap (`_box_pairs`), in lexicographic order."""
-    k = a.shape[0]
-    pairs = _box_pairs(np.minimum(a, b), np.maximum(a, b), pad)
-    ii, jj = pairs[:, 0], pairs[:, 1]
-    apart = (jj - ii != 1) & ((ii != 0) | (jj != k - 1))
-    return ii[apart], jj[apart]
 
 
 def _simplicity_slack(scale: float) -> float:
@@ -289,17 +288,8 @@ def cone_density(c: PolylineCurve, x0: PointN) -> float:
     return radial_projection_length(c, x0) / (2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class ConeSurface:
-    """Triangulated cone over a base curve from an apex."""
-
-    apex: PointN
-    base: PolylineCurve
-    mesh: "SurfaceModel"  # noqa: F821 (import cycle kept one-way)
-
-
-def build_cone(c: PolylineCurve, x0: PointN) -> ConeSurface:
-    """Triangulate {x0 + t (x - x0) : x in curve, t in [0, 1]}.
+def build_cone(c: PolylineCurve, x0: PointN) -> "SurfaceModel":  # noqa: F821
+    """The mesh of the cone {x0 + t (x - x0) : x in curve, t in [0, 1]}.
 
     Every ring reuses the curve's vertices scaled about x0, so the t = 1 ring
     coincides with the curve vertex-for-vertex, and the apex closes the fan
@@ -323,8 +313,7 @@ def build_cone(c: PolylineCurve, x0: PointN) -> ConeSurface:
     # the apex stands in for the t = 0 ring
     rings = x0[None, None, :] + ts[1:, None, None] * rad[None, :, :]
     stack = np.concatenate([x0[None, :], rings.reshape(-1, c.dim)])
-    surf = SurfaceModel.build(stack, strip_faces(nt, k, True, True)[0])
-    return ConeSurface(apex=x0, base=c, mesh=surf)
+    return SurfaceModel.build(stack, strip_faces(nt, k, True, True)[0])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ __all__ = [
     "clip_areas_total",
     "FaceReach",
     "face_reach",
-    "vertex_total_angle",
     "subdivide4",
     "point_triangle_dist2",
     "DEGENERATE_REL_TOL",
@@ -137,6 +136,11 @@ def subdivide4(verts: np.ndarray, levels: int = 1) -> np.ndarray:
             ]
         )
     return out
+
+
+def _box_diagonal(points: np.ndarray) -> float:
+    """Length of the (K, n) points' bounding-box diagonal, at least 1e-300."""
+    return max(float(np.linalg.norm(points.max(axis=0) - points.min(axis=0))), 1e-300)
 
 
 def _sq_diameters(verts: np.ndarray) -> np.ndarray:
@@ -444,65 +448,6 @@ def clip_areas_total(verts: np.ndarray, ball: Ball, reach: FaceReach | None = No
     return stable_sum(reach.areas[inside].tolist() + part.tolist())
 
 
-def _match_vertex(tri: np.ndarray, p: np.ndarray, tol: float) -> int | None:
-    d = np.linalg.norm(tri - p[None, :], axis=1)
-    i = int(np.argmin(d))
-    return i if d[i] <= tol else None
-
-
-def vertex_total_angle(star, apex: PointN | None = None) -> float:
-    """Sum of the apex angles of a triangle star around its shared vertex.
-
-    `star` is a sequence of (3, n) vertex arrays, or a (K, 3, n) stack. The
-    apex is inferred as the vertex common to every triangle of the star.
-    Two-triangle stars can share a whole edge, which makes the common vertex
-    ambiguous; pass ``apex`` explicitly in that case.
-
-    For a star cut from a flat PL surface this is 2*pi times the area density
-    of the surface at the vertex (2*pi at a flat interior vertex, pi along a
-    straight boundary, 2*pi*k at a k-fold covering vertex).
-    """
-    tris = [np.asarray(t, dtype=np.float64) for t in star]
-    if len(tris) == 0:
-        raise InvalidParameterError("empty star")
-    dims = {t.shape[1] for t in tris}
-    if len(dims) != 1:
-        raise InputInconsistentError("star triangles live in different dimensions")
-    scale = max(float(np.sqrt(_sq_diameters(t[None, :, :]))[0]) for t in tris)
-    tol = 1e-12 * max(scale, 1e-300)
-
-    if apex is None:
-        candidates = []
-        for i in range(3):
-            p = tris[0][i]
-            if all(_match_vertex(t, p, tol) is not None for t in tris):
-                candidates.append(p)
-        # deduplicate coincident candidates
-        unique: list[np.ndarray] = []
-        for p in candidates:
-            if not any(np.linalg.norm(p - q) <= tol for q in unique):
-                unique.append(p)
-        if len(unique) == 0:
-            raise InputInconsistentError("star triangles share no common vertex")
-        if len(unique) > 1:
-            raise InvalidParameterError(
-                "shared vertex is ambiguous for this star; pass apex explicitly"
-            )
-        apex = unique[0]
-    else:
-        apex = as_point(apex, dim=tris[0].shape[1])
-
-    angles = []
-    for t in tris:
-        i = _match_vertex(t, apex, tol)
-        if i is None:
-            raise InputInconsistentError("a star triangle does not contain the apex")
-        u = t[(i + 1) % 3] - apex
-        w = t[(i + 2) % 3] - apex
-        angles.append(angle_between(u, w))
-    return stable_sum(angles)
-
-
 def _cell_index(x: np.ndarray, cell: float) -> np.ndarray:
     """floor(x / cell) as int64, clipped to +-2^61 so that it and any span of
     two such indices fit in int64; monotone in x, as _box_pairs needs."""
@@ -594,3 +539,20 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray, pad: float) -> np.ndarray:
         keys.append(np.minimum(i, j) * nb + np.maximum(i, j))
     key = np.sort(np.concatenate(keys))
     return np.stack([key // nb, key % nb], axis=1)
+
+
+def _disjoint_box_pairs(
+    lo: np.ndarray, hi: np.ndarray, pad: float, ids: np.ndarray
+) -> np.ndarray:
+    """The pairs of `_box_pairs(lo, hi, pad)` whose rows of the (N, m) vertex
+    ids share no entry: the face pairs of a mesh, or the segment pairs of a
+    polyline, that have no common vertex and whose padded boxes overlap, in
+    lexicographic order."""
+    pairs = _box_pairs(lo, hi, pad)
+    corners = ids.T
+    fa, fb = corners.take(pairs[:, 0], axis=1), corners.take(pairs[:, 1], axis=1)
+    shared = np.zeros(pairs.shape[0], dtype=bool)
+    for v in fa:
+        for w in fb:
+            shared |= v == w
+    return pairs[~shared]

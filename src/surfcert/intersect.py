@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _best_fit_plane, _nonadjacent_box_pairs, _segment_pair_dist2
-from .geometry import _box_pairs, point_triangle_dist2
+from .curves import _best_fit_plane, _segment_pair_dist2
+from .geometry import _disjoint_box_pairs, point_triangle_dist2
 from .surfaces import SurfaceModel
 
 __all__ = [
@@ -154,23 +154,6 @@ def triangle_pair_dist2(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return best
 
 
-def _candidate_pairs(surface: SurfaceModel, margin: float) -> np.ndarray:
-    """Broad phase: the face pairs (i, j), i < j, that share no vertex and
-    whose closed boxes, inflated by margin, overlap; sorted lexicographically.
-
-    `geometry._box_pairs` gives the overlapping box pairs exactly, in that
-    order; the pairs sharing a vertex are then dropped.
-    """
-    tris = surface.face_triangles()
-    pairs = _box_pairs(tris.min(axis=1), tris.max(axis=1), margin)
-    corners = surface.faces.T
-    fa, fb = corners.take(pairs[:, 0], axis=1), corners.take(pairs[:, 1], axis=1)
-    shared = np.zeros(pairs.shape[0], dtype=bool)
-    for v in fa:
-        shared |= (v == fb[0]) | (v == fb[1]) | (v == fb[2])
-    return pairs[~shared]
-
-
 def _unit_axes(a: np.ndarray) -> np.ndarray:
     """The vectors a[:, ...] (components along axis 0) scaled to unit length;
     zero vectors stay zero.
@@ -245,19 +228,19 @@ def self_intersections(surface: SurfaceModel) -> IntersectionReport:
     tol is SWEEP_REL_TOL times the surface's bounding-box diagonal, and the
     report carries it as `tolerance`. The candidates are exactly the pairs
     sharing no vertex whose bounding boxes, inflated by tol, overlap
-    (`_candidate_pairs`); a pair within tol has such boxes, so no pair within
-    tol is missed except those sharing a vertex. The separating-axis reject
-    (`_separated`) then drops every candidate that is farther apart than tol
-    in exact arithmetic, by a margin above the rounding slack derived there,
-    and only the rest go to the distance `triangle_pair_dist2`, which can
-    miss a crossing at a small dihedral angle. Every
-    candidate at computed distance <= tol counts; the first _MAX_REPORTS of
-    them, in lexicographic order, are listed. `candidates` counts the
-    broad-phase pairs, before the reject.
+    (`geometry._disjoint_box_pairs`); a pair within tol has such boxes, so
+    no pair within tol is missed except those sharing a vertex. The
+    separating-axis reject (`_separated`) then drops every candidate that is
+    farther apart than tol in exact arithmetic, by a margin above the
+    rounding slack derived there, and only the rest go to the distance
+    `triangle_pair_dist2`, which can miss a crossing at a small dihedral
+    angle. Every candidate at computed distance <= tol counts; the first
+    _MAX_REPORTS of them, in lexicographic order, are listed. `candidates`
+    counts the broad-phase pairs, before the reject.
     """
     tol = SWEEP_REL_TOL * surface.scale
-    pairs = _candidate_pairs(surface, margin=tol)
     tris = surface.face_triangles()
+    pairs = _disjoint_box_pairs(tris.min(axis=1), tris.max(axis=1), tol, surface.faces)
     chunk = 16384
     hits = [np.empty((0, 2), dtype=np.int64)]
     for lo in range(0, pairs.shape[0], chunk):
@@ -397,7 +380,8 @@ def projected_embedding(surface: SurfaceModel) -> np.ndarray | None:
     if not (np.all(signs == 1) or np.all(signs == -1)):
         return None
 
-    w = v[surface.boundary_loops[0]]
+    loop = surface.boundary_loops[0]
+    w = v[loop]
     prev, nxt = np.roll(w, 1, axis=0), np.roll(w, -1, axis=0)
     (x, dx), (y, dy) = _projected(P, prev, w), _projected(P, w, nxt)
     xx, yy = x[:, 0] * y[:, 0], x[:, 1] * y[:, 1]
@@ -405,7 +389,14 @@ def projected_embedding(surface: SurfaceModel) -> np.ndarray | None:
     if not np.all(ahead | (_orientations(P, prev, w, nxt) != 0)):
         return None
     q, dq = _projected(P, w[:1], w)
-    ii, jj = _nonadjacent_box_pairs(q, np.roll(q, -1, axis=0), 2.0 * float(dq.max()))
+    q_next = np.roll(q, -1, axis=0)
+    pairs = _disjoint_box_pairs(
+        np.minimum(q, q_next),
+        np.maximum(q, q_next),
+        2.0 * float(dq.max()),
+        np.stack([loop, np.roll(loop, -1)], axis=1),
+    )
+    ii, jj = pairs[:, 0], pairs[:, 1]
     a, b, c, d = w[ii], nxt[ii], w[jj], nxt[jj]
     one_side = _orientations(P, a, b, c) * _orientations(P, a, b, d) == 1
     other_side = _orientations(P, c, d, a) * _orientations(P, c, d, b) == 1

@@ -131,7 +131,7 @@ def _check_cone_constancy():
     flat = PropertyPConstants(
         p=math.inf, alpha=1.0, lam=0.0, smallness_ok=True, smallness_margin=math.inf
     )
-    prof = m_profile(cone.mesh, circle, apex, radii=(0.1, 0.5, 1.0, 2.0), constants=flat)
+    prof = m_profile(cone, circle, apex, radii=(0.1, 0.5, 1.0, 2.0), constants=flat)
     # with its exterior cone the cone is infinite, so m(r) is one constant
     spread = max(prof.m_values) - min(prof.m_values)
     tol = 2.0 * float(max(prof.m_errors))

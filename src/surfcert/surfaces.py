@@ -29,6 +29,7 @@ from .geometry import (
     stable_sum,
     triangle_areas,
     _angles_batch,
+    _box_diagonal,
     _point_segment_dist2,
 )
 
@@ -363,8 +364,7 @@ class SurfaceModel:
     @cached_property
     def scale(self) -> float:
         """Length of the bounding box's diagonal, at least 1e-300."""
-        ext = self.vertices.max(axis=0) - self.vertices.min(axis=0)
-        return max(float(np.linalg.norm(ext)), 1e-300)
+        return _box_diagonal(self.vertices)
 
     def face_triangles(self) -> np.ndarray:
         """All faces as a (F, 3, n) coordinate array."""

@@ -29,6 +29,7 @@ from surfcert import (
     turning_angles,
 )
 from surfcert.curves import COINCIDENCE_REL_TOL, _segment_pair_dist2, _simplicity_slack
+from surfcert.geometry import _box_diagonal
 
 
 def regular_polygon(k: int, radius: float = 1.0, z: float = 0.0) -> PolylineCurve:
@@ -243,7 +244,7 @@ def all_pairs_simple(v: np.ndarray) -> bool:
     ii, jj = np.triu_indices(k, 1)
     adjacent = (jj - ii == 1) | ((ii == 0) & (jj == k - 1))
     ii, jj = ii[~adjacent], jj[~adjacent]
-    tol2 = (COINCIDENCE_REL_TOL * PolylineCurve._scale_of(v)) ** 2
+    tol2 = (COINCIDENCE_REL_TOL * _box_diagonal(v)) ** 2
     return not np.any(_segment_pair_dist2(a[ii], b[ii], a[jj], b[jj]) <= tol2)
 
 
@@ -283,7 +284,7 @@ class TestSimplicityCheck:
 
     @pytest.mark.parametrize("factor", [0.0, 0.5, 0.99])
     def test_segments_within_tol_rejected(self, factor):
-        tol = COINCIDENCE_REL_TOL * PolylineCurve._scale_of(self.bridge(0.0))
+        tol = COINCIDENCE_REL_TOL * _box_diagonal(self.bridge(0.0))
         with pytest.raises(InputInconsistentError, match="not simple"):
             PolylineCurve(self.bridge(factor * tol))
 
@@ -291,7 +292,7 @@ class TestSimplicityCheck:
     def test_near_miss_accepted(self, reach):
         # just beyond tol + slack the boxes, each inflated by that much,
         # still overlap and the pair is measured; beyond twice that it is not
-        scale = PolylineCurve._scale_of(self.bridge(0.0))
+        scale = _box_diagonal(self.bridge(0.0))
         tol = COINCIDENCE_REL_TOL * scale
         slack = _simplicity_slack(scale)
         gap = {"tol": tol, "tol + slack": tol + slack, "2 (tol + slack)": 2.0 * (tol + slack)}
@@ -372,7 +373,7 @@ class TestCone:
         # triangle is exact, total = sum of the k flat triangles
         c = regular_polygon(64, z=1.0)
         cone = build_cone(c, (0.0, 0.0, 0.0))
-        got = float(cone.mesh.face_areas.sum())
+        got = float(cone.face_areas.sum())
         # side length of the base polygon and slant height of each triangle
         side = 2.0 * math.sin(math.pi / 64)
         slant2 = 2.0 - (side / 2.0) ** 2

@@ -1,8 +1,7 @@
 """Closed-form oracles for the clipping and angle primitives.
 
 Every expected value here is computable by hand: full/empty overlaps,
-in-plane disks, half and quarter disks at edges and corners, and flat
-vertex stars whose cone angles are known exactly.
+in-plane disks, and half and quarter disks at edges and corners.
 """
 
 import itertools
@@ -24,7 +23,6 @@ from surfcert import (
     stable_sum,
     subdivide4,
     triangle_areas,
-    vertex_total_angle,
 )
 from surfcert.geometry import DEGENERATE_REL_TOL, _edge_fan_areas, _straddling_areas, clip_areas
 
@@ -348,69 +346,6 @@ class TestSubdivide:
                 # each child sits inside its parent's bounding box
                 assert child.min() >= stack[k].min() - 1e-12
                 assert child.max() <= stack[k].max() + 1e-12
-
-
-class TestVertexTotalAngle:
-    def fan(self, angles_deg, apex=(0.0, 0.0, 0.0)):
-        """Star of triangles around the apex with the given sector widths."""
-        apex = np.array(apex)
-        tris = []
-        acc = 0.0
-        for w in angles_deg:
-            a0 = math.radians(acc)
-            a1 = math.radians(acc + w)
-            p0 = apex + np.array([math.cos(a0), math.sin(a0), 0.0])
-            p1 = apex + np.array([math.cos(a1), math.sin(a1), 0.0])
-            tris.append(np.stack([apex, p0, p1]))
-            acc += w
-        return np.array(tris)
-
-    def test_flat_interior_vertex_is_two_pi(self):
-        star = self.fan([60] * 6)
-        assert vertex_total_angle(star) == pytest.approx(2.0 * math.pi, abs=1e-12)
-
-    def test_half_plane_fan_is_pi(self):
-        star = self.fan([45] * 4)
-        assert vertex_total_angle(star) == pytest.approx(math.pi, abs=1e-12)
-
-    def test_quarter_fan_is_half_pi(self):
-        star = self.fan([30, 60])
-        # two triangles share the whole ray at 30 degrees; disambiguate
-        assert vertex_total_angle(star, apex=(0.0, 0.0, 0.0)) == pytest.approx(
-            math.pi / 2.0, abs=1e-12
-        )
-
-    def test_two_triangle_star_needs_explicit_apex(self):
-        # both triangles share a whole edge, so the common vertex is ambiguous
-        a = np.array([0.0, 0.0, 0.0])
-        b = np.array([1.0, 0.0, 0.0])
-        star = np.array(
-            [
-                np.stack([a, b, np.array([0.5, 1.0, 0.0])]),
-                np.stack([a, b, np.array([0.5, -1.0, 0.0])]),
-            ]
-        )
-        got = vertex_total_angle(star, apex=a)
-        want = 2.0 * math.atan2(1.0, 0.5)
-        assert got == pytest.approx(want, abs=1e-12)
-
-    def test_cone_vertex_angle_deficit(self):
-        # six sectors tilted out of plane: total angle < 2*pi
-        apex = np.zeros(3)
-        tris = []
-        for i in range(6):
-            a0 = 2.0 * math.pi * i / 6.0
-            a1 = 2.0 * math.pi * (i + 1) / 6.0
-            p0 = np.array([math.cos(a0), math.sin(a0), 1.0])
-            p1 = np.array([math.cos(a1), math.sin(a1), 1.0])
-            tris.append(np.stack([apex, p0, p1]))
-        got = vertex_total_angle(np.array(tris))
-        # each sector's apex angle: vectors at 60 degrees in-plane, lifted
-        v0 = np.array([1.0, 0.0, 1.0])
-        v1 = np.array([0.5, math.sqrt(3) / 2.0, 1.0])
-        want = 6.0 * angle_between(v0, v1)
-        assert got == pytest.approx(want, abs=1e-12)
-        assert got < 2.0 * math.pi
 
 
 class TestPointTriangleDistance:

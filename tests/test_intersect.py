@@ -27,10 +27,9 @@ from surfcert import (
     self_intersections,
     triangle_pair_dist2,
 )
-from surfcert.geometry import _box_pairs
+from surfcert.geometry import _box_pairs, _disjoint_box_pairs
 from surfcert.intersect import (
     SWEEP_REL_TOL,
-    _candidate_pairs,
     _decide,
     _orientations,
     _projected,
@@ -263,6 +262,13 @@ def default_tol(s: SurfaceModel) -> float:
     return SWEEP_REL_TOL * s.scale
 
 
+def candidate_pairs(s: SurfaceModel, tol: float) -> np.ndarray:
+    """The sweep's broad phase: face pairs sharing no vertex whose
+    tol-inflated boxes overlap."""
+    tris = s.face_triangles()
+    return _disjoint_box_pairs(tris.min(axis=1), tris.max(axis=1), tol, s.faces)
+
+
 def oracle_pairs(s: SurfaceModel, tol: float) -> np.ndarray:
     """Every pair i < j sharing no vertex whose tol-inflated boxes overlap."""
     tris = s.face_triangles()
@@ -277,7 +283,7 @@ def oracle_pairs(s: SurfaceModel, tol: float) -> np.ndarray:
 def assert_sweep_matches_oracle(s: SurfaceModel) -> np.ndarray:
     tol = default_tol(s)
     expected = oracle_pairs(s, tol)
-    got = _candidate_pairs(s, tol)
+    got = candidate_pairs(s, tol)
     assert got.dtype == np.int64 and got.shape == expected.shape
     assert np.array_equal(got, expected)
     tris = s.face_triangles()
@@ -542,7 +548,7 @@ class TestSeparatingAxisReject:
         # still counts them
         s = build_scene("flat_disk", res=16).surface
         tol = default_tol(s)
-        pairs = _candidate_pairs(s, tol)
+        pairs = candidate_pairs(s, tol)
         tris = s.face_triangles()
         assert _separated(tris[pairs[:, 0]], tris[pairs[:, 1]], tol).all()
         rep = self_intersections(s)

@@ -9,7 +9,9 @@ function's body, apart from ``self``, ``cls`` and names starting with ``_``.
 
 Every public name has one owner: each name the package exports (bar
 ``__version__``) is listed in exactly one submodule's ``__all__``, every
-submodule has an ``__all__``, and every listed name exists.
+submodule has an ``__all__``, and every listed name exists. The package
+exports each name of the nine library modules' ``__all__`` as the same object,
+and defines nothing itself but ``__version__`` and ``__all__``.
 
 numpy is the only runtime dependency: no module imports anything but the
 standard library, numpy and surfcert itself, at any depth of the source.
@@ -112,6 +114,38 @@ def test_every_public_name_has_one_owner():
         if len(owners.get(name, [])) != 1:
             problems.append(f"surfcert.{name} is owned by {owners.get(name, [])}")
     assert problems == []
+
+
+LIBRARY_MODULES = (
+    "errors", "geometry", "curves", "surfaces", "monotonicity", "intersect", "certificates",
+    "catalog", "fileio",
+)
+
+
+def test_package_exports_each_library_name_itself():
+    import surfcert
+
+    exported = set(surfcert.__all__)
+    mismatched = []
+    for stem in LIBRARY_MODULES:
+        module = importlib.import_module(f"surfcert.{stem}")
+        mismatched += [
+            f"{stem}.{name}"
+            for name in module.__all__
+            if name not in exported or getattr(surfcert, name) is not getattr(module, name)
+        ]
+    assert mismatched == []
+    # the tool and the acceptance battery are imported by name, not exported
+    for stem in ("cli", "selftest"):
+        assert exported.isdisjoint(importlib.import_module(f"surfcert.{stem}").__all__)
+    # __init__ defines nothing of its own but the version and the export list
+    defined = []
+    for stmt in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(stmt, ast.Assign):
+            defined += [t.id for t in stmt.targets]
+        elif not isinstance(stmt, (ast.Import, ast.ImportFrom, ast.Expr)):
+            defined.append(type(stmt).__name__)
+    assert defined == ["__version__", "__all__"]
 
 
 def test_imports_only_the_standard_library_and_numpy():
