@@ -1,7 +1,8 @@
 """Closed-form oracles for the clipping and angle primitives.
 
 Every expected value here is computable by hand: full/empty overlaps,
-in-plane disks, and half and quarter disks at edges and corners.
+in-plane disks, half and quarter disks at edges and corners, and flat
+vertex stars whose cone angles are known exactly.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from surfcert import (
     FaceReach,
     InputInconsistentError,
     InvalidParameterError,
+    SurfaceModel,
     angle_between,
     clip_areas_total,
     face_reach,
@@ -346,6 +348,49 @@ class TestSubdivide:
                 # each child sits inside its parent's bounding box
                 assert child.min() >= stack[k].min() - 1e-12
                 assert child.max() <= stack[k].max() + 1e-12
+
+
+def fan(widths_deg, lift=0.0) -> SurfaceModel:
+    """Apex 0 at the origin and unit rim vertices at the sector edges, lifted
+    to height lift; sectors adding up to 360 degrees close the fan."""
+    edges = np.radians(np.cumsum([0.0, *widths_deg]))
+    k = len(widths_deg)
+    if math.isclose(sum(widths_deg), 360.0):
+        edges = edges[:-1]
+    rim = np.stack([np.cos(edges), np.sin(edges), np.full(edges.size, lift)], axis=1)
+    faces = [[0, 1 + i, 1 + (i + 1) % edges.size] for i in range(k)]
+    return SurfaceModel.build(np.vstack([np.zeros(3), rim]), faces)
+
+
+class TestVertexTotalAngle:
+    """SurfaceModel.angle_sums at the apex of flat and tilted vertex stars
+    whose cone angles are known exactly."""
+
+    def test_flat_interior_vertex_is_two_pi(self):
+        assert fan([60] * 6).angle_sums[0] == pytest.approx(2.0 * math.pi, abs=1e-12)
+
+    def test_half_plane_fan_is_pi(self):
+        assert fan([45] * 4).angle_sums[0] == pytest.approx(math.pi, abs=1e-12)
+
+    def test_quarter_fan_is_half_pi(self):
+        assert fan([30, 60]).angle_sums[0] == pytest.approx(math.pi / 2.0, abs=1e-12)
+
+    def test_two_triangle_star_oriented_consistently(self):
+        # both triangles contain the edge a -> b, run in opposite directions
+        v = [[0.0, 0, 0], [1.0, 0, 0], [0.5, 1, 0], [0.5, -1, 0]]
+        sums = SurfaceModel.build(v, [[0, 1, 2], [0, 3, 1]]).angle_sums
+        want = 2.0 * math.atan2(1.0, 0.5)
+        assert sums[0] == pytest.approx(want, abs=1e-12)
+        assert sums[1] == pytest.approx(want, abs=1e-12)
+
+    def test_cone_vertex_angle_deficit(self):
+        # six sectors tilted out of plane: total angle < 2*pi
+        got = fan([60] * 6, lift=1.0).angle_sums[0]
+        # each sector's apex angle: vectors at 60 degrees in-plane, lifted
+        v0 = np.array([1.0, 0.0, 1.0])
+        v1 = np.array([0.5, math.sqrt(3) / 2.0, 1.0])
+        assert got == pytest.approx(6.0 * angle_between(v0, v1), abs=1e-12)
+        assert got < 2.0 * math.pi
 
 
 class TestPointTriangleDistance:
