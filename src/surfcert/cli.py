@@ -24,7 +24,7 @@ from .certificates import (
     embeddedness_certificate,
     genus_certificate,
 )
-from .curves import cone_density, curve_length, projection_bound_report, total_curvature
+from .curves import curve_length, projection_bound_report, total_curvature
 from .errors import GeometryError, InvalidParameterError
 from .fileio import (
     atomic_write,
@@ -160,7 +160,7 @@ def _cmd_analyze_curve(args) -> int:
         raise InvalidParameterError("provide --curve PATH or --catalog NAME")
     payload = {
         "vertices": curve.k,
-        "closed": curve.closed,
+        "closed": True,
         "length": curve_length(curve),
         "tc": total_curvature(curve),
     }
@@ -169,7 +169,7 @@ def _cmd_analyze_curve(args) -> int:
         return {
             "x0": list(pt),
             "projection_length": rep.projection_length,
-            "cone_density": cone_density(curve, pt),
+            "cone_density": rep.projection_length / (2.0 * math.pi),
             "bound": rep.to_dict(),
         }
 

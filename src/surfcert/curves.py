@@ -67,7 +67,6 @@ class PolylineCurve:
     """
 
     vertices: np.ndarray
-    closed: bool = True
     corner_flags: tuple[CornerFlag, ...] | None = None
 
     def __post_init__(self):
@@ -79,14 +78,11 @@ class PolylineCurve:
         if not np.all(np.isfinite(v)):
             raise InvalidParameterError("curve vertices must be finite")
         k = v.shape[0]
-        if self.closed and k < 3:
+        if k < 3:
             raise InvalidParameterError("a closed curve needs at least 3 vertices")
-        if not self.closed and k < 2:
-            raise InvalidParameterError("a curve needs at least 2 vertices")
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
-        segs = np.roll(v, -1, axis=0) - v if self.closed else v[1:] - v[:-1]
-        seg_len = np.linalg.norm(segs, axis=1)
+        seg_len = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
         if np.any(seg_len <= COINCIDENCE_REL_TOL * self.scale):
             raise InvalidParameterError("consecutive curve vertices must be distinct")
         if self.corner_flags is not None:
@@ -101,8 +97,7 @@ class PolylineCurve:
                     raise InvalidParameterError("corner theta must lie in [0, pi]")
                 seen.add(f.index)
             object.__setattr__(self, "corner_flags", flags)
-        if self.closed:
-            self._check_simple()
+        self._check_simple()
 
     @property
     def k(self) -> int:
@@ -206,9 +201,7 @@ def _segment_pair_dist2(a1, b1, a2, b2) -> np.ndarray:
 
 
 def turning_angles(c: PolylineCurve) -> np.ndarray:
-    """Exterior angle at every vertex of a closed polyline, each in [0, pi]."""
-    if not c.closed:
-        raise InvalidParameterError("turning angles need a closed curve")
+    """Exterior angle at every vertex of the polyline, each in [0, pi]."""
     v = c.vertices
     d_in = v - np.roll(v, 1, axis=0)
     d_out = np.roll(v, -1, axis=0) - v
@@ -229,8 +222,7 @@ def total_curvature(c: PolylineCurve) -> float:
 
 def curve_length(c: PolylineCurve) -> float:
     v = c.vertices
-    segs = (np.roll(v, -1, axis=0) - v) if c.closed else (v[1:] - v[:-1])
-    return stable_sum(np.linalg.norm(segs, axis=1).tolist())
+    return stable_sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).tolist())
 
 
 def _locate_center(c: PolylineCurve, x0: PointN) -> int | None:
@@ -256,8 +248,6 @@ def _subtended_angles(c: PolylineCurve, x0: PointN) -> tuple[np.ndarray, np.ndar
     """(keep, angles): the mask of the segments [v_i, v_i+1] that do not end
     at x0 and the angle each of them subtends at x0, from the half-angle
     formula of `_angles_batch`, accurate to a few ulps all the way to pi."""
-    if not c.closed:
-        raise InvalidParameterError("projection needs a closed curve")
     x0 = as_point(x0, dim=c.dim)
     center_idx = _locate_center(c, x0)
     v = c.vertices
@@ -297,8 +287,6 @@ def build_cone(c: PolylineCurve, x0: PointN) -> "SurfaceModel":  # noqa: F821
     """
     from .surfaces import SurfaceModel, strip_faces
 
-    if not c.closed:
-        raise InvalidParameterError("cones need a closed base curve")
     x0 = as_point(x0, dim=c.dim)
     if _locate_center(c, x0) is not None:
         raise InvalidParameterError("unit cone apex must not lie on the curve")

@@ -391,9 +391,10 @@ def _scene_text(surface: SurfaceModel) -> str:
 def load_curve(path: str) -> PolylineCurve:
     """Read a polyline curve from JSON.
 
-    Schema: {"dimension": n, "vertices": [[...], ...], "closed": bool,
-    "corners": [{"index": i, "theta": t}, ...]}. A missing "corners" key
-    means a raw polygon (every vertex a corner); an empty list means a
+    Schema: {"dimension": n, "vertices": [[...], ...], "closed": true,
+    "corners": [{"index": i, "theta": t}, ...]}. Every curve is closed, so
+    "closed" may be left out, and false is rejected. A missing "corners"
+    key means a raw polygon (every vertex a corner); an empty list means a
     smooth sampled curve.
     """
     try:
@@ -417,6 +418,8 @@ def load_curve(path: str) -> PolylineCurve:
     closed = doc.get("closed", True)
     if type(closed) is not bool:
         raise MeshParseError(path, 1, "'closed' must be a JSON boolean")
+    if not closed:
+        raise MeshParseError(path, 1, "open curves are not supported: 'closed' must be true")
     flags = None
     if "corners" in doc:
         if not isinstance(doc["corners"], list):
@@ -439,7 +442,7 @@ def load_curve(path: str) -> PolylineCurve:
             parsed.append(CornerFlag(index=index, theta=theta))
         flags = tuple(parsed)
     try:
-        return PolylineCurve(vertices=v, closed=closed, corner_flags=flags)
+        return PolylineCurve(vertices=v, corner_flags=flags)
     except InvalidParameterError as e:
         raise MeshParseError(path, 1, str(e))
 
@@ -448,7 +451,7 @@ def save_curve(path: str, curve: PolylineCurve) -> None:
     doc = {
         "dimension": int(curve.vertices.shape[1]),
         "vertices": [[float(x) for x in row] for row in curve.vertices],
-        "closed": curve.closed,
+        "closed": True,
     }
     if curve.corner_flags is not None:
         doc["corners"] = [

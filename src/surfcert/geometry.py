@@ -114,28 +114,26 @@ def triangle_areas(verts: np.ndarray) -> np.ndarray:
     return 0.5 * np.sqrt(np.einsum("kp,kp->k", w, w))
 
 
-def subdivide4(verts: np.ndarray, levels: int = 1) -> np.ndarray:
-    """Midpoint 4-way subdivision of a (K, 3, n) stack, repeated `levels` times.
+def subdivide4(verts: np.ndarray) -> np.ndarray:
+    """Midpoint 4-way subdivision of a (K, 3, n) stack.
 
     Row order is deterministic (children of row k land at k, K+k, 2K+k, 3K+k),
     so parallel stacks (coordinates and parameters, say) stay aligned when
     subdivided separately.
     """
-    out = np.asarray(verts, dtype=np.float64)
-    for _ in range(int(levels)):
-        a, b, c = out[:, 0], out[:, 1], out[:, 2]
-        ab = 0.5 * (a + b)
-        bc = 0.5 * (b + c)
-        ca = 0.5 * (c + a)
-        out = np.concatenate(
-            [
-                np.stack([a, ab, ca], axis=1),
-                np.stack([ab, b, bc], axis=1),
-                np.stack([ca, bc, c], axis=1),
-                np.stack([ab, bc, ca], axis=1),
-            ]
-        )
-    return out
+    verts = np.asarray(verts, dtype=np.float64)
+    a, b, c = verts[:, 0], verts[:, 1], verts[:, 2]
+    ab = 0.5 * (a + b)
+    bc = 0.5 * (b + c)
+    ca = 0.5 * (c + a)
+    return np.concatenate(
+        [
+            np.stack([a, ab, ca], axis=1),
+            np.stack([ab, b, bc], axis=1),
+            np.stack([ca, bc, c], axis=1),
+            np.stack([ab, bc, ca], axis=1),
+        ]
+    )
 
 
 def _box_diagonal(points: np.ndarray) -> float:
@@ -325,9 +323,10 @@ class FaceReach:
     """How far each face of a (K, 3, n) stack reaches from one centre, and
     the stack's clips at the radii it was built for.
 
-    areas: the wedge-product areas (`triangle_areas`); live: the faces whose
-    area is at least DEGENERATE_REL_TOL times the squared diameter; near2:
-    the squared distance from the centre to the nearest point of the face
+    areas: the wedge-product areas (`triangle_areas`); longest2: the squared
+    length of each face's longest edge (`_sq_diameters`); live: the faces
+    whose area is at least DEGENERATE_REL_TOL times longest2; near2: the
+    squared distance from the centre to the nearest point of the face
     (`point_triangle_dist2`); far2: the squared distance to its farthest
     vertex. A ball of squared radius r2 about the centre holds a live face
     whole when far2 <= r2 (the ball is convex) and misses it when
@@ -340,6 +339,7 @@ class FaceReach:
 
     center: PointN
     areas: np.ndarray
+    longest2: np.ndarray
     live: np.ndarray
     near2: np.ndarray
     far2: np.ndarray
@@ -349,15 +349,13 @@ class FaceReach:
 def face_reach(
     verts: np.ndarray, center, areas: np.ndarray | None = None, radii=()
 ) -> FaceReach:
-    """Classify a (K, 3, n) stack once about `center`, for clips at any radius.
+    """Classify a (K, 3, n) stack once about `center` and clip it at `radii`.
 
     `areas` may pass the stack's `triangle_areas` when they are already known
-    (a surface's `face_areas`); they are computed otherwise. For the given
-    `radii` the faces each sphere crosses are clipped here, in one
-    `_straddling_areas` call over every (radius, crossing face) row with
-    that row's r^2, and `clip_areas` and `clip_areas_total` at one of those
-    radii read the result. A radius not given is clipped when it is asked
-    for, by the same routine; either way a clip is the same to the bit.
+    (a surface's `face_areas`); they are computed otherwise. The faces each
+    sphere crosses are clipped here, in one `_straddling_areas` call over
+    every (radius, crossing face) row with that row's r^2; `clip_areas` and
+    `clip_areas_total` read the result, and only at these radii.
     """
     center = as_point(center)
     verts = _triangle_stack(verts, center.size)
@@ -371,51 +369,38 @@ def face_reach(
     radii = tuple(float(r) for r in radii)
     if not all(math.isfinite(r) and r > 0.0 for r in radii):
         raise InvalidParameterError(f"clip radii must be finite and positive, got {radii}")
-    reach = FaceReach(
-        center=center,
-        areas=areas,
-        live=(areas > 0.0) & (areas >= DEGENERATE_REL_TOL * _sq_diameters(verts)),
-        near2=point_triangle_dist2(verts, center),
-        far2=((verts - center) ** 2).sum(-1).max(axis=1),
-        clips={},
-    )
+    longest2 = _sq_diameters(verts)
+    live = (areas > 0.0) & (areas >= DEGENERATE_REL_TOL * longest2)
+    near2 = point_triangle_dist2(verts, center)
+    far2 = ((verts - center) ** 2).sum(-1).max(axis=1)
+    clips = {}
     if radii:
-        reach.clips.update(zip(radii, _clip_radii(verts, reach, radii)))
-    return reach
-
-
-def _clip_radii(verts: np.ndarray, reach: FaceReach, radii: tuple) -> list:
-    """The (inside, crossing, part) of `FaceReach.clips` for each radius,
-    from one closed-form call over the crossing faces of every radius."""
-    inside, crossing = [], []
-    for r in radii:
-        inside.append(reach.live & (reach.far2 <= r * r))
-        crossing.append(np.flatnonzero(reach.live & ~inside[-1] & (reach.near2 <= r * r)))
-    sizes = [c.size for c in crossing]
-    face = np.concatenate(crossing)
-    r2 = np.array([r * r for r in radii]).repeat(sizes)
-    part = np.clip(_straddling_areas(verts[face] - reach.center, r2), 0.0, reach.areas[face])
-    ends = list(itertools.accumulate(sizes))
-    return [(i, c, part[a:b]) for i, c, a, b in zip(inside, crossing, [0, *ends], ends)]
+        inside = [live & (far2 <= r * r) for r in radii]
+        crossing = [np.flatnonzero(live & ~i & (near2 <= r * r)) for i, r in zip(inside, radii)]
+        sizes = [c.size for c in crossing]
+        face = np.concatenate(crossing)
+        r2 = np.array([r * r for r in radii]).repeat(sizes)
+        part = np.clip(_straddling_areas(verts[face] - center, r2), 0.0, areas[face])
+        ends = list(itertools.accumulate(sizes))
+        for r, i, c, a, b in zip(radii, inside, crossing, [0, *ends], ends):
+            clips[r] = (i, c, part[a:b])
+    return FaceReach(center, areas, longest2, live, near2, far2, clips)
 
 
 def _clip_parts(verts, ball: Ball, reach: FaceReach | None):
     """(reach, inside, crossing, part) of a stack clipped by a ball: the
-    stack's reach about the centre, the mask of the live faces wholly
-    inside, the indices of the live faces the sphere crosses and the exact
-    area of each of those inside, read from the reach's clips when it holds
-    the radius."""
+    stack's reach about the centre and its clip at the ball's radius
+    (`FaceReach.clips`). Without a reach, one is built for that radius."""
     verts = _triangle_stack(verts, ball.dim)
     if reach is None:
-        reach = face_reach(verts, ball.center)
+        reach = face_reach(verts, ball.center, radii=(ball.radius,))
     elif reach.areas.shape[0] != verts.shape[0] or not np.array_equal(
         reach.center, ball.center
     ):
         raise InputInconsistentError("the face reach was built for another stack or centre")
-    clip = reach.clips.get(ball.radius)
-    if clip is None:
-        clip = _clip_radii(verts, reach, (ball.radius,))[0]
-    return (reach, *clip)
+    elif ball.radius not in reach.clips:
+        raise InputInconsistentError(f"the face reach was not built for radius {ball.radius!r}")
+    return (reach, *reach.clips[ball.radius])
 
 
 def clip_areas(verts: np.ndarray, ball: Ball, reach: FaceReach | None = None) -> np.ndarray:
@@ -426,9 +411,8 @@ def clip_areas(verts: np.ndarray, ball: Ball, reach: FaceReach | None = None) ->
     degenerate faces (area below DEGENERATE_REL_TOL times the squared
     diameter) count zero. The rest go through the closed form of
     `_straddling_areas`, clamped to [0, area]. `reach`, from `face_reach`
-    on the same stack and the ball's centre, saves classifying the faces
-    again at every radius, and at a radius it was built with, running the
-    closed form again; the result is the same.
+    on the same stack and the ball's centre with the ball's radius among
+    its radii, holds the clip already; the result is the same.
     """
     reach, inside, crossing, part = _clip_parts(verts, ball, reach)
     out = np.where(inside, reach.areas, 0.0)

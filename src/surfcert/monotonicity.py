@@ -19,6 +19,7 @@ from .curves import PolylineCurve, _subtended_angles
 from .errors import InputInconsistentError, InvalidParameterError
 from .geometry import (
     Ball,
+    FaceReach,
     PointN,
     _point_segment_dist2,
     as_point,
@@ -332,8 +333,8 @@ def m_profile(
         m_vals.append(stable_sum(parts) / r**2)
     lam, alpha = constants.lam, constants.alpha
     w = [math.exp(lam * r**alpha) * m for r, m in zip(radii, m_vals)]
-    clip_err = _clip_rounding_bounds(tris, reach.near2, reach.far2, radii)
-    clip_err += _clip_rounding_bounds(fan, fan_near2, fan_reach.far2, radii, wedge=True)
+    clip_err = _clip_rounding_bounds(reach, reach.near2, radii)
+    clip_err += _clip_rounding_bounds(fan_reach, fan_near2, radii, wedge=True)
     u = np.finfo(np.float64).eps / 2.0
     m_err = [float(e) / r**2 + 3.0 * u * m for e, r, m in zip(clip_err, radii, m_vals)]
     tol_disc = 3.0 * max(wi * dm for wi, dm in zip(w, m_err))
@@ -370,14 +371,14 @@ def _boundary_fan(curves: list, x0: PointN):
 
 
 def _clip_rounding_bounds(
-    tris: np.ndarray, near2: np.ndarray, far2: np.ndarray, radii, wedge: bool = False
+    reach: FaceReach, near2: np.ndarray, radii, wedge: bool = False
 ) -> np.ndarray:
-    """First-order bound, per radius r, on the rounding error of the clip of
-    the (K, 3, n) stack `tris` by B(x0, r), over the faces with
-    near2 <= r^2: the squared distances the clip is gated on, a surface's
-    `face_reach(tris, x0).near2` or the segment distances of `m_profile`'s
-    boundary fan. far2 is `face_reach(tris, x0).far2`, the squared distance
-    of each face's farthest corner.
+    """First-order bound, per radius r, on the rounding error of the clip by
+    B(x0, r) of the (K, 3, n) stack that `reach` classifies about x0, over
+    the faces with near2 <= r^2: the squared distances the clip is gated
+    on, `reach.near2` or the segment distances of `m_profile`'s boundary
+    fan. The reach gives each face's longest edge L (from `longest2`) and
+    far2, the squared distance of its farthest corner.
 
     For a face the sphere crosses (far2 > r^2), with longest edge L,
     s = r + L, unit roundoff u and dimension n, every quantity the closed
@@ -412,16 +413,16 @@ def _clip_rounding_bounds(
     charged it on top of its area's bound. An underestimate only makes the
     checks that use tol_disc stricter.
     """
-    n = tris.shape[2]
+    n = reach.center.size
     u = np.finfo(np.float64).eps / 2.0
-    longest = np.linalg.norm(tris - np.roll(tris, 1, axis=1), axis=2).max(axis=1)
+    longest = np.sqrt(reach.longest2)
     r = np.asarray(radii, dtype=np.float64)[:, None]
     r2 = r * r
     # in units of the crossing budget 24 (n + 6) u
     inside = (3.0 + n * n / 8.0) * longest**2
     if wedge:
         inside = inside + (math.sqrt(2.0) * (n + 4) + 2.0 * math.pi) * r2
-    per_face = np.where(far2 <= r2, inside / (24.0 * (n + 6)), (r + longest) ** 2)
+    per_face = np.where(reach.far2 <= r2, inside / (24.0 * (n + 6)), (r + longest) ** 2)
     return 24.0 * (n + 6) * u * np.where(near2 <= r2, per_face, 0.0).sum(axis=1)
 
 
@@ -490,8 +491,7 @@ def first_variation(s: SurfaceModel, x0, radii) -> FirstVariation:
     v = (d * w).sum(-1)[..., None] * d - (d * d).sum(-1)[..., None] * w
     norm = np.linalg.norm(v, axis=2, keepdims=True)
     nu = np.where(live[:, None, None], v / np.where(norm > 0.0, norm, 1.0), 0.0).reshape(-1, n)
-    longest2 = (d * d).sum(-1).max(axis=1)
-    eps = (2 * n + 10) * u * longest2 / np.where(live, reach.areas, 1.0) + (n / 2 + 2) * u
+    eps = (2 * n + 10) * u * reach.longest2 / np.where(live, reach.areas, 1.0) + (n / 2 + 2) * u
     eps = np.repeat(np.where(live, eps, 0.0), 3)
     eta = ((tris - x0).reshape(-1, n) * nu).sum(-1)
 
@@ -516,7 +516,7 @@ def first_variation(s: SurfaceModel, x0, radii) -> FirstVariation:
     perp2 = ((xa + t0[:, None] * de) ** 2).sum(-1)
     side_t0 = np.where(back, 1.0 - t0[edge], t0[edge])
 
-    clip_err = _clip_rounding_bounds(tris, reach.near2, reach.far2, [b.radius for b in balls])
+    clip_err = _clip_rounding_bounds(reach, reach.near2, [b.radius for b in balls])
     areas, e_terms, b_terms, s_terms, errors = [], [], [], [], []
     for ball, cerr in zip(balls, clip_err):
         r = ball.radius
@@ -568,23 +568,21 @@ def first_variation(s: SurfaceModel, x0, radii) -> FirstVariation:
 
 
 def check_property_p(
-    s: SurfaceModel, k: PropertyPConstants, x0, radii=None, profile=None
+    s: SurfaceModel, k: PropertyPConstants, x0, profile=None
 ) -> PropertyPReport:
     """Per-radius slack of the curvature-mass bound against alpha lam r^(1+alpha) m(r).
 
     The boundary curves are taken from the mesh's own loops; the curvature
     integrand comes from the analytic source when present, else from the
     reliable part of the discrete estimate. A precomputed profile at the same
-    x0 may be passed to reuse its m values (they do not depend on p).
+    x0 may be passed to reuse its m values and radii (they do not depend on
+    p); otherwise the profile is taken on the default radius grid.
     """
     x0 = as_point(x0, dim=s.dim)
-    if profile is not None:
-        prof = profile
-    else:
-        if radii is None:
-            radii = default_radius_grid(s, x0)
+    prof = profile
+    if prof is None:
         curves = [boundary_polyline(s, li) for li in range(len(s.boundary_loops))]
-        prof = m_profile(s, curves, x0, radii=radii, constants=k)
+        prof = m_profile(s, curves, x0, constants=k)
 
     if s.patch is not None and s.params is not None:
         pp = subdivide4(s.face_param_triangles())

@@ -99,7 +99,7 @@ def random_simple_polygon(rng: np.random.Generator) -> PolylineCurve:
     v = np.stack(
         [rad * np.cos(ang), rad * np.sin(ang), rng.uniform(-0.3, 0.3, k)], axis=1
     )
-    return PolylineCurve(vertices=v, closed=True)
+    return PolylineCurve(vertices=v)
 
 
 def _report_at_random_point(rng: np.random.Generator, c: PolylineCurve):
@@ -121,7 +121,6 @@ def _check_cone_constancy():
     ang = np.linspace(0.0, 2.0 * math.pi, 97)[:-1]
     circle = PolylineCurve(
         vertices=np.stack([np.cos(ang), np.sin(ang), np.ones_like(ang)], axis=1),
-        closed=True,
         corner_flags=(),
     )
     apex = (0.0, 0.0, 0.0)

@@ -558,7 +558,7 @@ def boundary_polyline(surface: SurfaceModel, loop_index: int = 0, corner_flags=N
             f"{len(surface.boundary_loops)} boundary loops"
         )
     lp = surface.boundary_loops[loop_index]
-    return PolylineCurve(surface.vertices[lp], closed=True, corner_flags=corner_flags)
+    return PolylineCurve(surface.vertices[lp], corner_flags=corner_flags)
 
 
 @dataclass(frozen=True)
@@ -628,34 +628,30 @@ def _faces_meeting_ball(
     return np.flatnonzero(~(lead - spans > r + slack))
 
 
-def density_estimate(
-    surface: SurfaceModel,
-    x0: PointN,
-    mode: str = "auto",
-    r1: float | None = None,
-) -> DensityEstimate:
+def density_estimate(surface: SurfaceModel, x0: PointN, mode: str = "auto") -> DensityEstimate:
     """Area density of the surface at x0, with diagnostics.
 
     pl_exact reads the cone angle of the vertex star and divides by 2*pi; it
     is exact for the mesh itself and only valid when x0 is a mesh vertex.
     extrapolated measures area(B_r)/(pi r^2) at radii {r1, r1/2, r1/4} and
     removes the leading curvature bias by fitting ratio ~ c0 + c1 r^2 in
-    least squares; the intercept c0 is the estimate. The default r1 is five
-    local edge lengths; at a boundary point of a mesh too coarse for that
-    (more than half the surface extent) it falls back to a tenth of the
-    extent. An r1 that reaches the boundary from an interior point, or that
-    exceeds half the extent, raises RadiusTooLargeError.
+    least squares; the intercept c0 is the estimate. r1 is five local edge
+    lengths. At an interior point that radius reaches the boundary from, r1
+    is half the boundary distance instead, and the note says so; at a
+    boundary point of a mesh too coarse for it (more than half the surface
+    extent), r1 is a tenth of the extent. An r1 beyond half the extent
+    raises RadiusTooLargeError.
 
     The extrapolation reads only the faces near x0: one pass over the
     vertex distances, which finding the nearest vertex needs anyway, picks
     the faces whose first corner is close enough for them to meet the
     largest ball (`_faces_meeting_ball`), and only those are gathered,
-    classified and clipped. Every face left out is one the clip of the whole
-    surface counts zero at all three radii, and the clip's total is an
-    error-free sum, correctly rounded in any order, so the ratios are the
-    whole surface's bit for bit. The local edge length reads the faces
-    around the nearest vertex from the cached incidence
-    (`SurfaceModel.vertex_faces`).
+    classified and clipped at the three radii in one `face_reach`. Every
+    face left out is one the clip of the whole surface counts zero at all
+    three radii, and the clip's total is an error-free sum, correctly
+    rounded in any order, so the ratios are the whole surface's bit for bit.
+    The local edge length reads the faces around the nearest vertex from the
+    cached incidence (`SurfaceModel.vertex_faces`).
     """
     x0 = as_point(x0, dim=surface.dim)
     dist = _vertex_distances(surface, x0)
@@ -682,18 +678,14 @@ def density_estimate(
         raise InvalidParameterError(f"unknown density mode {mode!r}")
 
     d_boundary = boundary_distance(surface, x0)
-    on_boundary = d_boundary <= VERTEX_MATCH_REL_TOL * scale
-    if r1 is None:
-        r1 = 5.0 * _local_edge_length(surface, vi)
-        if on_boundary and r1 > 0.5 * scale:
+    r1 = 5.0 * _local_edge_length(surface, vi)
+    note = ""
+    if d_boundary <= VERTEX_MATCH_REL_TOL * scale:
+        if r1 > 0.5 * scale:
             r1 = 0.1 * scale
-    if not (r1 > 0 and math.isfinite(r1)):
-        raise InvalidParameterError("r1 must be positive and finite")
-    if not on_boundary and r1 >= d_boundary:
-        raise RadiusTooLargeError(
-            f"r1 = {r1:.6g} reaches the boundary (distance {d_boundary:.6g})",
-            suggested_radius=0.5 * d_boundary,
-        )
+    elif r1 >= d_boundary:
+        r1 = 0.5 * d_boundary
+        note = f"r1 = {r1:.6g} is half the boundary distance: five local edge lengths reach it"
     if r1 > 0.5 * scale:
         raise RadiusTooLargeError(
             f"r1 = {r1:.6g} is large relative to the surface extent {scale:.6g}",
@@ -702,12 +694,12 @@ def density_estimate(
     radii = (r1, 0.5 * r1, 0.25 * r1)
     ids = _faces_meeting_ball(surface, x0, dist, r1)
     tris = surface.vertices[surface.faces[ids]]
-    reach = face_reach(tris, x0, surface.face_areas[ids])
+    reach = face_reach(tris, x0, surface.face_areas[ids], radii)
     ratios = tuple(clip_areas_total(tris, Ball(x0, r), reach) / (math.pi * r * r) for r in radii)
     design = np.array([[1.0, r * r] for r in radii])
     coef, *_ = np.linalg.lstsq(design, np.asarray(ratios), rcond=None)
     return DensityEstimate(
-        value=float(coef[0]), mode="extrapolated", x0=x0, radii=radii, ratios=ratios
+        value=float(coef[0]), mode="extrapolated", x0=x0, radii=radii, ratios=ratios, note=note
     )
 
 

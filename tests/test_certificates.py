@@ -8,6 +8,7 @@ recorded, and digests are deterministic functions of the inputs.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from surfcert import (
     InvalidParameterError,
     PolylineCurve,
     SurfaceModel,
+    boundary_distance,
     boundary_polyline,
     build_scene,
     catalog_names,
@@ -42,6 +44,7 @@ from surfcert import (
     self_intersections,
 )
 from surfcert.certificates import CORNER_TOL
+from surfcert.cli import main
 
 
 def bisect_root(f, lo=1e-12, hi=1.0 - 1e-12, iters=80):
@@ -213,6 +216,23 @@ class TestDensityCertificate:
         cert = density_estimate_certificate(s, torus.boundaries, x0, math.inf, profile=bad)
         assert cert.conclusion["profile_min_slack"] == pytest.approx(-0.01, abs=1e-12)
         assert cert.status == "violated"
+
+    @pytest.mark.parametrize("res", [16, 32])
+    def test_flat_sector_certifies_at_its_default_point(self, res, tmp_path):
+        # five local edge lengths reach the boundary from the sector's
+        # default point, so the density radius is half the boundary distance
+        sec = build_scene("flat_sector", res=res)
+        x0 = sec.default_x0
+        est = density_estimate(sec.surface, x0)
+        d = boundary_distance(sec.surface, x0)
+        assert est.radii[0] == 0.5 * d
+        assert "half the boundary distance" in est.note
+        out = tmp_path / "density.json"
+        argv = ["certify", "--catalog", "flat_sector", "--res", str(res), "--kind", "density"]
+        assert main([*argv, "--p", "4", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["status"] == "satisfied"
+        assert payload["conclusion"]["surface_density"] == pytest.approx(1.0, abs=1e-12)
 
     def test_only_smallness_hypotheses_needed(self, disk):
         cert = density_estimate_certificate(
@@ -464,7 +484,6 @@ class TestDigests:
         apex = next(f.index for f in curve.corner_flags if np.all(curve.vertices[f.index] == 0.0))
         bent = PolylineCurve(
             curve.vertices,
-            closed=True,
             corner_flags=tuple(
                 CornerFlag(f.index, 0.1 if f.index == apex else f.theta)
                 for f in curve.corner_flags
@@ -479,14 +498,14 @@ class TestDigests:
         disk = build_scene("flat_disk", res=32)
         v = disk.boundary.vertices.copy()
         v[::2, 2] += 0.3
-        lifted = PolylineCurve(v, closed=True, corner_flags=())
+        lifted = PolylineCurve(v, corner_flags=())
         a = embeddedness_certificate(disk.surface, disk.boundaries, math.inf)
         b = embeddedness_certificate(disk.surface, [lifted], math.inf)
         assert (a.status, b.status) == ("satisfied", "not-applicable")
         assert a.inputs_digest != b.inputs_digest
 
     def test_raw_polygon_and_flagged_curve_differ(self, disk):
-        raw = PolylineCurve(disk.boundary.vertices, closed=True, corner_flags=None)
+        raw = PolylineCurve(disk.boundary.vertices, corner_flags=None)
         assert disk.boundary.corner_flags == ()
         a = genus_certificate(disk.surface, disk.boundaries, 0.0)
         b = genus_certificate(disk.surface, [raw], 0.0)

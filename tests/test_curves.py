@@ -75,12 +75,6 @@ class TestTotalCurvature:
             pts = np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
             assert total_curvature(PolylineCurve(pts)) >= 2.0 * math.pi - 1e-9
 
-    def test_open_curve_rejects_turning_angles(self):
-        pts = np.array([[0, 0, 0], [1, 0, 0], [2, 1, 0]], dtype=float)
-        open_curve = PolylineCurve(pts, closed=False)
-        with pytest.raises(InvalidParameterError):
-            turning_angles(open_curve)
-
     def test_length(self):
         assert curve_length(unit_square()) == pytest.approx(4.0, abs=1e-15)
 
@@ -134,11 +128,6 @@ class TestRadialProjection:
     def test_point_on_edge_interior_rejected(self):
         with pytest.raises(ProjectionSingularError):
             radial_projection_length(unit_square(), (0.5, 0.0, 0.0))
-
-    def test_open_curve_rejected(self):
-        c = PolylineCurve(np.array([[0, 0, 0], [1, 0, 0]], dtype=float), closed=False)
-        with pytest.raises(InvalidParameterError):
-            radial_projection_length(c, (0.0, 0.5, 0.0))
 
 
 class TestProjectionBound:

@@ -218,16 +218,14 @@ class TestClipClosedForms:
 
 def assert_reach_reads_match(verts: np.ndarray, center, radii) -> FaceReach:
     """Clips read from a reach built with `radii` are bit-identical to the
-    clips of a reach built without them, to those of no reach, and to the
-    closed form run at one radius with a scalar r^2, at each of `radii` and
-    at one radius outside them; returns the reach."""
+    clips of no reach and to the closed form run at one radius with a
+    scalar r^2, at each of `radii`, and a radius outside them raises;
+    returns the reach."""
     reach = face_reach(verts, center, radii=radii)
-    plain = face_reach(verts, center)
-    assert sorted(reach.clips) == sorted(set(radii)) and plain.clips == {}
-    for r in [*radii, 1.5 * max(radii) + 1.0]:
+    assert sorted(reach.clips) == sorted(set(radii))
+    for r in radii:
         ball = Ball(center, r)
         got = clip_areas(verts, ball, reach)
-        assert got.tobytes() == clip_areas(verts, ball, plain).tobytes()
         assert got.tobytes() == clip_areas(verts, ball).tobytes()
         assert clip_areas_total(verts, ball, reach) == clip_areas_total(verts, ball)
         r2 = r * r
@@ -238,6 +236,10 @@ def assert_reach_reads_match(verts: np.ndarray, center, radii) -> FaceReach:
             _straddling_areas(verts[crossing] - reach.center, r2), 0.0, reach.areas[crossing]
         )
         assert got.tobytes() == want.tobytes()
+    other = Ball(center, 1.5 * max(radii) + 1.0)
+    for clip_at in (clip_areas, clip_areas_total):
+        with pytest.raises(InputInconsistentError, match="not built for radius"):
+            clip_at(verts, other, reach)
     return reach
 
 
@@ -325,7 +327,7 @@ class TestSubdivide:
     def test_preserves_total_area(self):
         rng = np.random.default_rng(3)
         stack = rng.normal(size=(5, 3, 3))
-        fine = subdivide4(stack, levels=2)
+        fine = subdivide4(subdivide4(stack))
         assert fine.shape == (80, 3, 3)
         assert float(triangle_areas(fine).sum()) == pytest.approx(
             float(triangle_areas(stack).sum()), rel=1e-12

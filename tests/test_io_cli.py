@@ -503,6 +503,20 @@ class TestCurveRoundTrips:
         with pytest.raises(MeshParseError, match="'closed' must be a JSON boolean"):
             load_curve(str(p))
 
+    def test_open_curve_is_rejected_at_line_1(self, tmp_path):
+        # every curve is closed: turning angles and projections need it
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"vertices": self.SQUARE, "closed": False}))
+        with pytest.raises(MeshParseError, match="'closed' must be true") as err:
+            load_curve(str(p))
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("doc", [{"closed": True}, {}], ids=["true", "missing"])
+    def test_closed_true_or_missing_loads(self, tmp_path, doc):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"vertices": self.SQUARE, **doc}))
+        assert load_curve(str(p)).vertices.tolist() == self.SQUARE
+
     @pytest.mark.parametrize("coord", ["0", " 1e0", True], ids=["string", "padded-string", "boolean"])
     def test_coordinates_must_be_json_numbers(self, tmp_path, coord):
         # the float64 conversion alone would read these as 0, 1 and 1

@@ -9,13 +9,14 @@ analytic patch, to its derived rounding bound, and on the flat disk the
 interior-edge term E is zero to that bound.
 """
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from surfcert import (
     Ball,
@@ -259,7 +260,11 @@ class TestCurvatureMassBound:
     def test_cap_bound_holds(self):
         cap = build_scene("cap", res=32)
         k = property_p_constants(cap.surface, math.inf)
-        rep = check_property_p(cap.surface, k, cap.default_x0, radii=(0.5, 1.0, 2.0, 4.0))
+        prof = m_profile(
+            cap.surface, list(cap.boundaries), cap.default_x0, (0.5, 1.0, 2.0, 4.0), constants=k
+        )
+        rep = check_property_p(cap.surface, k, cap.default_x0, profile=prof)
+        assert rep.radii == (0.5, 1.0, 2.0, 4.0)
         assert rep.ok, rep.violations
         assert min(rep.slacks) > 0.0
 
@@ -297,13 +302,27 @@ class TestFaceReach:
             fan = _boundary_fan(list(scene.boundaries), x0)[0]
             stacks = [(s.face_triangles(), s.face_areas), (fan, None)]
             for tris, areas in stacks:
-                reach = face_reach(tris, x0, areas)
+                reach = face_reach(tris, x0, areas, radii)
                 for r in radii:
                     ball = Ball(x0, r)
                     got = clip_areas(tris, ball, reach)
                     assert got.tobytes() == clip_areas(tris, ball).tobytes()
                     assert got.tobytes() == _per_radius_clip(tris, ball).tobytes()
                     assert clip_areas_total(tris, ball, reach) == stable_sum(got.tolist())
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_longest_edge_is_the_one_the_bounds_read(self, name):
+        # `_clip_rounding_bounds` and `first_variation` read longest2 in
+        # place of their own norms of the rolled edges: the same bits
+        scene = build_scene(name, res=16)
+        tris = scene.surface.face_triangles()
+        fan = _boundary_fan(list(scene.boundaries), scene.default_x0)[0]
+        for tris in (tris, fan, tris * 1e70, tris * 1e-70):
+            reach = face_reach(tris, np.zeros(tris.shape[2]))
+            norms = np.linalg.norm(tris - np.roll(tris, 1, axis=1), axis=2).max(axis=1)
+            assert np.sqrt(reach.longest2).tobytes() == norms.tobytes()
+            d = np.roll(tris, -1, axis=1) - tris
+            assert reach.longest2.tobytes() == (d * d).sum(-1).max(axis=1).tobytes()
 
     def test_reach_for_another_centre_or_stack_raises(self, disk):
         tris = disk.surface.face_triangles()
@@ -382,12 +401,24 @@ class TestFaceReach:
         fv = first_variation(scene.surface, scene.default_x0, (0.2, 0.5, 1.0))
         assert clip_calls == {"closed_form": 1, "total": len(fv.radii)}
 
-    def test_density_clips_each_radius_on_demand(self, clip_calls):
+    def test_density_clips_its_three_radii_in_one_closed_form_call(self, clip_calls):
         scene = build_scene("graph_disk", res=16)
         s = scene.surface
         est = density_estimate(s, as_point(_centres(s, scene.default_x0)[1]))
         assert est.mode == "extrapolated"
-        assert clip_calls == {"closed_form": 3, "total": 3}
+        assert clip_calls == {"closed_form": 1, "total": 3}
+
+    def test_property_p_clips_every_radius_in_one_closed_form_call(self, clip_calls):
+        # the profile's own calls are not counted; check_property_p reads
+        # each radius with clip_areas, so no clip_areas_total call is made
+        scene = build_scene("graph_disk", res=16)
+        s, x0 = scene.surface, scene.default_x0
+        k = property_p_constants(s, math.inf)
+        prof = m_profile(s, list(scene.boundaries), x0, constants=k)
+        clip_calls.update(closed_form=0, total=0)
+        rep = check_property_p(s, k, x0, profile=prof)
+        assert len(rep.radii) > 1
+        assert clip_calls == {"closed_form": 1, "total": 0}
 
 
 class TestClipRoundingBounds:
@@ -401,9 +432,9 @@ class TestClipRoundingBounds:
         radii = default_radius_grid(s, x0)
         tris = s.face_triangles()
         reach = face_reach(tris, x0, s.face_areas)
-        crossing_only = np.full_like(reach.far2, np.inf)
-        got = _clip_rounding_bounds(tris, reach.near2, reach.far2, radii)
-        old = _clip_rounding_bounds(tris, reach.near2, crossing_only, radii)
+        crossing_only = dataclasses.replace(reach, far2=np.full_like(reach.far2, np.inf))
+        got = _clip_rounding_bounds(reach, reach.near2, radii)
+        old = _clip_rounding_bounds(crossing_only, reach.near2, radii)
         assert np.all(got <= old)
         assert got[0] < old[0] / 2.0
         assert got[-1] < old[-1] / 1e5
@@ -412,8 +443,9 @@ class TestClipRoundingBounds:
 
         real = monotonicity._clip_rounding_bounds
 
-        def crossing_budget(tris, near2, far2, radii, wedge=False):
-            return real(tris, near2, np.full_like(far2, np.inf), radii, wedge)
+        def crossing_budget(reach, near2, radii, wedge=False):
+            far2 = np.full_like(reach.far2, np.inf)
+            return real(dataclasses.replace(reach, far2=far2), near2, radii, wedge)
 
         prof = m_profile(s, list(scene.boundaries), x0)
         monkeypatch.setattr(monotonicity, "_clip_rounding_bounds", crossing_budget)
@@ -432,7 +464,7 @@ class TestClipRoundingBounds:
         from surfcert import monotonicity
 
         monkeypatch.setattr(
-            monotonicity, "_clip_rounding_bounds", lambda tris, *a, **k: np.zeros(len(a[2]))
+            monotonicity, "_clip_rounding_bounds", lambda reach, near2, radii, **k: np.zeros(len(radii))
         )
         scene = build_scene("catenoid", res=32)
         s, x0, curves = scene.surface, scene.default_x0, list(scene.boundaries)
@@ -454,14 +486,14 @@ class TestClipRoundingBounds:
         # beyond the rim every fan triangle is inside, and its charge is its
         # area's bound plus the wedge term's (sqrt(2) (n + 4) + 2 pi) u r^2
         fan, near2, _theta = _boundary_fan(list(disk.boundaries), np.zeros(3))
-        far2 = face_reach(fan, np.zeros(3)).far2
+        reach = face_reach(fan, np.zeros(3))
         r = 3.0
         longest = np.linalg.norm(fan - np.roll(fan, 1, axis=1), axis=2).max(axis=1)
         area_only = (3.0 + 9.0 / 8.0) * U * longest**2
         wedge = (math.sqrt(2.0) * 7.0 + 2.0 * math.pi) * U * r * r
-        got = _clip_rounding_bounds(fan, near2, far2, [r], wedge=True)[0]
+        got = _clip_rounding_bounds(reach, near2, [r], wedge=True)[0]
         assert got == pytest.approx(float((area_only + wedge).sum()), rel=1e-12)
-        assert _clip_rounding_bounds(fan, near2, far2, [r])[0] == pytest.approx(
+        assert _clip_rounding_bounds(reach, near2, [r])[0] == pytest.approx(
             float(area_only.sum()), rel=1e-12
         )
 
@@ -489,7 +521,7 @@ SURFACES["slivers"] = _sliver_mesh
 
 def _whole_surface_ratios(s: SurfaceModel, x0, radii) -> tuple:
     tris = s.face_triangles()
-    reach = face_reach(tris, x0, s.face_areas)
+    reach = face_reach(tris, x0, s.face_areas, radii)
     return tuple(clip_areas_total(tris, Ball(x0, r), reach) / (math.pi * r * r) for r in radii)
 
 
@@ -501,41 +533,45 @@ class TestDensityReadsOnlyNearbyFaces:
         weights=st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 3),
         lift=st.one_of(st.just(0.0), st.floats(min_value=-10.0, max_value=10.0)),
         seed=st.integers(min_value=0, max_value=2**31),
+        edges=st.floats(min_value=0.05, max_value=40.0),
     )
     # straight up from the flat disk, where no face meets the ball
-    @example(name="flat_disk", face=0, weights=(1.0, 1.0, 1.0), lift=10.0, seed=0)
-    def test_same_estimate_as_the_whole_surface(self, name, face, weights, lift, seed):
+    @example(name="flat_disk", face=0, weights=(1.0, 1.0, 1.0), lift=10.0, seed=0, edges=5.0)
+    def test_same_estimate_as_the_whole_surface(self, name, face, weights, lift, seed, edges):
         # a centre on a face, or lifted off it in a random direction (R^4
         # for branched_disk) by up to ten edge lengths, which from far enough
-        # out leaves no face in the ball
+        # out leaves no face in the ball; the largest radius is `edges` edge
+        # lengths
         s = SURFACES[name]()
         corners = s.vertices[s.faces[face % s.n_faces]]
         w = np.asarray(weights) + 1e-3
         step = np.random.default_rng(seed).normal(size=s.dim)
-        step *= lift * np.linalg.norm(corners[1] - corners[0]) / np.linalg.norm(step)
+        edge = np.linalg.norm(corners[1] - corners[0])
+        step *= lift * edge / np.linalg.norm(step)
         x0 = as_point(w @ corners / w.sum() + step)
-        r1 = None  # the default radius, else the largest one suggested
-        for _attempt in range(3):
-            try:
-                est = density_estimate(s, x0, mode="extrapolated", r1=r1)
-                break
-            except RadiusTooLargeError as err:
-                r1 = err.suggested_radius
-                assume(r1 > 0.0)
-        else:
-            assume(False)
-        # (a) the ratios, and so the estimate, of clipping every face
+        r1 = edges * edge
+        radii = (r1, 0.5 * r1, 0.25 * r1)
+        kept = _faces_meeting_ball(s, x0, _vertex_distances(s, x0), r1)
+        # (a) clipping the faces kept gives the whole surface's ratios
+        tris = s.vertices[s.faces[kept]]
+        reach = face_reach(tris, x0, s.face_areas[kept], radii)
+        near = [clip_areas_total(tris, Ball(x0, r), reach) / (math.pi * r * r) for r in radii]
+        whole = _whole_surface_ratios(s, x0, radii)
+        assert [r.hex() for r in near] == [r.hex() for r in whole]
+        # (b) every face left out is one the clip drops at the largest ball
+        dropped = face_reach(np.delete(s.face_triangles(), kept, axis=0), x0)
+        assert np.all(dropped.near2 > r1 * r1)  # point_triangle_dist2
+        assert np.all(dropped.far2 > r1 * r1)
+        # (c) the estimate at its own radii is the whole surface's
+        try:
+            est = density_estimate(s, x0, mode="extrapolated")
+        except RadiusTooLargeError:
+            return
         whole = _whole_surface_ratios(s, x0, est.radii)
         assert [r.hex() for r in est.ratios] == [r.hex() for r in whole]
         design = np.array([[1.0, r * r] for r in est.radii])
         coef = np.linalg.lstsq(design, np.asarray(whole), rcond=None)[0]
         assert est.value.hex() == float(coef[0]).hex()
-        # (b) every face left out is one the clip drops at the largest ball
-        r1 = est.radii[0]
-        kept = _faces_meeting_ball(s, x0, _vertex_distances(s, x0), r1)
-        dropped = face_reach(np.delete(s.face_triangles(), kept, axis=0), x0)
-        assert np.all(dropped.near2 > r1 * r1)  # point_triangle_dist2
-        assert np.all(dropped.far2 > r1 * r1)
 
 
 def _scene_radii(s: SurfaceModel) -> tuple:

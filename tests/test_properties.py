@@ -125,7 +125,9 @@ class TestClipOracle:
         if live_area(t) == 0.0:
             assert got == 0.0
             return
-        pieces = subdivide4(t[None], levels=ORACLE_LEVELS)
+        pieces = t[None]
+        for _level in range(ORACLE_LEVELS):
+            pieces = subdivide4(pieces)
         areas = triangle_areas(pieces)
         dist = np.linalg.norm(pieces.mean(axis=1) - b.center, axis=1)
         edges = np.linalg.norm(pieces - np.roll(pieces, 1, axis=1), axis=2)
@@ -151,7 +153,7 @@ class TestClipOracle:
         per_piece = (3.0 + n * n / 8.0) * U * diam**2 + delta * edges.sum(axis=1) / 2.0
         reach = face_reach(t[None], b.center)
         bound = (
-            _clip_rounding_bounds(t[None], reach.near2, reach.far2, [b.radius])[0]
+            _clip_rounding_bounds(reach, reach.near2, [b.radius])[0]
             + 2.0 * stable_sum(per_piece.tolist())
             + U * (oracle + unsure)
         )

@@ -13,6 +13,9 @@ submodule has an ``__all__``, and every listed name exists. The package
 exports each name of the nine library modules' ``__all__`` as the same object,
 and defines nothing itself but ``__version__`` and ``__all__``.
 
+Every `face_reach` call in the package passes the radii it will be read
+at, so no clip is made one radius at a time on demand.
+
 numpy is the only runtime dependency: no module imports anything but the
 standard library, numpy and surfcert itself, at any depth of the source.
 """
@@ -146,6 +149,22 @@ def test_package_exports_each_library_name_itself():
         elif not isinstance(stmt, (ast.Import, ast.ImportFrom, ast.Expr)):
             defined.append(type(stmt).__name__)
     assert defined == ["__version__", "__all__"]
+
+
+def test_every_face_reach_call_passes_its_radii():
+    calls, missing = 0, []
+    for module, tree in sorted(_trees().items()):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            if (fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)) != "face_reach":
+                continue
+            calls += 1
+            if len(node.args) < 4 and "radii" not in {k.arg for k in node.keywords}:
+                missing.append(f"{module}:{node.lineno}")
+    assert calls > 0
+    assert missing == []
 
 
 def test_imports_only_the_standard_library_and_numpy():
