@@ -301,6 +301,9 @@ def density_estimate_certificate(
     profile: optional precomputed m-profile at the same x0 (saves the most
     expensive step; its m values are p-independent).
 
+    The conclusion carries the surface density with the mode, radii and
+    note of its `DensityEstimate`.
+
     Each profile slack pi theta_cone - mult(r) m(r) is allowed to fall below
     zero by 3 max |mult(r)| dm(r) over the radii read, dm being the
     profile's rounding bound on m (`MonotonicityProfile.m_errors`); the
@@ -317,7 +320,8 @@ def density_estimate_certificate(
     lam_r0 = k.lam * r0**k.alpha
     factor = math.exp(-lam_r0) * (1.0 - k.alpha * lam_r0 / 2.0)
 
-    theta_m = density_estimate(s, x0).value
+    estimate = density_estimate(s, x0)
+    theta_m = estimate.value
     theta_cone = sum(cone_density(c, x0) for c in curves)
     point_bound = factor * theta_m
     point_slack = theta_cone - point_bound
@@ -340,6 +344,9 @@ def density_estimate_certificate(
     conclusion = {
         "name": "cone-density-lower-bound",
         "surface_density": theta_m,
+        "surface_density_mode": estimate.mode,
+        "surface_density_radii": list(estimate.radii),
+        "surface_density_note": estimate.note,
         "cone_density": theta_cone,
         "prefactor": factor,
         "point_bound": point_bound,

@@ -26,6 +26,7 @@ from .geometry import (
     _angles_batch,
     _box_diagonal,
     _disjoint_box_pairs,
+    _point_segment_dist2,
 )
 
 __all__ = [
@@ -144,10 +145,7 @@ class PolylineCurve:
         """
         v, scale = self.vertices, self.scale
         # backtracking at a vertex means the two incident segments overlap
-        d_in = v - np.roll(v, 1, axis=0)
-        d_out = np.roll(v, -1, axis=0) - v
-        turns = _angles_batch(d_in.T, d_out.T)
-        if np.any(turns >= math.pi - 1e-12):
+        if np.any(turning_angles(self) >= math.pi - 1e-12):
             raise InputInconsistentError("curve backtracks onto itself at a vertex")
         if v.shape[0] < 4:
             return
@@ -236,8 +234,6 @@ def _locate_center(c: PolylineCurve, x0: PointN) -> int | None:
         return i
     a = v
     b = np.roll(v, -1, axis=0)
-    from .geometry import _point_segment_dist2
-
     seg_d2 = _point_segment_dist2(a, b, x0)
     if float(seg_d2.min()) <= tol * tol:
         raise ProjectionSingularError("projection center lies on the curve")

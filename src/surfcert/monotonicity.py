@@ -588,8 +588,7 @@ def check_property_p(
         pp = subdivide4(s.face_param_triangles())
         coords = s.patch.u(pp.reshape(-1, 2)).reshape(pp.shape[0], 3, -1)
         areas = triangle_areas(coords)
-        curv = s.patch.curvature_at(pp.mean(axis=1))
-        hmag = np.where(curv["unreliable"], 0.0, curv["mean_curvature_norm"])
+        hmag = s.patch.curvature_at(pp.mean(axis=1))[0]
     else:
         scalar = mean_curvature_field(s)
         vals = np.where(scalar.unreliable, 0.0, scalar.values)

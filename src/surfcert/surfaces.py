@@ -97,9 +97,7 @@ class AnalyticPatch:
 
     partials(p, a, b) is the batched partial derivative of u taken a times in
     the first parameter and b times in the second, for a + b <= 2: it takes
-    an (M, 2) parameter array and returns an (M, n) array. u, du and d2u lay
-    it out as the (M, n), (M, n, 2) and (M, n, 2, 2) arrays of u, its
-    Jacobian and its Hessian; the Hessian's mixed slots share one array.
+    an (M, 2) parameter array and returns an (M, n) array.
     branch_points lists ((u, v), order) pairs where the immersion degenerates
     (order m >= 2); curvature samples within branch_radius of one are flagged
     unreliable rather than trusted.
@@ -113,56 +111,46 @@ class AnalyticPatch:
     def u(self, p: np.ndarray) -> np.ndarray:
         return self.partials(p, 0, 0)
 
-    def du(self, p: np.ndarray) -> np.ndarray:
-        return np.stack([self.partials(p, 1, 0), self.partials(p, 0, 1)], axis=-1)
+    def curvature_at(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """|H|, |A| and the unreliable mask, one entry per row of the (M, 2)
+        parameter points.
 
-    def d2u(self, p: np.ndarray) -> np.ndarray:
-        mixed = self.partials(p, 1, 1)
-        rows = ((self.partials(p, 2, 0), mixed), (mixed, self.partials(p, 0, 2)))
-        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
-
-    def curvature_at(self, pts: np.ndarray) -> dict:
-        """Mean curvature vector and second-form norm at parameter points.
-
-        Uses the first fundamental form g = E^T E and the normal projection of
-        the second derivatives; valid in any ambient dimension. Entries where
-        g is numerically singular are flagged unreliable and zeroed.
+        With e_u, e_v the first partials, the first fundamental form has
+        E = e_u.e_u, F = e_u.e_v, G = e_v.e_v and det = EG - F^2. Each second
+        partial s keeps its normal part
+        n = s - [(G e_u.s - F e_v.s) e_u + (E e_v.s - F e_u.s) e_v] / det.
+        With W = g^-1 and N the 2 x 2 matrix of the normal parts, m = W N per
+        ambient component: the mean curvature vector is m11 + m22 and
+        |A|^2 sums m11^2 + 2 m12 m21 + m22^2 over the components, in any
+        ambient dimension. A sample where g is numerically singular, or
+        within branch_radius of a branch point, is unreliable, and both of
+        its norms are zero.
         """
         pts = np.asarray(pts, dtype=np.float64)
-        e = self.du(pts)  # (M, n, 2)
-        d2 = self.d2u(pts)  # (M, n, 2, 2)
-        g = np.einsum("mia,mib->mab", e, e)
-        det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
-        tr = g[:, 0, 0] + g[:, 1, 1]
-        bad = det <= 1e-12 * np.maximum(tr, 1e-300) ** 2
+        eu, ev = self.partials(pts, 1, 0), self.partials(pts, 0, 1)
+        E, F, G = ((x * y).sum(axis=1) for x, y in ((eu, eu), (eu, ev), (ev, ev)))
+        det = E * G - F * F
+        bad = det <= 1e-12 * np.maximum(E + G, 1e-300) ** 2
         safe_det = np.where(bad, 1.0, det)
-        ginv = np.empty_like(g)
-        ginv[:, 0, 0] = g[:, 1, 1] / safe_det
-        ginv[:, 1, 1] = g[:, 0, 0] / safe_det
-        ginv[:, 0, 1] = -g[:, 0, 1] / safe_det
-        ginv[:, 1, 0] = -g[:, 1, 0] / safe_det
-        # tangential component of each D^2 u slot, then its normal remainder
-        coeff = np.einsum("mab,mib,micd->macd", ginv, e, d2)  # (M,2,2,2)
-        tang = np.einsum("mia,macd->micd", e, coeff)
-        second = d2 - tang  # (M, n, 2, 2), normal valued
-        h_vec = np.einsum("mab,miab->mi", ginv, second)
-        a2 = np.einsum(
-            "mac,mbd,miab,micd->m", ginv, ginv, second, second
-        )
-        h_norm = np.linalg.norm(h_vec, axis=1)
+        # the entries of W = g^-1, as columns against the (M, n) partials
+        w11, w12, w22 = ((x / safe_det)[:, None] for x in (G, -F, E))
+
+        def normal(s):
+            su, sv = (eu * s).sum(axis=1)[:, None], (ev * s).sum(axis=1)[:, None]
+            return s - (w11 * su + w12 * sv) * eu - (w12 * su + w22 * sv) * ev
+
+        nuu, nuv, nvv = (normal(self.partials(pts, a, b)) for a, b in ((2, 0), (1, 1), (0, 2)))
+        m11, m12 = w11 * nuu + w12 * nuv, w11 * nuv + w12 * nvv
+        m21, m22 = w12 * nuu + w22 * nuv, w12 * nuv + w22 * nvv
+        h_norm = np.sqrt(((m11 + m22) ** 2).sum(axis=1))
+        a2 = (m11 * m11 + 2.0 * m12 * m21 + m22 * m22).sum(axis=1)
         a_norm = np.sqrt(np.maximum(a2, 0.0))
         if self.branch_points and self.branch_radius > 0:
             bp = np.asarray([q for q, _order in self.branch_points], dtype=np.float64)
             bp = bp.reshape(-1, 2)
             d2b = ((pts[:, None, :] - bp[None, :, :]) ** 2).sum(-1)
             bad = bad | (d2b.min(axis=1) <= self.branch_radius**2)
-        h_vec = np.where(bad[:, None], 0.0, h_vec)
-        return {
-            "mean_curvature_vec": h_vec,
-            "mean_curvature_norm": np.where(bad, 0.0, h_norm),
-            "second_form_norm": np.where(bad, 0.0, a_norm),
-            "unreliable": bad,
-        }
+        return np.where(bad, 0.0, h_norm), np.where(bad, 0.0, a_norm), bad
 
 
 @dataclass(frozen=True)
@@ -477,9 +465,7 @@ class SurfaceModel:
         no usable one-ring information and are flagged unreliable.
         """
         if self.patch is not None:
-            out = self.patch.curvature_at(self.params)
-            unreliable = out["unreliable"]
-            values = np.linalg.norm(out["mean_curvature_vec"], axis=1)
+            values, _, unreliable = self.patch.curvature_at(self.params)
         else:
             v, f = self.vertices, self.faces
             u, w = self._corner_edges()
@@ -743,29 +729,25 @@ def second_form_sup(surface: SurfaceModel) -> float:
     """Sup of the second fundamental form norm over parameter samples.
 
     Needs an analytic patch; discrete meshes carry no trustworthy pointwise
-    second-form information. Samples at the mesh's own parameter points and at
-    all edge midpoints in parameter space.
+    second-form information. Samples at the mesh's own parameter points,
+    then at every face's three edge midpoints and its centroid, taken in the
+    face's parameter triangle (`SurfaceModel.face_param_triangles`, so a
+    face across a seam is sampled inside itself).
     """
     if surface.patch is None or surface.params is None:
         raise UnsupportedOperationError(
             "second fundamental form requires an analytic parametrization"
         )
-    p = surface.params
-    f = surface.faces
-    mids = np.concatenate(
-        [
-            0.5 * (p[f[:, 0]] + p[f[:, 1]]),
-            0.5 * (p[f[:, 1]] + p[f[:, 2]]),
-            0.5 * (p[f[:, 2]] + p[f[:, 0]]),
-            (p[f[:, 0]] + p[f[:, 1]] + p[f[:, 2]]) / 3.0,
-        ]
+    t = surface.face_param_triangles()
+    a, b, c = t[:, 0], t[:, 1], t[:, 2]
+    samples = np.concatenate(
+        [surface.params, 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a), (a + b + c) / 3.0]
     )
-    samples = np.concatenate([p, mids], axis=0)
-    out = surface.patch.curvature_at(samples)
-    good = ~out["unreliable"]
+    _, a_norm, unreliable = surface.patch.curvature_at(samples)
+    good = ~unreliable
     if not good.any():
         raise InputInconsistentError("no reliable second-form samples")
-    return float(out["second_form_norm"][good].max())
+    return float(a_norm[good].max())
 
 
 def euler_characteristic(surface: SurfaceModel) -> int:

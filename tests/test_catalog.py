@@ -293,21 +293,111 @@ class TestPatchDerivatives:
     @pytest.mark.parametrize("name, params, factor", PATCH_SCENES)
     def test_du_is_the_central_difference_of_u(self, name, params, factor):
         patch, p = _patch_points(name, params, factor)
-        du = patch.du(p)
-        for j, step in enumerate(H * np.eye(2)):
+        for (a, b), step in zip(((1, 0), (0, 1)), H * np.eye(2)):
             fd = (patch.u(p + step) - patch.u(p - step)) / (2.0 * H)
-            assert np.max(np.abs(du[:, :, j] - fd)) <= _fd_bound(patch.u(p))
+            assert np.max(np.abs(patch.partials(p, a, b) - fd)) <= _fd_bound(patch.u(p))
 
     @pytest.mark.parametrize("name, params, factor", PATCH_SCENES)
     def test_d2u_is_the_central_difference_of_du(self, name, params, factor):
+        # the mixed partial is checked both ways: d/dx of the v partial and
+        # d/dy of the u partial
         patch, p = _patch_points(name, params, factor)
-        d2u = patch.d2u(p)
-        for j, step in enumerate(H * np.eye(2)):
-            fd = (patch.du(p + step) - patch.du(p - step)) / (2.0 * H)
-            assert np.max(np.abs(d2u[:, :, :, j] - fd)) <= _fd_bound(patch.du(p))
+        first = {(1, 0): patch.partials(p, 1, 0), (0, 1): patch.partials(p, 0, 1)}
+        bound = _fd_bound(np.stack(list(first.values())))
+        for (a, b) in first:
+            for j, step in enumerate(H * np.eye(2)):
+                fd = (patch.partials(p + step, a, b) - patch.partials(p - step, a, b)) / (2.0 * H)
+                want = patch.partials(p, a + (j == 0), b + (j == 1))
+                assert np.max(np.abs(want - fd)) <= bound
 
-    @pytest.mark.parametrize("name, params, factor", PATCH_SCENES)
-    def test_d2u_is_symmetric_bit_for_bit(self, name, params, factor):
-        patch, p = _patch_points(name, params, factor)
-        d2u = patch.d2u(p)
-        assert d2u.tobytes() == np.ascontiguousarray(d2u.swapaxes(-1, -2)).tobytes()
+
+# the curvature kernel at res 16 on every analytic scene, each also rescaled
+KERNEL_SCENES = [
+    (name, factor)
+    for name in ALL_NAMES
+    if catalog_entry(name).analytic
+    for factor in (1.0, 1e-3, 1e3)
+]
+# unit roundoff; the kernel and the oracles below agree to under 7 u |A| per
+# sample on these scenes, and 32 u |A| leaves room for other platforms' libm
+U = np.finfo(np.float64).eps / 2.0
+
+
+def _kernel_scene(name, factor):
+    scene = build_scene(name, res=16)
+    return scene if factor == 1.0 else scaled_scene(scene, factor)
+
+
+def _kernel_samples(s):
+    """Vertex parameters, then each face's edge midpoints and centroid."""
+    t = s.face_param_triangles()
+    a, b, c = t[:, 0], t[:, 1], t[:, 2]
+    return np.concatenate([s.params, 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a), (a + b + c) / 3.0])
+
+
+def _einsum_curvature(patch, pts):
+    """|H|, |A| and the unreliable mask from the Jacobian and Hessian layout,
+    g^-1 entry by entry and einsum contractions: an independent formulation
+    of `AnalyticPatch.curvature_at`."""
+    e = np.stack([patch.partials(pts, 1, 0), patch.partials(pts, 0, 1)], axis=-1)
+    mixed = patch.partials(pts, 1, 1)
+    rows = ((patch.partials(pts, 2, 0), mixed), (mixed, patch.partials(pts, 0, 2)))
+    d2 = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    g = np.einsum("mia,mib->mab", e, e)
+    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+    bad = det <= 1e-12 * np.maximum(g[:, 0, 0] + g[:, 1, 1], 1e-300) ** 2
+    safe = np.where(bad, 1.0, det)
+    ginv = np.stack([g[:, 1, 1], -g[:, 0, 1], -g[:, 1, 0], g[:, 0, 0]], axis=1) / safe[:, None]
+    ginv = ginv.reshape(-1, 2, 2)
+    coeff = np.einsum("mab,mib,micd->macd", ginv, e, d2)
+    second = d2 - np.einsum("mia,macd->micd", e, coeff)
+    h = np.linalg.norm(np.einsum("mab,miab->mi", ginv, second), axis=1)
+    a2 = np.einsum("mac,mbd,miab,micd->m", ginv, ginv, second, second)
+    if patch.branch_points:
+        bp = np.array([q for q, _order in patch.branch_points]).reshape(-1, 2)
+        d2b = ((pts[:, None, :] - bp[None, :, :]) ** 2).sum(-1).min(axis=1)
+        bad = bad | (d2b <= patch.branch_radius**2)
+    return np.where(bad, 0.0, h), np.where(bad, 0.0, np.sqrt(np.maximum(a2, 0.0))), bad
+
+
+class TestCurvatureKernel:
+    @pytest.mark.parametrize("name, factor", KERNEL_SCENES)
+    def test_matches_the_einsum_formulation(self, name, factor):
+        s = _kernel_scene(name, factor).surface
+        pts = _kernel_samples(s)
+        h, a, bad = s.patch.curvature_at(pts)
+        h_ref, a_ref, bad_ref = _einsum_curvature(s.patch, pts)
+        assert np.array_equal(bad, bad_ref)
+        assert not (h[bad].any() or a[bad].any())
+        assert np.all(np.abs(h - h_ref) <= 32.0 * U * a_ref)
+        assert np.all(np.abs(a - a_ref) <= 32.0 * U * a_ref)
+
+    @pytest.mark.parametrize("name", ["cap", "hemisphere"])
+    @pytest.mark.parametrize("factor", [1.0, 1e-3, 1e3])
+    def test_sphere(self, name, factor):
+        scene = _kernel_scene(name, factor)
+        R = factor * scene.parameters.get("R", 1.0)
+        h, a, bad = scene.surface.patch.curvature_at(_kernel_samples(scene.surface))
+        assert bad.sum() == 1  # the pole, where e_psi vanishes
+        assert np.all(np.abs(h[~bad] - 2.0 / R) <= 32.0 * U * (2.0 / R))
+        assert np.all(np.abs(a[~bad] - math.sqrt(2.0) / R) <= 32.0 * U * (math.sqrt(2.0) / R))
+
+    @pytest.mark.parametrize("factor", [1.0, 1e-3, 1e3])
+    def test_catenoid(self, factor):
+        # |A| = sqrt(2) / (a cosh^2(v / a)) at (v, psi); the surface is minimal
+        scene = _kernel_scene("catenoid", factor)
+        pts = _kernel_samples(scene.surface)
+        h, a, bad = scene.surface.patch.curvature_at(pts)
+        waist = scene.parameters["waist"]
+        want = math.sqrt(2.0) / (factor * waist * np.cosh(pts[:, 0] / waist) ** 2)
+        assert not bad.any()
+        assert np.all(np.abs(a - want) <= 32.0 * U * want)
+        assert np.all(h <= 32.0 * U * want)
+
+    @pytest.mark.parametrize("name", ["flat_disk", "flat_sector"])
+    @pytest.mark.parametrize("factor", [1.0, 1e-3, 1e3])
+    def test_flat_scenes_are_exactly_zero(self, name, factor):
+        s = _kernel_scene(name, factor).surface
+        h, a, bad = s.patch.curvature_at(_kernel_samples(s))
+        assert not bad.any()
+        assert not h.any() and not a.any()

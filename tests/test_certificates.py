@@ -232,7 +232,12 @@ class TestDensityCertificate:
         assert main([*argv, "--p", "4", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())["payload"]
         assert payload["status"] == "satisfied"
-        assert payload["conclusion"]["surface_density"] == pytest.approx(1.0, abs=1e-12)
+        conclusion = payload["conclusion"]
+        assert conclusion["surface_density"] == pytest.approx(1.0, abs=1e-12)
+        # the report names the density it used
+        assert conclusion["surface_density_mode"] == "extrapolated"
+        assert conclusion["surface_density_radii"] == list(est.radii)
+        assert conclusion["surface_density_note"] == est.note
 
     def test_only_smallness_hypotheses_needed(self, disk):
         cert = density_estimate_certificate(

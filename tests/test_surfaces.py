@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from surfcert import (
+    AnalyticPatch,
     Ball,
     InputInconsistentError,
     InvalidParameterError,
@@ -117,6 +118,30 @@ class TestCurvature:
         assert second_form_sup(cap.surface) == pytest.approx(
             math.sqrt(2.0) / 10.0, rel=1e-9
         )
+
+    @pytest.mark.parametrize("name", ["cap", "catenoid"])
+    def test_second_form_samples_each_face_in_its_parameter_triangle(self, name, monkeypatch):
+        # a face across the psi seam has vertex parameters near 2 pi and 0;
+        # its midpoints and centroid must come from its own unwrapped triangle
+        s = build_scene(name, res=16).surface
+        seen = []
+        kernel = AnalyticPatch.curvature_at
+
+        def spy(patch, pts):
+            seen.append(pts)
+            return kernel(patch, pts)
+
+        monkeypatch.setattr(AnalyticPatch, "curvature_at", spy)
+        second_form_sup(s)
+        (pts,) = seen
+        assert np.array_equal(pts[: s.n_vertices], s.params)
+        t = s.face_param_triangles()
+        q = pts[s.n_vertices :].reshape(4, s.n_faces, 2) - t[:, 0]
+        e1, e2 = t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        l1 = (q[..., 0] * e2[:, 1] - q[..., 1] * e2[:, 0]) / det
+        l2 = (e1[:, 0] * q[..., 1] - e1[:, 1] * q[..., 0]) / det
+        assert np.all(np.stack([l1, l2, 1.0 - l1 - l2]) >= -1e-12)
 
     def test_second_form_needs_patch(self, disk):
         bare = SurfaceModel.build(disk.surface.vertices, disk.surface.faces)
